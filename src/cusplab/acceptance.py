@@ -4,6 +4,7 @@ and the test suite both run these."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ class CriterionResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)

@@ -10,23 +10,8 @@ Downstream code combines exponents additively and only exponentiates
 differences that are guaranteed to be <= 0, so raw values like I_alpha(2000)
 are never materialized.
 
-Evaluation regimes for the mantissas:
-
-* I_alpha: ascending power series below the per-order switch point,
-  large-argument asymptotic series with near-optimal truncation above it.
-  The ascending series has positive terms only, so it is accurate at any
-  argument where it is used.
-* K_alpha: the integer-order ascending series below ``_K_SERIES_MAX`` (its
-  cancellation grows like e^{2s}, which caps the usable range in double
-  precision), the large-argument asymptotic series above the switch point,
-  and a Gauss-Hermite evaluation of the integral representation
-
-      e^s K_alpha(s) = sqrt(2/s) * int_0^inf e^{-u^2}
-                       cosh(2 alpha asinh(u / sqrt(2 s)))
-                       / sqrt(1 + u^2/(2 s)) du
-
-  in between.  Adjacent regimes are overlap-tested against each other and
-  against an extended-precision oracle in the test suite.
+The mantissas come straight from ``scipy.special.ive`` and ``kve`` (Amos's
+algorithm, ACM TOMS 644), which return exactly these scaled values.
 
 The homogeneous radial mode solutions are
 
@@ -40,24 +25,12 @@ recurrences I' = (I_{a-1} + I_{a+1})/2, K' = -(K_{a-1} + K_{a+1})/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import ive, kve
 
-from .errors import ConfigError, NumericalError
-
-_EULER_GAMMA = 0.5772156649015328606
-_K_SERIES_MAX = 3.5
-_ASYM_TERMS = 34
-_GH_POINTS = 160
-
-
-def s_switch(alpha: int) -> float:
-    """Series/asymptotic switch point, chosen per order so that the
-    asymptotic truncation floor stays below 1e-10 across the overlap window."""
-    return max(22.0, 5.0 * alpha)
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -72,133 +45,6 @@ class ScaledBessel:
         return self.mantissa * np.exp(self.exponent)
 
 
-def _harmonic(m: int) -> float:
-    return sum(1.0 / j for j in range(1, m + 1))
-
-
-def _digamma_int(m: int) -> float:
-    """psi(m) for integer m >= 1."""
-    return -_EULER_GAMMA + _harmonic(m - 1)
-
-
-def _i_series_mantissa(alpha: int, s: np.ndarray) -> np.ndarray:
-    """e^{-s} I_alpha(s) by the ascending series (positive terms only)."""
-    half = 0.25 * s * s
-    term = np.exp(alpha * np.log(0.5 * s) - math.lgamma(alpha + 1))
-    total = term.copy()
-    for k in range(1, 400):
-        term = term * half / (k * (k + alpha))
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    else:
-        raise NumericalError("ascending I series failed to converge")
-    return total * np.exp(-s)
-
-
-def _k_series_mantissa(alpha: int, s: np.ndarray) -> np.ndarray:
-    """e^{+s} K_alpha(s) by the integer-order limit form of the series."""
-    half = 0.25 * s * s
-    shalf = 0.5 * s
-    # finite sum: (1/2) (s/2)^{-alpha} sum_{k<alpha} ((alpha-k-1)!/k!) (-s^2/4)^k
-    fin = np.zeros_like(s)
-    coeff = 0.5 * math.factorial(alpha - 1) * shalf ** (-float(alpha))
-    term = coeff * np.ones_like(s)
-    fin += term
-    for k in range(1, alpha):
-        term = term * (-half) / (k * (alpha - k))
-        fin += term
-    # log term: (-1)^{alpha+1} log(s/2) I_alpha(s)
-    i_val = _i_series_mantissa(alpha, s) * np.exp(s)
-    logterm = (-1.0) ** (alpha + 1) * np.log(shalf) * i_val
-    # psi series: (-1)^alpha (1/2) (s/2)^alpha sum_k (psi(k+1)+psi(alpha+k+1)) ...
-    term = shalf ** float(alpha) / math.factorial(alpha)
-    psi_sum = (_digamma_int(1) + _digamma_int(alpha + 1)) * term
-    for k in range(1, 400):
-        term = term * half / (k * (k + alpha))
-        inc = (_digamma_int(k + 1) + _digamma_int(alpha + k + 1)) * term
-        psi_sum += inc
-        if np.all(np.abs(inc) <= 1e-18 * (np.abs(psi_sum) + 1e-300)):
-            break
-    else:
-        raise NumericalError("ascending K series failed to converge")
-    k_val = fin + logterm + (-1.0) ** alpha * 0.5 * psi_sum
-    return k_val * np.exp(s)
-
-
-@lru_cache(maxsize=1)
-def _gh_nodes():
-    nodes, weights = np.polynomial.hermite.hermgauss(_GH_POINTS)
-    pos = nodes > 0
-    return nodes[pos], weights[pos]
-
-
-def _k_gauss_hermite_mantissa(alpha: int, s: np.ndarray) -> np.ndarray:
-    """e^{+s} K_alpha(s) via the Gaussian integral representation."""
-    u, w = _gh_nodes()
-    y = u[:, None] / np.sqrt(2.0 * s[None, :])
-    t = y + np.sqrt(1.0 + y * y)
-    cosh_term = 0.5 * (t ** (2 * alpha) + t ** (-2 * alpha))
-    integrand = cosh_term / np.sqrt(1.0 + y * y)
-    return np.sqrt(2.0 / s) * (w[:, None] * integrand).sum(axis=0)
-
-
-def _asymptotic_mantissas(alpha: int, s: np.ndarray):
-    """(e^{-s} I_alpha, e^{+s} K_alpha) from the large-argument expansions.
-
-    Terms are accumulated to near-optimal truncation; the smallest term is
-    tracked as an error bound and must stay below tolerance.
-    """
-    mu = 4.0 * alpha * alpha
-    term = np.ones_like(s)
-    sum_i = np.ones_like(s)
-    sum_k = np.ones_like(s)
-    min_abs = np.full_like(s, np.inf)
-    done = np.zeros(s.shape, dtype=bool)
-    sign = 1.0
-    for k in range(1, _ASYM_TERMS + 1):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * s * k)
-        grow = np.abs(term) >= min_abs
-        done |= grow
-        active = ~done
-        sign = -sign
-        sum_i = np.where(active, sum_i + sign * term, sum_i)
-        sum_k = np.where(active, sum_k + term, sum_k)
-        min_abs = np.where(active, np.minimum(min_abs, np.abs(term)), min_abs)
-    bound = np.where(np.isfinite(min_abs), min_abs, 0.0)
-    if np.any(bound > 1e-10 * np.abs(sum_k)):
-        raise NumericalError(
-            f"asymptotic series for order {alpha} not converged at s={s[np.argmax(bound)]:.3g}"
-        )
-    pref_i = 1.0 / np.sqrt(2.0 * np.pi * s)
-    pref_k = np.sqrt(np.pi / (2.0 * s))
-    return pref_i * sum_i, pref_k * sum_k
-
-
-def _i_mantissa(alpha: int, s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    lo = s < s_switch(alpha)
-    if np.any(lo):
-        out[lo] = _i_series_mantissa(alpha, s[lo])
-    if np.any(~lo):
-        out[~lo] = _asymptotic_mantissas(alpha, s[~lo])[0]
-    return out
-
-
-def _k_mantissa(alpha: int, s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    lo = s <= _K_SERIES_MAX
-    hi = s >= s_switch(alpha)
-    mid = ~(lo | hi)
-    if np.any(lo):
-        out[lo] = _k_series_mantissa(alpha, s[lo])
-    if np.any(mid):
-        out[mid] = _k_gauss_hermite_mantissa(alpha, s[mid])
-    if np.any(hi):
-        out[hi] = _asymptotic_mantissas(alpha, s[hi])[1]
-    return out
-
-
 def _check_args(alpha: int, s) -> np.ndarray:
     if alpha < 3 or alpha != int(alpha):
         raise ConfigError(f"order must be an integer >= 3, got {alpha}")
@@ -209,38 +55,37 @@ def _check_args(alpha: int, s) -> np.ndarray:
 
 
 def bessel_i_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{-s} I_alpha(s), +s), relative error <= 1e-10."""
+    """(e^{-s} I_alpha(s), +s), relative error <= 1e-13."""
     sv = _check_args(alpha, s)
-    return ScaledBessel(_i_mantissa(alpha, sv), sv.copy())
+    return ScaledBessel(ive(alpha, sv), sv.copy())
 
 
 def bessel_k_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{+s} K_alpha(s), -s), relative error <= 1e-10."""
+    """(e^{+s} K_alpha(s), -s), relative error <= 1e-13."""
     sv = _check_args(alpha, s)
-    return ScaledBessel(_k_mantissa(alpha, sv), -sv)
+    return ScaledBessel(kve(alpha, sv), -sv)
 
 
-def _i_family(alpha: int, s: np.ndarray):
-    """Scaled mantissas of I_{alpha-1}, I_alpha, I_{alpha+1} (orders >= 2)."""
-    return tuple(_i_mantissa(a, s) for a in (alpha - 1, alpha, alpha + 1))
+def _i_prime(alpha: int, s: np.ndarray) -> np.ndarray:
+    """e^{-s} I_alpha'(s) by the order recurrence I' = (I_{a-1} + I_{a+1}) / 2."""
+    return 0.5 * (ive(alpha - 1, s) + ive(alpha + 1, s))
 
 
-def _k_family(alpha: int, s: np.ndarray):
-    return tuple(_k_mantissa(a, s) for a in (alpha - 1, alpha, alpha + 1))
+def _k_prime(alpha: int, s: np.ndarray) -> np.ndarray:
+    """e^{+s} K_alpha'(s) by the order recurrence K' = -(K_{a-1} + K_{a+1}) / 2."""
+    return -0.5 * (kve(alpha - 1, s) + kve(alpha + 1, s))
 
 
 def bessel_i_prime_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{-s} I_alpha'(s), +s) via I' = (I_{a-1} + I_{a+1}) / 2."""
+    """(e^{-s} I_alpha'(s), +s)."""
     sv = _check_args(alpha, s)
-    im, _, ip = _i_family(alpha, sv)
-    return ScaledBessel(0.5 * (im + ip), sv.copy())
+    return ScaledBessel(_i_prime(alpha, sv), sv.copy())
 
 
 def bessel_k_prime_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{+s} K_alpha'(s), -s) via K' = -(K_{a-1} + K_{a+1}) / 2."""
+    """(e^{+s} K_alpha'(s), -s)."""
     sv = _check_args(alpha, s)
-    km, _, kp = _k_family(alpha, sv)
-    return ScaledBessel(-0.5 * (km + kp), -sv)
+    return ScaledBessel(_k_prime(alpha, sv), -sv)
 
 
 def asymptotic_bracket(alpha: int, s):
@@ -251,8 +96,8 @@ def asymptotic_bracket(alpha: int, s):
     the large-argument envelope becomes trustworthy.
     """
     sv = _check_args(alpha, s)
-    fi = _i_mantissa(alpha, sv) * np.sqrt(2.0 * np.pi * sv)
-    fk = _k_mantissa(alpha, sv) / np.sqrt(np.pi / (2.0 * sv))
+    fi = ive(alpha, sv) * np.sqrt(2.0 * np.pi * sv)
+    fk = kve(alpha, sv) / np.sqrt(np.pi / (2.0 * sv))
     return fi, fk
 
 
@@ -265,10 +110,8 @@ def wronskian_residuals(alpha: int, s):
     at any magnitude of s.
     """
     sv = _check_args(alpha, s)
-    im, i0, ip = _i_family(alpha, sv)
-    km, k0, kp = _k_family(alpha, sv)
-    i1 = 0.5 * (im + ip)
-    k1 = -0.5 * (km + kp)
+    i0, i1 = ive(alpha, sv), _i_prime(alpha, sv)
+    k0, k1 = kve(alpha, sv), _k_prime(alpha, sv)
     abel = i0 * k1 - i1 * k0
     res_abel = np.abs(abel + 1.0 / sv) * sv
 
@@ -318,8 +161,8 @@ def h_pair(n: int, lam: float, x) -> HPair:
     s = 2.0 * np.sqrt(lam) / np.sqrt(xv)
     alpha = n + 2
     pref = xv ** (-0.5 * n)
-    m1 = pref * _i_mantissa(alpha, s)
-    m2 = pref * _k_mantissa(alpha, s)
+    m1 = pref * ive(alpha, s)
+    m2 = pref * kve(alpha, s)
     return HPair(m1, m2, s, float(lam), n, xv)
 
 
@@ -331,10 +174,8 @@ def h_pair_derivative_mantissas(pair: HPair):
     """
     n, lam, x, s = pair.n, pair.lam, pair.x, pair.exponent
     alpha = n + 2
-    im, _, ip = _i_family(alpha, s)
-    km, _, kp = _k_family(alpha, s)
-    i1 = 0.5 * (im + ip)
-    k1 = -0.5 * (km + kp)
+    i1 = _i_prime(alpha, s)
+    k1 = _k_prime(alpha, s)
     i0 = pair.h1_mantissa * x ** (0.5 * n)
     k0 = pair.h2_mantissa * x ** (0.5 * n)
     dpref = -0.5 * n * x ** (-0.5 * n - 1.0)

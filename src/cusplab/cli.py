@@ -21,8 +21,7 @@ Config schema (sections and keys; all numeric unless noted):
     [lemma43]  c, k, eps, x_max
 
 Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 acceptance
-failure in `report`.  The environment variable CUSPLAB_CSV_PRECISION
-overrides the 17-significant-digit CSV formatting (debugging only).
+failure in `report`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import argparse
 import configparser
 import csv
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -43,23 +42,15 @@ from .grid import RadialGrid
 from .model import CuspModel
 
 
-def _precision() -> int:
-    raw = os.environ.get("CUSPLAB_CSV_PRECISION", "17")
-    try:
-        return max(1, min(17, int(raw)))
-    except ValueError:
-        return 17
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{_precision()}g}"
+        return f"{float(value):.17g}"
     if isinstance(value, complex):
-        return f"{value.real:.{_precision()}g}{value.imag:+.{_precision()}g}j"
+        return f"{value.real:.17g}{value.imag:+.17g}j"
     return str(value)
 
 
@@ -95,34 +86,61 @@ def write_json(path: Path, payload: dict):
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r.strip() for r in text.split(";") if r.strip()]
-    return np.array([[complex(v) if ("j" in v or "J" in v) else float(v) for v in r.split()] for r in rows])
+    matrix = np.array([[complex(v) if ("j" in v or "J" in v) else float(v) for v in r.split()] for r in rows])
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"non-finite entry in {text!r}")
+    return matrix
 
 
 def load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+        _resolved(cfg)  # interpolates every value, so a malformed one fails here
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     return cfg
 
 
+def _number(cfg, section: str, key: str, default=None, kind=float):
+    """[section] key (or default when absent) as a finite value of type kind.
+
+    Raises ConfigError for a missing, non-numeric or non-finite value, so a
+    bad config is rejected before any computation starts.
+    """
+    raw = cfg.get(section, key, fallback=default)
+    if raw is None:
+        raise ConfigError(f"[{section}] {key} is missing")
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
+
+
 def build_model(cfg: configparser.ConfigParser) -> CuspModel:
+    n = _number(cfg, "model", "n", kind=int)
+    scale = _number(cfg, "model", "scale", 1.0)
     try:
         sec = cfg["model"]
-        n = sec.getint("n")
-        lattice = np.real(_parse_matrix(sec.get("lattice"))).T  # rows are basis vectors
-        A = _parse_matrix(sec.get("A"))
-        scale = sec.getfloat("scale", fallback=1.0)
+        lattice = np.real(_parse_matrix(sec["lattice"])).T  # rows are basis vectors
+        A = _parse_matrix(sec["A"])
         return CuspModel(n=n, lattice=lattice, A=A, scale=scale)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid [model] section: {exc}") from exc
 
 
 def build_grid(cfg: configparser.ConfigParser) -> RadialGrid:
+    x0 = _number(cfg, "grid", "x0")
+    s_max = _number(cfg, "grid", "s_max")
+    nodes = _number(cfg, "grid", "nodes", kind=int)
     try:
-        sec = cfg["grid"]
-        return RadialGrid.make(sec.getfloat("x0"), sec.getfloat("s_max"), sec.getint("nodes"))
-    except (KeyError, ValueError) as exc:
+        return RadialGrid.make(x0, s_max, nodes)
+    except ValueError as exc:
         raise ConfigError(f"invalid [grid] section: {exc}") from exc
 
 
@@ -131,9 +149,8 @@ def _resolved(cfg: configparser.ConfigParser) -> dict:
 
 
 def _boundary_from_config(cfg, grid, n) -> dict:
-    sec = cfg["boundary"] if cfg.has_section("boundary") else {}
-    kind = sec.get("kind", "constant")
-    amp = float(sec.get("amplitude", "0"))
+    kind = cfg.get("boundary", "kind", fallback="constant")
+    amp = _number(cfg, "boundary", "amplitude", 0.0)
     dims = 2 * (n - 1)
     zero = (0,) * dims
     if kind == "constant":
@@ -145,12 +162,24 @@ def _boundary_from_config(cfg, grid, n) -> dict:
     raise ConfigError(f"unknown boundary kind {kind!r}")
 
 
+def _solver_options(cfg, cutoff: float, tol: float) -> dict:
+    """Keyword arguments of modes.picard_solve from [solver]; cutoff and tol
+    are the calling command's defaults."""
+    return {
+        "torus_resolution": _number(cfg, "solver", "torus_resolution", 16, int),
+        "cutoff": _number(cfg, "solver", "cutoff", cutoff),
+        "tol": _number(cfg, "solver", "tol", tol),
+        "max_iter": _number(cfg, "solver", "max_iter", 40, int),
+        "final_order": _number(cfg, "solver", "final_order", 4, int),
+    }
+
+
 # --- subcommand implementations ---
 
 
 def cmd_spectrum(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
-    count = cfg.getint("spectrum", "count", fallback=12)
+    count = _number(cfg, "spectrum", "count", 12, int)
     entries = spectrum.eigenvalues_up_to(model, count)
     rows = [[i, " ".join(str(k) for k in e.k), e.lam] for i, e in enumerate(entries)]
     write_csv(out_dir / "spectrum.csv", ["index", "mode", "lambda"], rows)
@@ -166,14 +195,13 @@ def cmd_geometry_check(cfg, out_dir: Path) -> dict:
 
 
 def cmd_calabi(cfg, out_dir: Path) -> dict:
-    sec = cfg["calabi"] if cfg.has_section("calabi") else {}
-    n = cfg.getint("model", "n", fallback=2)
-    a = float(sec.get("a", "0"))
-    b = float(sec.get("b", "0"))
-    t0 = float(sec.get("t0", "-1"))
-    t_end = float(sec.get("t_end", "-50"))
-    tol = float(sec.get("tol", "1e-12"))
-    psi0 = float(sec.get("psi0", "0"))
+    n = _number(cfg, "model", "n", 2, int)
+    a = _number(cfg, "calabi", "a", 0.0)
+    b = _number(cfg, "calabi", "b", 0.0)
+    t0 = _number(cfg, "calabi", "t0", -1.0)
+    t_end = _number(cfg, "calabi", "t_end", -50.0)
+    tol = _number(cfg, "calabi", "tol", 1e-12)
+    psi0 = _number(cfg, "calabi", "psi0", 0.0)
     traj = radial.integrate_calabi(n, a, b, t0, t_end, tol, psi0)
     fi = traj.first_integral()
     rows = [[t, p, pp, f] for t, p, pp, f in zip(traj.t_nodes, traj.psi, traj.psi_prime, fi)]
@@ -191,12 +219,11 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
 
 
 def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
-    sec = cfg["bessel"] if cfg.has_section("bessel") else {}
-    a_min = int(sec.get("alpha_min", "4"))
-    a_max = int(sec.get("alpha_max", "8"))
-    s_min = float(sec.get("s_min", "0.5"))
-    s_max = float(sec.get("s_max", "500"))
-    points = int(sec.get("points", "120"))
+    a_min = _number(cfg, "bessel", "alpha_min", 4, int)
+    a_max = _number(cfg, "bessel", "alpha_max", 8, int)
+    s_min = _number(cfg, "bessel", "s_min", 0.5)
+    s_max = _number(cfg, "bessel", "s_max", 500.0)
+    points = _number(cfg, "bessel", "points", 120, int)
     s = np.geomspace(s_min, s_max, points)
     rows = []
     worst = 0.0
@@ -216,10 +243,9 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
 
 
 def cmd_expand(cfg, out_dir: Path) -> dict:
-    sec = cfg["expand"] if cfg.has_section("expand") else {}
-    n = int(sec.get("n", "2"))
-    c = float(sec.get("c", "1"))
-    order = int(sec.get("order", "20"))
+    n = _number(cfg, "expand", "n", 2, int)
+    c = _number(cfg, "expand", "c", 1.0)
+    order = _number(cfg, "expand", "order", 20, int)
     series = radial.expand_formal(n, -(n + 1) * c, order)
     target = radial.tangent_cone_coefficients(n, c, order)
     rows = []
@@ -242,18 +268,8 @@ def cmd_green_test(cfg, out_dir: Path) -> dict:
 def cmd_solve(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    sec = cfg["solver"] if cfg.has_section("solver") else {}
     boundary = _boundary_from_config(cfg, grid, model.n)
-    u, state = modes.picard_solve(
-        model,
-        boundary,
-        grid,
-        torus_resolution=int(sec.get("torus_resolution", "16")),
-        cutoff=float(sec.get("cutoff", "9")),
-        tol=float(sec.get("tol", "1e-10")),
-        max_iter=int(sec.get("max_iter", "40")),
-        final_order=int(sec.get("final_order", "4")),
-    )
+    u, state = modes.picard_solve(model, boundary, grid, **_solver_options(cfg, cutoff=9.0, tol=1e-10))
     c_fit, c_rms = modes.extract_tangent_cone(u, model.n)
     mode1_key = tuple([1] + [0] * (2 * model.d - 1))
     prof1 = u.modes.get(mode1_key)
@@ -279,24 +295,16 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
 def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    sec = cfg["solver"] if cfg.has_section("solver") else {}
     boundary = _boundary_from_config(cfg, grid, model.n)
-    u, state = modes.picard_solve(
-        model,
-        boundary,
-        grid,
-        torus_resolution=int(sec.get("torus_resolution", "16")),
-        cutoff=float(sec.get("cutoff", "25")),
-        tol=float(sec.get("tol", "1e-11")),
-        max_iter=int(sec.get("max_iter", "40")),
-        final_order=int(sec.get("final_order", "4")),
-    )
-    lam1 = state.diagnostics["lambda1"]
-    rsec = cfg["ratefit"] if cfg.has_section("ratefit") else {}
-    s_lo = float(rsec.get("s_lo", "40"))
-    s_hi = float(rsec.get("s_hi", "200"))
-    window = analysis.window_from_s(lam1, s_lo, s_hi)
     mode1_key = tuple([1] + [0] * (2 * model.d - 1))
+    if not boundary.get(mode1_key):
+        raise ConfigError("rate-fit needs a cosine boundary with nonzero amplitude")
+    options = _solver_options(cfg, cutoff=25.0, tol=1e-11)
+    s_lo = _number(cfg, "ratefit", "s_lo", 40.0)
+    s_hi = _number(cfg, "ratefit", "s_hi", 200.0)
+    u, state = modes.picard_solve(model, boundary, grid, **options)
+    lam1 = state.diagnostics["lambda1"]
+    window = analysis.window_from_s(lam1, s_lo, s_hi)
     prof = np.abs(u.modes[mode1_key])
     fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
     mask = (grid.x >= window[0]) & (grid.x <= window[1])
@@ -315,11 +323,10 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
 
 
 def cmd_lemma43(cfg, out_dir: Path) -> dict:
-    sec = cfg["lemma43"] if cfg.has_section("lemma43") else {}
-    c = float(sec.get("c", "2"))
-    k = float(sec.get("k", "0"))
-    eps = float(sec.get("eps", "1"))
-    x_max = float(sec.get("x_max", "10"))
+    c = _number(cfg, "lemma43", "c", 2.0)
+    k = _number(cfg, "lemma43", "k", 0.0)
+    eps = _number(cfg, "lemma43", "eps", 1.0)
+    x_max = _number(cfg, "lemma43", "x_max", 10.0)
     report = analysis.lemma43_check(c, k, x_max, eps)
     xs = np.geomspace(1e-6, x_max, 60)
     r1 = analysis.ratio_lower(c, k, xs)

@@ -24,14 +24,16 @@ def test_reference_value_i4_at_2():
     assert got.mantissa[0] * np.exp(2.0) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [3, 4, 6, 8, 9])
+@pytest.mark.parametrize("alpha", range(3, 12))
 def test_scaled_values_match_extended_precision_oracle(alpha):
-    # typed invariant: 1e-12 relative for s <= 30 (achieved with margin)
-    for s in np.geomspace(0.1, 30.0, 25):
-        iv = bessel.bessel_i_scaled(alpha, s).mantissa[0]
-        kv = bessel.bessel_k_scaled(alpha, s).mantissa[0]
-        assert abs(iv - _oracle_i_scaled(alpha, s)) / _oracle_i_scaled(alpha, s) < 1e-12
-        assert abs(kv - _oracle_k_scaled(alpha, s)) / _oracle_k_scaled(alpha, s) < 1e-12
+    # typed invariant: 1e-13 relative from small arguments to s = 3000
+    s = np.geomspace(0.05, 3000.0, 25)
+    iv = bessel.bessel_i_scaled(alpha, s).mantissa
+    kv = bessel.bessel_k_scaled(alpha, s).mantissa
+    for j, sj in enumerate(s):
+        oi, ok = _oracle_i_scaled(alpha, sj), _oracle_k_scaled(alpha, sj)
+        assert abs(iv[j] - oi) / oi < 1e-13
+        assert abs(kv[j] - ok) / ok < 1e-13
 
 
 def test_accuracy_far_beyond_double_overflow_range():
@@ -42,23 +44,6 @@ def test_accuracy_far_beyond_double_overflow_range():
             kv = bessel.bessel_k_scaled(alpha, s).mantissa[0]
             assert abs(iv - _oracle_i_scaled(alpha, s)) / _oracle_i_scaled(alpha, s) < 1e-10
             assert abs(kv - _oracle_k_scaled(alpha, s)) / _oracle_k_scaled(alpha, s) < 1e-10
-
-
-@pytest.mark.parametrize("alpha", [4, 6, 8])
-def test_regime_overlap_seams(alpha):
-    # adjacent evaluation regimes agree where both are usable
-    sw = bessel.s_switch(alpha)
-    seam_asym = np.linspace(0.7 * sw, 2.0 * sw, 12)
-    i_series = bessel._i_series_mantissa(alpha, seam_asym)
-    i_asym = bessel._asymptotic_mantissas(alpha, seam_asym)[0]
-    assert np.max(np.abs(i_series - i_asym) / i_series) < 1e-9
-    k_gh = bessel._k_gauss_hermite_mantissa(alpha, seam_asym)
-    k_asym = bessel._asymptotic_mantissas(alpha, seam_asym)[1]
-    assert np.max(np.abs(k_gh - k_asym) / k_gh) < 1e-9
-    seam_small = np.linspace(2.0, 5.0, 8)
-    k_series = bessel._k_series_mantissa(alpha, seam_small)
-    k_gh2 = bessel._k_gauss_hermite_mantissa(alpha, seam_small)
-    assert np.max(np.abs(k_series - k_gh2) / k_gh2) < 1e-9
 
 
 def test_asymptotic_leading_terms():

@@ -89,7 +89,7 @@ def test_lemma43_command(cfg_path, tmp_path):
     assert payload["results"]["sup_r1"] < 2.0
 
 
-def test_invalid_config_exit_code(tmp_path):
+def test_invalid_config_exit_code(tmp_path, monkeypatch):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[model]\nn = 1\nlattice = 1\nA = 1\n")
     rc = cli.main(["spectrum", str(bad), "-o", str(tmp_path / "o")])
@@ -97,14 +97,23 @@ def test_invalid_config_exit_code(tmp_path):
     rc = cli.main(["spectrum", str(tmp_path / "missing.cfg"), "-o", str(tmp_path / "o")])
     assert rc == 2
 
+    # solver-bound configs must be rejected before any solve starts
+    def no_solve(*args, **kwargs):
+        raise AssertionError("picard_solve called on an invalid config")
 
-def test_precision_override(cfg_path, tmp_path, monkeypatch):
-    out = tmp_path / "p"
-    monkeypatch.setenv("CUSPLAB_CSV_PRECISION", "5")
-    assert cli.main(["spectrum", cfg_path, "-o", str(out)]) == 0
-    lines = (out / "spectrum.csv").read_text().splitlines()
-    lam = lines[2].split(",")[2]
-    assert len(lam) <= 7  # 5 significant digits
+    monkeypatch.setattr(cli.modes, "picard_solve", no_solve)
+    solve_cfg = SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 400\n"
+    for command, text in [
+        ("solve", solve_cfg + "[solver]\ncutoff = abc\n"),
+        ("solve", solve_cfg + "[boundary]\nkind = cosine\namplitude = nan\n"),
+        ("rate-fit", solve_cfg + "[boundary]\nkind = constant\namplitude = 0.1\n"),
+        ("solve", solve_cfg.replace("scale = 1.0", "scale = inf")),
+        ("solve", solve_cfg.replace("lattice = 1 0 ; 0 1", "lattice = 1 0 ; 0 nan")),
+        ("solve", solve_cfg.replace("n = 2\n", "n = 2\nn = 3\n", 1)),
+        ("solve", solve_cfg + "[boundary]\namplitude = 1%\n"),
+    ]:
+        bad.write_text(text)
+        assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
 
 
 def test_solve_command_small(tmp_path):
