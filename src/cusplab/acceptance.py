@@ -163,7 +163,7 @@ def criterion_a5() -> CriterionResult:
     lam1 = state.diagnostics["lambda1"]
     residual = state.diagnostics["residual_sup"]
     c_fit, _ = modes.extract_tangent_cone(u, model.n)
-    prof = np.abs(u.modes[(1, 0)])
+    prof = np.abs(u.mode((1, 0)))
     window = analysis.window_from_s(lam1, 40.0, 200.0)
     fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
     delta_target = 2.0 * np.sqrt(lam1)
@@ -297,7 +297,7 @@ def criterion_a9() -> CriterionResult:
         worst_indicial = max(worst_indicial, err)
     # quadratic smallness: sup |M(eps f) - L(eps f)| ~ eps^2
     grid2 = RadialGrid.make(x0=0.05, s_max=12.0, num=400)
-    base = Field(
+    base = Field.from_modes(
         grid2,
         {
             (0, 0): (0.3 * grid2.x**2).astype(complex),

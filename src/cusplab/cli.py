@@ -16,7 +16,6 @@ Config schema (sections and keys; all numeric unless noted):
     [calabi]   a, b, t0, t_end, tol, psi0
     [bessel]   alpha_min, alpha_max, s_min, s_max, points
     [expand]   n, c, order
-    [green]    lam_multiples ('1 2 10'), trials, nodes
     [ratefit]  s_lo, s_hi
     [lemma43]  c, k, eps, x_max
 
@@ -104,11 +103,12 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _number(cfg, section: str, key: str, default=None, kind=float):
-    """[section] key (or default when absent) as a finite value of type kind.
+def _number(cfg, section: str, key: str, default=None, kind=float, positive=False):
+    """[section] key (or default when absent) as a finite value of type kind,
+    and above zero when `positive` is set.
 
-    Raises ConfigError for a missing, non-numeric or non-finite value, so a
-    bad config is rejected before any computation starts.
+    Raises ConfigError for a missing, non-numeric, non-finite or out-of-range
+    value, so a bad config is rejected before any computation starts.
     """
     raw = cfg.get(section, key, fallback=default)
     if raw is None:
@@ -119,6 +119,8 @@ def _number(cfg, section: str, key: str, default=None, kind=float):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    if positive and value <= 0:
+        raise ConfigError(f"[{section}] {key} = {raw!r} must be positive")
     return value
 
 
@@ -167,9 +169,9 @@ def _solver_options(cfg, cutoff: float, tol: float) -> dict:
     are the calling command's defaults."""
     return {
         "torus_resolution": _number(cfg, "solver", "torus_resolution", 16, int),
-        "cutoff": _number(cfg, "solver", "cutoff", cutoff),
-        "tol": _number(cfg, "solver", "tol", tol),
-        "max_iter": _number(cfg, "solver", "max_iter", 40, int),
+        "cutoff": _number(cfg, "solver", "cutoff", cutoff, positive=True),
+        "tol": _number(cfg, "solver", "tol", tol, positive=True),
+        "max_iter": _number(cfg, "solver", "max_iter", 40, int, positive=True),
         "final_order": _number(cfg, "solver", "final_order", 4, int),
     }
 
@@ -200,7 +202,7 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
     b = _number(cfg, "calabi", "b", 0.0)
     t0 = _number(cfg, "calabi", "t0", -1.0)
     t_end = _number(cfg, "calabi", "t_end", -50.0)
-    tol = _number(cfg, "calabi", "tol", 1e-12)
+    tol = _number(cfg, "calabi", "tol", 1e-12, positive=True)
     psi0 = _number(cfg, "calabi", "psi0", 0.0)
     traj = radial.integrate_calabi(n, a, b, t0, t_end, tol, psi0)
     fi = traj.first_integral()
@@ -223,7 +225,7 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
     a_max = _number(cfg, "bessel", "alpha_max", 8, int)
     s_min = _number(cfg, "bessel", "s_min", 0.5)
     s_max = _number(cfg, "bessel", "s_max", 500.0)
-    points = _number(cfg, "bessel", "points", 120, int)
+    points = _number(cfg, "bessel", "points", 120, int, positive=True)
     s = np.geomspace(s_min, s_max, points)
     rows = []
     worst = 0.0
@@ -272,16 +274,12 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
     u, state = modes.picard_solve(model, boundary, grid, **_solver_options(cfg, cutoff=9.0, tol=1e-10))
     c_fit, c_rms = modes.extract_tangent_cone(u, model.n)
     mode1_key = tuple([1] + [0] * (2 * model.d - 1))
-    prof1 = u.modes.get(mode1_key)
-    rows = []
-    u0 = u.radial_mean()
-    for i, (xv, sv) in enumerate(zip(grid.x, grid.s)):
-        row = [xv, sv, u0[i]]
-        if prof1 is not None:
-            row.append(2.0 * prof1[i].real)
-        rows.append(row)
-    header = ["x", "s", "u_mode0"] + (["u_mode1_cos"] if prof1 is not None else [])
-    write_csv(out_dir / "solve.csv", header, rows)
+    prof1 = u.mode(mode1_key)
+    header, columns = ["x", "s", "u_mode0"], [grid.x, grid.s, u.radial_mean()]
+    if np.any(prof1):  # the (1, 0, ...) mode was solved
+        header.append("u_mode1_cos")
+        columns.append(2.0 * prof1.real)
+    write_csv(out_dir / "solve.csv", header, zip(*columns))
     return {
         "iterations": state.iteration,
         "sup_change": state.sup_change,
@@ -300,12 +298,14 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     if not boundary.get(mode1_key):
         raise ConfigError("rate-fit needs a cosine boundary with nonzero amplitude")
     options = _solver_options(cfg, cutoff=25.0, tol=1e-11)
-    s_lo = _number(cfg, "ratefit", "s_lo", 40.0)
+    s_lo = _number(cfg, "ratefit", "s_lo", 40.0, positive=True)
     s_hi = _number(cfg, "ratefit", "s_hi", 200.0)
+    if s_lo >= s_hi:
+        raise ConfigError(f"[ratefit] needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
     u, state = modes.picard_solve(model, boundary, grid, **options)
     lam1 = state.diagnostics["lambda1"]
     window = analysis.window_from_s(lam1, s_lo, s_hi)
-    prof = np.abs(u.modes[mode1_key])
+    prof = np.abs(u.mode(mode1_key))
     fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
     mask = (grid.x >= window[0]) & (grid.x <= window[1])
     env = fit.amplitude * grid.x[mask] ** fit.p * np.exp(-fit.delta / np.sqrt(grid.x[mask]))
@@ -326,7 +326,7 @@ def cmd_lemma43(cfg, out_dir: Path) -> dict:
     c = _number(cfg, "lemma43", "c", 2.0)
     k = _number(cfg, "lemma43", "k", 0.0)
     eps = _number(cfg, "lemma43", "eps", 1.0)
-    x_max = _number(cfg, "lemma43", "x_max", 10.0)
+    x_max = _number(cfg, "lemma43", "x_max", 10.0, positive=True)
     report = analysis.lemma43_check(c, k, x_max, eps)
     xs = np.geomspace(1e-6, x_max, 60)
     r1 = analysis.ratio_lower(c, k, xs)

@@ -1,10 +1,12 @@
 """Circle-invariant fields on the cusp.
 
-A Field stores torus Fourier coefficients over a shared radial grid: one
-complex radial profile per integer dual-lattice index k.  The characters are
-chi_k(t) = exp(2*pi*i k.t) in fractional lattice coordinates t, so the
-mode <-> collocation-value conversion is a plain discrete Fourier transform
-on a uniform torus grid of size m per direction.
+A Field stores torus Fourier coefficients over a shared radial grid in one
+dense complex array of shape (m,)*dims + (len(grid),), in numpy FFT index
+order: the complex radial profile of the integer dual-lattice index k sits
+at index k mod m.  The characters are chi_k(t) = exp(2*pi*i k.t) in
+fractional lattice coordinates t, so the coefficient <-> collocation-value
+conversion is one discrete Fourier transform on a uniform torus grid of size
+m per direction.  The Nyquist planes (some k_i = -m/2) stay zero.
 
 Real-valuedness corresponds to coefficient conjugate symmetry between k
 and -k; constructors enforce it up to roundoff.
@@ -22,51 +24,55 @@ from .grid import RadialGrid
 _REAL_TOL = 1e-9
 
 
-def _centered_index(idx: int, m: int) -> int:
-    return (idx + m // 2) % m - m // 2
+def mode_indices(m: int, dims: int) -> np.ndarray:
+    """Integer mode index k at each FFT position, shape (m,)*dims + (dims,);
+    the Nyquist positions read -m/2."""
+    k = (np.arange(m) + m // 2) % m - m // 2
+    return np.stack(np.meshgrid(*[k] * dims, indexing="ij"), axis=-1)
 
 
 @dataclass
 class Field:
     grid: RadialGrid
-    modes: dict
-    torus_resolution: int
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        m = self.torus_resolution
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        shape = self.coeffs.shape
+        m = shape[0] if shape else 0
+        if len(shape) < 2 or shape != (m,) * (len(shape) - 1) + (len(self.grid),):
+            raise ConfigError(
+                f"coefficients must have shape (m,)*dims + ({len(self.grid)},), "
+                f"got {self.coeffs.shape}"
+            )
         if m < 4 or (m & (m - 1)) != 0:
             raise ConfigError(f"torus_resolution must be a power of two >= 4, got {m}")
-        nn = len(self.grid)
-        cleaned = {}
-        dims = None
-        for k, prof in self.modes.items():
-            k = tuple(int(ki) for ki in k)
-            if dims is None:
-                dims = len(k)
-            elif len(k) != dims:
-                raise ConfigError("inconsistent mode key lengths")
-            if max(abs(ki) for ki in k) >= m // 2 and any(k):
-                raise ConfigError(f"mode {k} aliases on a grid of size {m}")
-            prof = np.asarray(prof, dtype=complex)
-            if prof.shape != (nn,):
-                raise ConfigError(f"profile for mode {k} has shape {prof.shape}, want ({nn},)")
-            cleaned[k] = prof
-        if not cleaned:
-            raise ConfigError("field needs at least one mode (use Field.zero)")
-        self.modes = cleaned
 
     # --- constructors ---
 
     @classmethod
     def zero(cls, grid: RadialGrid, torus_dims: int, torus_resolution: int) -> "Field":
-        key = (0,) * torus_dims
-        return cls(grid, {key: np.zeros(len(grid), dtype=complex)}, torus_resolution)
+        shape = (torus_resolution,) * torus_dims + (len(grid),)
+        return cls(grid, np.zeros(shape, dtype=complex))
 
     @classmethod
     def from_radial(cls, grid: RadialGrid, profile, torus_dims: int, torus_resolution: int) -> "Field":
-        key = (0,) * torus_dims
-        prof = np.asarray(profile, dtype=complex)
-        return cls(grid, {key: prof}, torus_resolution)
+        return cls.from_modes(grid, {(0,) * torus_dims: profile}, torus_resolution)
+
+    @classmethod
+    def from_modes(cls, grid: RadialGrid, modes: dict, torus_resolution: int) -> "Field":
+        """Field with the given profile for each integer mode key, zero elsewhere."""
+        if not modes:
+            raise ConfigError("field needs at least one mode (use Field.zero)")
+        dims = len(next(iter(modes)))
+        f = cls.zero(grid, dims, torus_resolution)
+        nn = len(grid)
+        for k, prof in modes.items():
+            prof = np.asarray(prof, dtype=complex)
+            if prof.shape != (nn,):
+                raise ConfigError(f"profile for mode {k} has shape {prof.shape}, want ({nn},)")
+            f.coeffs[f.index(k)] = prof
+        return f
 
     @classmethod
     def from_values(
@@ -90,48 +96,49 @@ class Field:
             raise ConfigError(f"values must be (m,)*dims + (N,), got {values.shape}")
         coeffs = np.fft.fftn(values, axes=tuple(range(dims))) / m**dims
         scale = np.max(np.abs(coeffs)) + 1e-300
-        modes = {}
-        nyq_max = 0.0
-        for idx in np.ndindex(*([m] * dims)):
-            k = tuple(_centered_index(i, m) for i in idx)
-            prof = coeffs[idx]
-            if any(abs(ki) == m // 2 for ki in k):
-                nyq_max = max(nyq_max, float(np.max(np.abs(prof))))
-                continue
-            modes[k] = np.ascontiguousarray(prof)
+        nyquist = np.any(mode_indices(m, dims) == -(m // 2), axis=-1)
+        nyq_max = float(np.max(np.abs(coeffs[nyquist])))
         if nyq_max > nyquist_tol * scale and nyq_max > nyquist_abs:
             raise ConfigError(
                 f"torus_resolution {m} too small: Nyquist content {nyq_max:.3e} "
                 f"vs scale {scale:.3e}"
             )
-        return cls(grid, modes, m)
+        coeffs[nyquist] = 0.0
+        return cls(grid, coeffs)
 
     # --- structure ---
 
     @property
-    def torus_dims(self) -> int:
-        return len(next(iter(self.modes)))
+    def torus_resolution(self) -> int:
+        return self.coeffs.shape[0]
 
     @property
-    def zero_key(self) -> tuple:
-        return (0,) * self.torus_dims
+    def torus_dims(self) -> int:
+        return self.coeffs.ndim - 1
+
+    def index(self, k) -> tuple:
+        """Array index of the integer mode k; rejects keys that alias."""
+        m = self.torus_resolution
+        k = tuple(int(ki) for ki in k)
+        if len(k) != self.torus_dims:
+            raise ConfigError(f"mode {k} needs {self.torus_dims} entries")
+        if max(abs(ki) for ki in k) >= m // 2:
+            raise ConfigError(f"mode {k} aliases on a grid of size {m}")
+        return tuple(ki % m for ki in k)
+
+    def mode(self, k) -> np.ndarray:
+        """Radial profile of the integer mode k (zero when not present)."""
+        return self.coeffs[self.index(k)].copy()
 
     def radial_mean(self) -> np.ndarray:
         """Profile of the torus-constant mode (real part)."""
-        prof = self.modes.get(self.zero_key)
-        if prof is None:
-            return np.zeros(len(self.grid))
-        return prof.real.copy()
+        return self.coeffs[(0,) * self.torus_dims].real.copy()
 
     def values(self, real_tol: float = _REAL_TOL) -> np.ndarray:
         """Collocation values on the uniform torus grid, last axis radial."""
         m = self.torus_resolution
         dims = self.torus_dims
-        hat = np.zeros((m,) * dims + (len(self.grid),), dtype=complex)
-        for k, prof in self.modes.items():
-            idx = tuple(ki % m for ki in k)
-            hat[idx] += prof
-        vals = np.fft.ifftn(hat, axes=tuple(range(dims))) * m**dims
+        vals = np.fft.ifftn(self.coeffs, axes=tuple(range(dims))) * m**dims
         scale = np.max(np.abs(vals.real)) + 1e-300
         imag = np.max(np.abs(vals.imag))
         if imag > real_tol * scale:
@@ -141,16 +148,10 @@ class Field:
         return vals.real
 
     def conjugate_symmetry_defect(self) -> float:
-        """Max |c(k) - conj(c(-k))| over stored modes (0 for a real field)."""
-        worst = 0.0
-        for k, prof in self.modes.items():
-            mk = tuple(-ki for ki in k)
-            other = self.modes.get(mk)
-            if other is None:
-                worst = max(worst, float(np.max(np.abs(prof))))
-            else:
-                worst = max(worst, float(np.max(np.abs(prof - other.conj()))))
-        return worst
+        """Max |c(k) - conj(c(-k))| over all modes (0 for a real field)."""
+        axes = tuple(range(self.torus_dims))
+        reflected = np.roll(np.flip(self.coeffs, axes), 1, axes)  # index -k mod m
+        return float(np.max(np.abs(self.coeffs - reflected.conj())))
 
     def sup_norm(self, interior: slice | None = None) -> float:
         vals = self.values()
@@ -160,37 +161,23 @@ class Field:
 
     # --- algebra ---
 
-    def copy(self) -> "Field":
-        return Field(self.grid, {k: p.copy() for k, p in self.modes.items()}, self.torus_resolution)
-
-    def _binary(self, other: "Field", op) -> "Field":
+    def _same_layout(self, other: "Field") -> np.ndarray:
         if other.grid is not self.grid and not np.array_equal(other.grid.s, self.grid.s):
             raise ConfigError("fields live on different grids")
-        keys = set(self.modes) | set(other.modes)
-        nn = len(self.grid)
-        out = {}
-        for k in keys:
-            a = self.modes.get(k)
-            b = other.modes.get(k)
-            if a is None:
-                a = np.zeros(nn, dtype=complex)
-            if b is None:
-                b = np.zeros(nn, dtype=complex)
-            out[k] = op(a, b)
-        return Field(self.grid, out, self.torus_resolution)
+        if other.coeffs.shape != self.coeffs.shape:
+            raise ConfigError(
+                f"torus layouts differ: {other.coeffs.shape[:-1]} vs {self.coeffs.shape[:-1]}"
+            )
+        return other.coeffs
 
     def __add__(self, other: "Field") -> "Field":
-        return self._binary(other, lambda a, b: a + b)
+        return Field(self.grid, self.coeffs + self._same_layout(other))
 
     def __sub__(self, other: "Field") -> "Field":
-        return self._binary(other, lambda a, b: a - b)
+        return Field(self.grid, self.coeffs - self._same_layout(other))
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field(
-            self.grid,
-            {k: p * scalar for k, p in self.modes.items()},
-            self.torus_resolution,
-        )
+        return Field(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 

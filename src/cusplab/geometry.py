@@ -29,7 +29,7 @@ from .errors import (
     ConfigError,
     MetricDegenerateError,
 )
-from .fields import Field, torus_points
+from .fields import Field, mode_indices, torus_points
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
@@ -140,42 +140,39 @@ def _log1p_minus(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mode_derivatives(f: Field, order: int):
+    """(rows, k, f_x, f_xx): flat torus indices of the nonzero coefficient
+    rows of f, the integer mode of each of those rows, and their radial
+    derivatives (zero rows have zero derivatives, so they are skipped)."""
+    m, dims = f.torus_resolution, f.torus_dims
+    flat = f.coeffs.reshape(m**dims, len(f.grid))
+    rows = np.flatnonzero(np.any(flat != 0, axis=-1))
+    px, pxx = f.grid.deriv_x(flat[rows], order)
+    return rows, mode_indices(m, dims).reshape(-1, dims)[rows], px, pxx
+
+
 def _chart_values(model: CuspModel, f: Field, order: int):
     """Collocation values of f and the chart derivatives entering the
     Hessian: f, f_x, f_xx, f_{a x}, f_{a bbar}."""
-    grid = f.grid
     m = f.torus_resolution
-    d = model.d
-    dims = 2 * d
-    nn = len(grid)
-    shape = (m,) * dims + (nn,)
-    hat_f = np.zeros(shape, dtype=complex)
-    hat_fx = np.zeros(shape, dtype=complex)
-    hat_fxx = np.zeros(shape, dtype=complex)
-    hat_fax = np.zeros((d,) + shape, dtype=complex)
-    hat_fab = np.zeros((d, d) + shape, dtype=complex)
-    for k, prof in f.modes.items():
-        idx = tuple(ki % m for ki in k)
-        px, pxx = grid.deriv_x(prof, order)
-        c = mode_covector(model, k)
-        hat_f[idx] += prof
-        hat_fx[idx] += px
-        hat_fxx[idx] += pxx
-        for a in range(d):
-            hat_fax[(a,) + idx] += 1j * np.pi * c[a] * px
-            for b in range(d):
-                hat_fab[(a, b) + idx] += -np.pi**2 * c[a] * c[b].conj() * prof
+    dims = f.torus_dims
+    rows, k, px, pxx = _mode_derivatives(f, order)
+    prof = f.coeffs.reshape(m**dims, -1)[rows]
+    ca = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
     axes = tuple(range(-dims - 1, -1))
 
-    def _ifft(hat):
-        return np.fft.ifftn(hat, axes=axes) * m**dims
+    def _ifft(row_values):
+        """Collocation values of coefficients given on `rows` only."""
+        hat = np.zeros(row_values.shape[:-2] + (m**dims, len(f.grid)), dtype=complex)
+        hat[..., rows, :] = row_values
+        return np.fft.ifftn(hat.reshape(hat.shape[:-2] + f.coeffs.shape), axes=axes) * m**dims
 
     return {
-        "f": _ifft(hat_f).real,
-        "fx": _ifft(hat_fx).real,
-        "fxx": _ifft(hat_fxx).real,
-        "fax": _ifft(hat_fax),
-        "fab": _ifft(hat_fab),
+        "f": _ifft(prof).real,
+        "fx": _ifft(px).real,
+        "fxx": _ifft(pxx).real,
+        "fax": _ifft(1j * np.pi * ca * px),
+        "fab": _ifft(-np.pi**2 * ca[:, None] * ca[None].conj() * prof),
     }
 
 
@@ -220,22 +217,10 @@ def _tilde_matrices(model: CuspModel, grid: RadialGrid, m: int, ch):
     return G, H
 
 
-def _positivity_guard(grid: RadialGrid, total: np.ndarray, n: int):
+def _positivity_guard(grid: RadialGrid, eigmin: np.ndarray, tr: np.ndarray, n: int):
     """Smallest eigenvalue of the perturbed metric must clear the relative
     floor 1e-10 tr/n; reports the offending point otherwise."""
-    if n == 2:
-        tr = np.real(total[..., 0, 0] + total[..., 1, 1])
-        det = np.real(
-            total[..., 0, 0] * total[..., 1, 1]
-            - total[..., 0, 1] * np.conj(total[..., 0, 1])
-        )
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        eigmin = 0.5 * (tr - disc)
-    else:
-        eigmin = np.linalg.eigvalsh(total)[..., 0]
-        tr = np.real(np.trace(total, axis1=-2, axis2=-1))
-    floor = 1e-10 * tr / n
-    bad = eigmin <= floor
+    bad = eigmin <= 1e-10 * tr / n
     if np.any(bad):
         flat = np.argmax(bad)
         idx = np.unravel_index(flat, bad.shape)
@@ -248,7 +233,6 @@ def _ma_values(model: CuspModel, f: Field, order: int):
     Q = M - L."""
     ch = _chart_values(model, f, order)
     G, H = _tilde_matrices(model, f.grid, f.torus_resolution, ch)
-    _positivity_guard(f.grid, G + H, model.n)
     if model.n == 2:
         g00 = np.real(G[..., 0, 0])
         g11 = np.real(G[..., 1, 1])
@@ -259,12 +243,20 @@ def _ma_values(model: CuspModel, f: Field, order: int):
         h01 = H[..., 0, 1]
         deth = h00 * h11 - np.abs(h01) ** 2
         cross = g00 * h11 + g11 * h00 - 2.0 * np.real(g01.conj() * h01)
+        # trace and determinant of G + H give its smaller eigenvalue
+        tr = (g00 + h00) + (g11 + h11)
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * (detg + cross + deth), 0.0))
+        _positivity_guard(f.grid, 0.5 * (tr - disc), tr, 2)
         tr_a = cross / detg
         det_a = deth / detg
         w = tr_a + det_a
         m_vals = np.log1p(w) - ch["f"]
         q_vals = _log1p_minus(w) + det_a
     else:
+        total = G + H
+        tr = np.real(np.trace(total, axis1=-2, axis2=-1))
+        _positivity_guard(f.grid, np.linalg.eigvalsh(total)[..., 0], tr, model.n)
+        del total  # released before the factorization, which sets the peak memory
         L = np.linalg.cholesky(G)
         B = np.linalg.solve(L, H)
         B = np.linalg.solve(L, B.conj().swapaxes(-1, -2))
@@ -298,12 +290,10 @@ def linearized_apply(model: CuspModel, f: Field, order: int = 2) -> Field:
         raise ConfigError("grid too coarse for second differences")
     n = model.n
     x = f.grid.x
-    out = {}
-    for k, prof in f.modes.items():
-        lam = mode_eigenvalue(model, k)
-        px, pxx = f.grid.deriv_x(prof, order)
-        out[k] = (x**2 * pxx + (n + 1) * x * px - (n + 1) * prof - lam * prof / x) / (n + 1)
-    return Field(f.grid, out, f.torus_resolution)
+    lam = mode_eigenvalue(model, mode_indices(f.torus_resolution, f.torus_dims))[..., None]
+    px, pxx = f.grid.deriv_x(f.coeffs, order)
+    out = (x**2 * pxx + (n + 1) * x * px - (n + 1) * f.coeffs - lam * f.coeffs / x) / (n + 1)
+    return Field(f.grid, out)
 
 
 def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianForm:
@@ -323,18 +313,14 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     x = grid.x[idx]
     v = np.concatenate([p.z_prime.real, p.z_prime.imag])
     t = np.linalg.solve(model.lattice, v)
-    fx = fxx = 0.0
-    fax = np.zeros(d, dtype=complex)
-    fab = np.zeros((d, d), dtype=complex)
-    for k, prof in f.modes.items():
-        chi = np.exp(2j * np.pi * np.dot(k, t))
-        px, pxx = grid.deriv_x(prof, order=2)
-        c = mode_covector(model, k)
-        fx = fx + px[idx] * chi
-        fxx = fxx + pxx[idx] * chi
-        fax += 1j * np.pi * c * px[idx] * chi
-        fab += -np.pi**2 * np.outer(c, c.conj()) * prof[idx] * chi
-    fx, fxx = complex(fx).real, complex(fxx).real
+    rows, k, px, pxx = _mode_derivatives(f, order=2)
+    c = mode_covector(model, k)
+    chi = np.exp(2j * np.pi * (k @ t))
+    prof = f.coeffs.reshape(-1, len(grid))[rows, idx]
+    fx = float(np.sum(px[:, idx] * chi).real)
+    fxx = float(np.sum(pxx[:, idx] * chi).real)
+    fax = 1j * np.pi * (px[:, idx] * chi) @ c
+    fab = -np.pi**2 * np.einsum("r,ra,rb->ab", prof * chi, c, c.conj())
     pa = model.phi_grad(p.z_prime)
     r = model.radius_from_x(p.z_prime, x)
     zn = r * np.exp(1j * p.theta)

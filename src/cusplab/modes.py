@@ -278,16 +278,9 @@ def truncate_mode_noise(g: Field, floor: float = 1e-14) -> Field:
     peak.  Collocation-space roundoff puts an absolute noise floor under
     every coefficient; beyond the knee the true profiles decay doubly
     exponentially, so dropping the floored values commits the smaller error."""
-    out = {}
-    for k, prof in g.modes.items():
-        peak = np.max(np.abs(prof))
-        if peak == 0.0:
-            out[k] = prof.copy()
-            continue
-        cleaned = prof.copy()
-        cleaned[np.abs(prof) < floor * peak] = 0.0
-        out[k] = cleaned
-    return Field(g.grid, out, g.torus_resolution)
+    size = np.abs(g.coeffs)
+    peak = np.max(size, axis=-1, keepdims=True)
+    return Field(g.grid, np.where(size < floor * peak, 0.0, g.coeffs))
 
 
 def assemble_representation(
@@ -303,54 +296,52 @@ def assemble_representation(
 
     boundary maps integer mode keys to boundary coefficients at x0.  Modes
     of g above the cutoff are not solved; their largest sup-norm is reported
-    as the tail indicator (error if tail_tol is given and exceeded).
+    as the tail indicator (error if tail_tol is given and exceeded).  Modes
+    below the cutoff that the torus grid cannot resolve (some |k_i| >= m/2)
+    carry no coefficient and are skipped unless boundary data forces them.
     """
     grid = g.grid
     n = model.n
     dims = 2 * model.d
+    half = g.torus_resolution // 2
     zero = (0,) * dims
-    entries = modes_below(model, lam_max)
-    keys = {e.k: e.lam for e in entries}
+    keys = {e.k: e.lam for e in modes_below(model, lam_max) if max(map(abs, e.k)) < half}
     for k in boundary:
         kk = tuple(int(i) for i in k)
         if kk != zero and kk not in keys:
             keys[kk] = None  # boundary data forces the mode in
-    out_modes = {}
 
-    g0 = g.modes.get(zero)
-    g0 = g0.real if g0 is not None else np.zeros(len(grid))
+    out = Field.zero(grid, dims, g.torus_resolution)
     beta0 = complex(boundary.get(zero, 0.0)).real
-    u0, _ = radial_rep_l0(n, grid, g0, beta0)
-    out_modes[zero] = u0.astype(complex)
+    out.coeffs[zero], _ = radial_rep_l0(n, grid, g.radial_mean(), beta0)
 
-    sup_by_key = {k: float(np.max(np.abs(p))) for k, p in g.modes.items()}
-    scale = max(sup_by_key.values()) if sup_by_key else 0.0
+    sup = np.max(np.abs(g.coeffs), axis=-1)
+    scale = float(np.max(sup))
+    unsolved = np.ones(sup.shape, dtype=bool)
+    unsolved[zero] = False
     pair_cache = {}
+    modes_solved = 0
     for k, lam in keys.items():
+        slot = out.index(k)
+        unsolved[slot] = False
+        beta = complex(boundary.get(k, 0.0))
+        if beta == 0.0 and sup[slot] <= mode_floor * scale:
+            continue
         if lam is None:
             lam = mode_eigenvalue(model, k)
-        prof = g.modes.get(k)
-        beta = complex(boundary.get(k, 0.0))
-        sup = float(np.max(np.abs(prof))) if prof is not None else 0.0
-        if beta == 0.0 and sup <= mode_floor * scale:
-            continue
-        f = prof if prof is not None else np.zeros(len(grid), dtype=complex)
         lam_key = round(lam, 12)
         if lam_key not in pair_cache:
             pair_cache[lam_key] = h_pair(n, lam, grid.x)
-        out_modes[k] = _solve_with_pair(pair_cache[lam_key], grid, f, beta)
+        out.coeffs[slot] = _solve_with_pair(pair_cache[lam_key], grid, g.coeffs[slot], beta)
+        modes_solved += 1
 
-    tail = 0.0
-    for k, sup in sup_by_key.items():
-        if k != zero and k not in keys:
-            tail = max(tail, sup)
+    tail = float(np.max(sup[unsolved]))
     if tail_tol is not None and tail > tail_tol:
         raise ModeTailError(
             f"spectral tail {tail:.3e} above the cutoff exceeds tolerance {tail_tol:.1e}; "
             "raise the mode cutoff"
         )
-    out = Field(grid, out_modes, g.torus_resolution)
-    return out, {"tail_indicator": tail, "modes_solved": len(out_modes) - 1}
+    return out, {"tail_indicator": tail, "modes_solved": modes_solved}
 
 
 @dataclass
@@ -396,21 +387,20 @@ def picard_solve(
     """
     lam1 = first_eigenvalue(model)
     lam_max = cutoff * lam1
-    dims = 2 * model.d
-    zero_g = Field.zero(grid, dims, torus_resolution)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
 
-    u, diag = assemble_representation(model, boundary, zero_g, lam_max, tail_tol=None)
+    u, diag = assemble_representation(
+        model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), lam_max
+    )
     history = []
-    g_field = None
     for it in range(1, max_iter + 1):
-        q = geometry.quadratic_remainder(model, u, order)
-        g_field = -(model.n + 1) * q
-        u_new, diag = assemble_representation(model, boundary, g_field, lam_max, tail_tol=tail_tol)
-        change = (u_new - u).sup_norm()
+        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order)
+        u_old = u
+        u, diag = assemble_representation(model, boundary, g_field, lam_max, tail_tol=tail_tol)
+        change = (u - u_old).sup_norm()
+        del u_old
         history.append(change)
-        u = u_new
         if change < tol:
             break
         if it >= 3 and history[-1] > history[-2]:
@@ -423,9 +413,10 @@ def picard_solve(
 
     # one last pass with the noise-floored inhomogeneity keeps the deep
     # exponential tails of each mode profile clean for rate analysis
-    if g_field is not None:
-        g_clean = truncate_mode_noise(g_field)
-        u, diag = assemble_representation(model, boundary, g_clean, lam_max, tail_tol=tail_tol)
+    g_clean = truncate_mode_noise(g_field)
+    del g_field
+    u, diag = assemble_representation(model, boundary, g_clean, lam_max, tail_tol=tail_tol)
+    del g_clean
 
     residual = geometry.monge_ampere_residual(model, u, final_order)
     res_sup = residual.sup_norm(grid.interior(final_order))

@@ -39,16 +39,19 @@ def dual_lattice(model: CuspModel) -> np.ndarray:
 
 
 def mode_covector(model: CuspModel, k) -> np.ndarray:
-    """Complexified covector c of the integer mode k."""
+    """Complexified covector c of the integer mode k (last axis of k; any
+    leading axes are kept)."""
     d = model.d
-    xi = np.linalg.solve(model.lattice.T, np.asarray(k, dtype=float))
-    return xi[:d] - 1j * xi[d:]
+    k = np.asarray(k, dtype=float)
+    xi = np.linalg.solve(model.lattice.T, k[..., None])[..., 0]
+    return xi[..., :d] - 1j * xi[..., d:]
 
 
-def mode_eigenvalue(model: CuspModel, k) -> float:
-    """Eigenvalue of the torus operator on the character with index k."""
+def mode_eigenvalue(model: CuspModel, k):
+    """Eigenvalue of the torus operator on the character with index k (last
+    axis of k; any leading axes are kept)."""
     c = mode_covector(model, k)
-    return float(np.pi**2 * np.real(c.conj() @ (model.A_inv @ c)))
+    return np.pi**2 * np.real(np.sum(c.conj() * (c @ model.A_inv.T), axis=-1))
 
 
 def _entry(model: CuspModel, k: tuple) -> SpectrumEntry:

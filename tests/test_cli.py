@@ -101,8 +101,13 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("picard_solve called on an invalid config")
 
+    def no_calabi(*args, **kwargs):
+        raise AssertionError("integrate_calabi called on an invalid config")
+
     monkeypatch.setattr(cli.modes, "picard_solve", no_solve)
+    monkeypatch.setattr(cli.radial, "integrate_calabi", no_calabi)
     solve_cfg = SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 400\n"
+    cosine = "[boundary]\nkind = cosine\namplitude = 1e-3\n"
     for command, text in [
         ("solve", solve_cfg + "[solver]\ncutoff = abc\n"),
         ("solve", solve_cfg + "[boundary]\nkind = cosine\namplitude = nan\n"),
@@ -111,6 +116,17 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("solve", solve_cfg.replace("lattice = 1 0 ; 0 1", "lattice = 1 0 ; 0 nan")),
         ("solve", solve_cfg.replace("n = 2\n", "n = 2\nn = 3\n", 1)),
         ("solve", solve_cfg + "[boundary]\namplitude = 1%\n"),
+        ("solve", solve_cfg + "[solver]\ncutoff = -1\n"),
+        ("solve", solve_cfg + "[solver]\ncutoff = 0\n"),
+        ("solve", solve_cfg + "[solver]\ntol = -1\n"),
+        ("solve", solve_cfg + "[solver]\ntol = 0\n"),
+        ("solve", solve_cfg + "[solver]\nmax_iter = 0\n"),
+        ("calabi", SQUARE_CFG.replace("tol = 1e-12", "tol = 0")),
+        ("bessel-sweep", SQUARE_CFG + "[bessel]\npoints = 0\n"),
+        ("lemma43", SQUARE_CFG.replace("x_max = 10", "x_max = -1")),
+        ("lemma43", SQUARE_CFG.replace("x_max = 10", "x_max = 0")),
+        ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 200\ns_hi = 40\n"),
+        ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 40\ns_hi = 40\n"),
     ]:
         bad.write_text(text)
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
@@ -143,4 +159,5 @@ amplitude = -0.0299
     assert payload["results"]["residual_sup"] < 1e-6
     assert payload["results"]["tangent_cone_c"] == pytest.approx(0.2, abs=1e-3)
     header = (out / "solve.csv").read_text().splitlines()[0]
-    assert header.startswith("x,s,u_mode0")
+    # a constant boundary solves no (1, 0) mode, so there is no cosine column
+    assert header == "x,s,u_mode0"

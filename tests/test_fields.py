@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cusplab.errors import ConfigError
-from cusplab.fields import Field, torus_points
+from cusplab.fields import Field, mode_indices, torus_points
 from cusplab.grid import RadialGrid
 
 
@@ -10,21 +10,30 @@ def _grid():
     return RadialGrid.make(0.1, 5.0, 32)
 
 
-def test_roundtrip_modes_values_modes():
+@pytest.mark.parametrize(
+    "m, k", [(8, (1, 2)), (4, (1, -1, 1, 1))], ids=["dims2-m8", "dims4-m4"]
+)
+def test_roundtrip_modes_values_modes(m, k):
+    # at 4 dims and m = 4 the Nyquist planes hold 68 % of the array
     grid = _grid()
     rng = np.random.default_rng(11)
     prof = rng.normal(size=32) + 1j * rng.normal(size=32)
-    modes = {(0, 0): rng.normal(size=32).astype(complex), (1, 2): prof, (-1, -2): prof.conj()}
-    f = Field(grid, modes, 8)
+    dims = len(k)
+    mk = tuple(-ki for ki in k)
+    modes = {(0,) * dims: rng.normal(size=32).astype(complex), k: prof, mk: prof.conj()}
+    f = Field.from_modes(grid, modes, m)
     vals = f.values()
+    assert vals.shape == (m,) * dims + (32,)
     g = Field.from_values(grid, vals)
-    for k, p in modes.items():
-        assert np.allclose(g.modes[k], p, atol=1e-13)
+    for key, p in modes.items():
+        assert np.allclose(g.mode(key), p, atol=1e-13)
+    nyquist = np.any(mode_indices(m, dims) == -(m // 2), axis=-1)
+    assert not np.any(g.coeffs[nyquist])
 
 
 def test_values_rejects_nonreal_field():
     grid = _grid()
-    f = Field(grid, {(1, 0): np.ones(32, dtype=complex)}, 8)
+    f = Field.from_modes(grid, {(1, 0): np.ones(32, dtype=complex)}, 8)
     with pytest.raises(ConfigError):
         f.values()
 
@@ -32,16 +41,16 @@ def test_values_rejects_nonreal_field():
 def test_conjugate_symmetry_defect():
     grid = _grid()
     p = np.ones(32, dtype=complex)
-    sym = Field(grid, {(1, 0): p, (-1, 0): p.conj()}, 8)
+    sym = Field.from_modes(grid, {(1, 0): p, (-1, 0): p.conj()}, 8)
     assert sym.conjugate_symmetry_defect() < 1e-15
-    broken = Field(grid, {(1, 0): p, (-1, 0): 2 * p}, 8)
+    broken = Field.from_modes(grid, {(1, 0): p, (-1, 0): 2 * p}, 8)
     assert broken.conjugate_symmetry_defect() == pytest.approx(1.0)
 
 
 def test_aliasing_guards():
     grid = _grid()
     with pytest.raises(ConfigError):
-        Field(grid, {(4, 0): np.ones(32, dtype=complex)}, 8)  # Nyquist mode
+        Field.from_modes(grid, {(4, 0): np.ones(32, dtype=complex)}, 8)  # Nyquist mode
     vals = np.zeros((4, 4, 32))
     vals[...] = np.cos(2 * np.pi * np.arange(4) * 2 / 4)[:, None, None]  # Nyquist content
     with pytest.raises(ConfigError):

@@ -102,7 +102,7 @@ class TestHessian:
         if mode is not None:
             modes[mode] = profile_fn(grid.x).astype(complex)
             modes[tuple(-i for i in mode)] = profile_fn(grid.x).astype(complex)
-        return Field(grid, modes, 8), grid
+        return Field.from_modes(grid, modes, 8), grid
 
     def test_radial_linear_profile(self):
         m = square_model()
@@ -135,7 +135,7 @@ class TestHessian:
         m = square_model()
         grid = RadialGrid.make(0.2, 8.0, 6000)
         prof = grid.x**2
-        f = Field(
+        f = Field.from_modes(
             grid,
             {
                 (0, 0): np.zeros(len(grid), dtype=complex),
@@ -225,7 +225,7 @@ class TestLinearized:
         grid = RadialGrid.make(0.1, 12.0, 8000)
         pair = h_pair(2, lam, grid.x)
         prof = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
-        f = Field(
+        f = Field.from_modes(
             grid,
             {(1, 0): 0.5 * prof.astype(complex), (-1, 0): 0.5 * prof.astype(complex)},
             8,
@@ -262,7 +262,7 @@ class TestMongeAmpere:
     def test_quadratic_smallness(self):
         m = square_model()
         grid = RadialGrid.make(0.05, 12.0, 400)
-        base = Field(
+        base = Field.from_modes(
             grid,
             {
                 (0, 0): (0.3 * grid.x**2).astype(complex),
@@ -279,10 +279,14 @@ class TestMongeAmpere:
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
-    def test_degenerate_metric_reported(self):
-        m = square_model()
+    @pytest.mark.parametrize(
+        "m",
+        [square_model(), CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))],
+        ids=["n2", "n3"],
+    )
+    def test_degenerate_metric_reported(self, m):
         grid = RadialGrid.make(0.1, 6.0, 200)
-        huge = Field.from_radial(grid, -40.0 * grid.x, 2, 4)
+        huge = Field.from_radial(grid, -40.0 * grid.x, 2 * m.d, 4)
         with pytest.raises(MetricDegenerateError):
             geometry.monge_ampere_residual(m, huge)
 

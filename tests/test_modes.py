@@ -123,7 +123,7 @@ class TestAssemble:
         )
         pair = h_pair(2, np.pi**2, grid.x)
         ratio = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
-        assert np.max(np.abs(out.modes[(1, 0)] - delta * ratio)) < 1e-15
+        assert np.max(np.abs(out.mode((1, 0)) - delta * ratio)) < 1e-15
         assert diag["tail_indicator"] == 0.0
 
     def test_operator_inverse_consistency(self):
@@ -133,30 +133,42 @@ class TestAssemble:
         model = square_model()
         grid = RadialGrid.make(0.1, 16.0, 30000)
         prof = (grid.x**2 * np.exp(-2.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, 8)
         out, _ = modes.assemble_representation(model, {}, g, lam_max=10 * np.pi**2)
         lg = geometry.linearized_apply(model, out, order=2)
         it = grid.interior(2)
         scale = np.max(np.abs(prof))
         for k in ((0, 0), (1, 0)):
-            got = (model.n + 1) * lg.modes[k]
-            assert np.max(np.abs(got[it] - g.modes[k][it])) / scale < 1e-5
+            got = (model.n + 1) * lg.mode(k)
+            assert np.max(np.abs(got[it] - g.mode(k)[it])) / scale < 1e-5
 
     def test_real_valuedness_preserved(self):
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 800)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, 8)
         out, _ = modes.assemble_representation(model, {}, g, lam_max=5 * np.pi**2)
         assert out.conjugate_symmetry_defect() < 1e-14 * np.max(np.abs(prof))
+
+    def test_modes_the_torus_grid_cannot_hold(self):
+        # on an m = 4 grid the below-cutoff mode (2, 0) would alias onto
+        # (-2, 0): it is skipped, and boundary data on it is rejected
+        model = square_model()
+        grid = RadialGrid.make(0.1, 14.0, 300)
+        g = Field.zero(grid, 2, 4)
+        lam_max = 10 * np.pi**2
+        _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, lam_max)
+        assert diag["modes_solved"] == 2
+        with pytest.raises(ConfigError):
+            modes.assemble_representation(model, {(2, 0): 1e-3, (-2, 0): 1e-3}, g, lam_max)
 
     def test_truncate_mode_noise(self):
         grid = RadialGrid.make(0.1, 14.0, 100)
         prof = np.exp(-np.arange(100.0)).astype(complex)
-        f = Field(grid, {(0, 0): prof}, 8)
+        f = Field.from_modes(grid, {(0, 0): prof}, 8)
         cleaned = modes.truncate_mode_noise(f, floor=1e-14)
-        assert cleaned.modes[(0, 0)][-1] == 0.0
-        assert cleaned.modes[(0, 0)][0] == prof[0]
+        assert cleaned.mode((0, 0))[-1] == 0.0
+        assert cleaned.mode((0, 0))[0] == prof[0]
 
 
 class TestPicard:
@@ -205,7 +217,7 @@ class TestPicard:
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 600)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, 8)
         with pytest.raises(ModeTailError):
             modes.assemble_representation(model, {}, g, lam_max=5 * np.pi**2, tail_tol=1e-10)
 
@@ -236,7 +248,7 @@ class TestExtractTangentCone:
         grid = RadialGrid.make(0.1, 25.0, 2000)
         pair = h_pair(2, np.pi**2, grid.x)
         h2 = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
-        u = Field(
+        u = Field.from_modes(
             grid,
             {
                 (0, 0): (-3 * np.log1p(0.37 * grid.x)).astype(complex),
@@ -265,7 +277,7 @@ class TestStructure:
             tol=1e-11,
         )
         lam1 = state.diagnostics["lambda1"]
-        prof = np.abs(u.modes[(1, 0)])
+        prof = np.abs(u.mode((1, 0)))
         pair = h_pair(2, lam1, grid.x)
         h2_rel = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
         lo, hi = analysis.window_from_s(lam1, 40.0, 200.0)
@@ -292,7 +304,7 @@ class TestStructure:
             tol=1e-11,
         )
         assert state.diagnostics["residual_sup"] < 1e-7
-        prof = np.abs(u.modes[(0, 1)])
+        prof = np.abs(u.mode((0, 1)))
         fit = analysis.decay_fit(
             grid.x, prof, analysis.window_from_s(lam1, 40.0, 200.0), mode="free_delta"
         )
