@@ -10,7 +10,7 @@ Config schema (sections and keys; all numeric unless noted):
     [model]    n, lattice (rows 'a b; c d' are basis vectors), A (rows),
                scale
     [grid]     x0, s_max, nodes
-    [solver]   cutoff, tol, max_iter, torus_resolution, final_order
+    [solver]   cutoff, tol, max_iter, torus_resolution, final_order (2 or 4)
     [boundary] kind = constant | cosine, amplitude
     [spectrum] count
     [calabi]   a, b, t0, t_end, tol, psi0
@@ -103,9 +103,9 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _number(cfg, section: str, key: str, default=None, kind=float, positive=False):
+def _number(cfg, section: str, key: str, default=None, kind=float, positive=False, choices=None):
     """[section] key (or default when absent) as a finite value of type kind,
-    and above zero when `positive` is set.
+    above zero when `positive` is set and one of `choices` when given.
 
     Raises ConfigError for a missing, non-numeric, non-finite or out-of-range
     value, so a bad config is rejected before any computation starts.
@@ -121,6 +121,8 @@ def _number(cfg, section: str, key: str, default=None, kind=float, positive=Fals
         raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
     if positive and value <= 0:
         raise ConfigError(f"[{section}] {key} = {raw!r} must be positive")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"[{section}] {key} = {raw!r} must be one of {choices}")
     return value
 
 
@@ -172,7 +174,7 @@ def _solver_options(cfg, cutoff: float, tol: float) -> dict:
         "cutoff": _number(cfg, "solver", "cutoff", cutoff, positive=True),
         "tol": _number(cfg, "solver", "tol", tol, positive=True),
         "max_iter": _number(cfg, "solver", "max_iter", 40, int, positive=True),
-        "final_order": _number(cfg, "solver", "final_order", 4, int),
+        "final_order": _number(cfg, "solver", "final_order", 4, int, choices=(2, 4)),
     }
 
 
@@ -223,8 +225,10 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
 def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
     a_min = _number(cfg, "bessel", "alpha_min", 4, int)
     a_max = _number(cfg, "bessel", "alpha_max", 8, int)
-    s_min = _number(cfg, "bessel", "s_min", 0.5)
-    s_max = _number(cfg, "bessel", "s_max", 500.0)
+    if a_min > a_max:
+        raise ConfigError(f"[bessel] alpha_min = {a_min} exceeds alpha_max = {a_max}")
+    s_min = _number(cfg, "bessel", "s_min", 0.5, positive=True)
+    s_max = _number(cfg, "bessel", "s_max", 500.0, positive=True)
     points = _number(cfg, "bessel", "points", 120, int, positive=True)
     s = np.geomspace(s_min, s_max, points)
     rows = []

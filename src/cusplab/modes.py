@@ -28,7 +28,7 @@ from .errors import ConfigError, ModeTailError, NonContractionError, NumericalEr
 from .fields import Field
 from .grid import RadialGrid
 from .model import CuspModel
-from .radial import radial_rep_l0
+from .radial import interval_integrals, radial_rep_l0
 from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
 
 _EXP_GUARD = 1e-9
@@ -75,148 +75,30 @@ def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def exp_weighted_cumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for increasing sigma."""
-    nn = len(sigma)
-    out = np.empty(nn, dtype=np.result_type(q.dtype, float))
-    K = _block_size(sigma)
-    carry = 0.0  # F at the last index of the previously processed block
-    sigma_prev = sigma[0]
-    for a in range(0, nn, K):
-        b = min(a + K, nn)
-        ref = sigma[a]
-        w = q[a:b] * np.exp(sigma[a:b] - ref)  # exponents in [0, block range]
-        v = np.cumsum(w)
-        if a > 0:
-            v = v + np.exp(sigma_prev - ref) * carry
-        out[a:b] = np.exp(ref - sigma[a:b]) * v  # exponents in [-range, 0]
-        carry = out[b - 1]
-        sigma_prev = sigma[b - 1]
-    return out
-
-
-def _shift_decaying(r: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
-    """out_i = r_{i+m} exp(sigma_i - sigma_{i+m}), zero past the end."""
-    out = np.zeros_like(r)
-    out[:-m] = r[m:] * np.exp(sigma[:-m] - sigma[m:])
-    return out
-
-
-def _shift_growing(r: np.ndarray, sigma: np.ndarray, m: int, clamp: bool) -> np.ndarray:
-    """out_i = r_{i-m} exp(sigma_i - sigma_{i-m}); the factor is bounded by
-    exp(m * max step).  Clamped entries only affect the outermost node."""
-    out = np.zeros_like(r)
-    out[m:] = r[:-m] * np.exp(sigma[m:] - sigma[:-m])
-    if clamp:
-        out[:m] = r[:m]
-    return out
-
-
-def _shift_decaying_rev(r: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
-    """out_i = r_{i-m} exp(sigma_{i-m} - sigma_i), zero before the start."""
-    out = np.zeros_like(r)
-    out[m:] = r[:-m] * np.exp(sigma[:-m] - sigma[m:])
-    return out
-
-
-def _shift_growing_rev(r: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
-    """out_i = r_{i+m} exp(sigma_{i+m} - sigma_i); bounded growing factor,
-    clamped at the deep end (where mode profiles have decayed away)."""
-    out = np.zeros_like(r)
-    out[:-m] = r[m:] * np.exp(sigma[m:] - sigma[:-m])
-    out[-m:] = r[-m:]
-    return out
+    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for increasing sigma:
+    the reverse scan on the mirrored exponents -sigma[::-1]."""
+    return exp_weighted_revcumsum(-sigma[::-1], q[::-1])[::-1]
 
 
 def _cumulative_down(sigma: np.ndarray, y: np.ndarray, h: float, tail_mass) -> np.ndarray:
     """P_i = int_{s_i}^{s_end} y(s) exp(sigma_i - sigma(s)) ds + paired tail.
 
-    Composite rule: trapezoid base plus the cubic interval correction
-    (-1, 1, 1, -1)/24 on interior segments, each stream evaluated through
-    the stable exponential scans (4th order where the profile lives; the
-    two edge segments stay at trapezoid, which only touches the outermost
-    node and the doubly-suppressed deep end).
+    The 4th-order interval rule of `radial.interval_integrals`, each interval
+    weighted from its first node, summed by one reverse scan; the tail mass
+    sits at the deepest node.
     """
-    nn = len(sigma)
-    q1 = 0.5 * h * y
-    q1[-1] = tail_mass  # no segment past the deepest node; the tail mass sits there
-    q2 = 0.5 * h * y
-    q2[0] = 0.0
-    base = exp_weighted_revcumsum(sigma, q1) + exp_weighted_revcumsum(sigma, q2) - q2
-    c = h / 24.0
-    idx = np.arange(nn)
-    mA = np.where(idx <= nn - 4, y, 0.0 * y)
-    mB = np.where((idx >= 1) & (idx <= nn - 3), y, 0.0 * y)
-    mC = np.where((idx >= 2) & (idx <= nn - 2), y, 0.0 * y)
-    mD = np.where(idx >= 3, y, 0.0 * y)
-    ra = exp_weighted_revcumsum(sigma, mA)
-    rb = exp_weighted_revcumsum(sigma, mB)
-    rc = exp_weighted_revcumsum(sigma, mC)
-    rd = exp_weighted_revcumsum(sigma, mD)
-    corr = c * (
-        -_shift_growing(ra, sigma, 1, clamp=True)
-        + rb
-        + _shift_decaying(rc, sigma, 1)
-        - _shift_decaying(rd, sigma, 2)
-    )
-    out = base + corr
-    # edge segments: lift the first and last interval from trapezoid to the
-    # one-sided cubic rule (affects the boundary node and the deep tail)
-    out[0] = out[0] + c * (
-        -3.0 * y[0]
-        + 7.0 * y[1] * np.exp(sigma[0] - sigma[1])
-        - 5.0 * y[2] * np.exp(sigma[0] - sigma[2])
-        + y[3] * np.exp(sigma[0] - sigma[3])
-    )
-    t_end = c * (
-        y[-4]
-        - 5.0 * y[-3] * np.exp(sigma[-4] - sigma[-3])
-        + 7.0 * y[-2] * np.exp(sigma[-4] - sigma[-2])
-        - 3.0 * y[-1] * np.exp(sigma[-4] - sigma[-1])
-    )
-    out[:-1] = out[:-1] + t_end * np.exp(sigma[:-1] - sigma[-4])
-    return out
+    seg = interval_integrals(h, y, sigma)
+    return exp_weighted_revcumsum(sigma, np.append(seg, tail_mass))
 
 
 def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds, same scheme."""
-    nn = len(sigma)
-    q1 = 0.5 * h * y
-    q1[-1] = 0.0
-    q2 = 0.5 * h * y
-    q2[0] = 0.0
-    base = exp_weighted_cumsum(sigma, q1) - q1 + exp_weighted_cumsum(sigma, q2)
-    c = h / 24.0
-    idx = np.arange(nn)
-    mA = np.where(idx <= nn - 4, y, 0.0 * y)
-    mB = np.where((idx >= 1) & (idx <= nn - 3), y, 0.0 * y)
-    mC = np.where((idx >= 2) & (idx <= nn - 2), y, 0.0 * y)
-    mD = np.where(idx >= 3, y, 0.0 * y)
-    fa = exp_weighted_cumsum(sigma, mA)
-    fb = exp_weighted_cumsum(sigma, mB)
-    fc = exp_weighted_cumsum(sigma, mC)
-    fd = exp_weighted_cumsum(sigma, mD)
-    corr = c * (
-        -_shift_decaying_rev(fa, sigma, 2)
-        + _shift_decaying_rev(fb, sigma, 1)
-        + fc
-        - _shift_growing_rev(fd, sigma, 1)
-    )
-    out = base + corr
-    # edge segments, as in the downward pass
-    t0 = c * (
-        -3.0 * y[0] * np.exp(sigma[0] - sigma[3])
-        + 7.0 * y[1] * np.exp(sigma[1] - sigma[3])
-        - 5.0 * y[2] * np.exp(sigma[2] - sigma[3])
-        + y[3]
-    )
-    out[1:] = out[1:] + t0 * np.exp(sigma[3] - sigma[1:])
-    out[-1] = out[-1] + c * (
-        y[-4] * np.exp(sigma[-4] - sigma[-1])
-        - 5.0 * y[-3] * np.exp(sigma[-3] - sigma[-1])
-        + 7.0 * y[-2] * np.exp(sigma[-2] - sigma[-1])
-        - 3.0 * y[-1]
-    )
-    return out
+    """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds.
+
+    The same rule on the mirrored grid weights each interval from its last
+    node; one forward scan sums them.
+    """
+    seg = interval_integrals(h, y[::-1], -sigma[::-1])[::-1]
+    return exp_weighted_cumsum(sigma, np.append(0.0, seg))
 
 
 @dataclass(frozen=True)

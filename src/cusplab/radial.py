@@ -275,27 +275,36 @@ def tangent_cone_coefficients(n: int, c: float, K: int) -> np.ndarray:
 # --- zero-mode kernel ---
 
 
-def interval_integrals(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-interval integrals of y ds on a uniform grid, 4th order.
+def interval_integrals(h: float, y: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
+    """Per-interval integrals of y ds on a uniform grid of step h, 4th order.
 
     Each interval integrates the cubic through its four nearest nodes, so
     the error varies smoothly from node to node (no odd/even sawtooth) and
-    stays harmless under second differences.
+    stays harmless under second differences.  With an exponent array
+    `sigma`, interval k integrates y(s) exp(sigma_k - sigma(s)) instead: the
+    same weights act on y_l exp(sigma_k - sigma_l), each factor spanning at
+    most three steps, so the mode kernels' exponents never meet unpaired.
     """
-    nn = len(s)
+    nn = len(y)
     if nn < 4:
         raise ConfigError("cumulative integral needs at least 4 nodes")
-    h = s[1] - s[0]
+
+    def at(k, l):  # y_l, relative to the exponent at node k when weighted
+        return y[l] if sigma is None else y[l] * np.exp(sigma[k] - sigma[l])
+
     seg = np.empty(nn - 1, dtype=y.dtype)
-    seg[1:-1] = (h / 24.0) * (-y[:-3] + 13.0 * y[1:-2] + 13.0 * y[2:-1] - y[3:])
-    seg[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3])
-    seg[-1] = (h / 24.0) * (y[-4] - 5.0 * y[-3] + 19.0 * y[-2] + 9.0 * y[-1])
+    k = slice(1, -2)  # interior intervals
+    seg[1:-1] = (h / 24.0) * (
+        -at(k, slice(None, -3)) + 13.0 * y[1:-2] + 13.0 * at(k, slice(2, -1)) - at(k, slice(3, None))
+    )
+    seg[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * at(0, 1) - 5.0 * at(0, 2) + at(0, 3))
+    seg[-1] = (h / 24.0) * (at(-2, -4) - 5.0 * at(-2, -3) + 19.0 * y[-2] + 9.0 * at(-2, -1))
     return seg
 
 
 def cumulative_integral(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """int_{s_0}^{s_i} y ds, accumulated from the first node."""
-    seg = interval_integrals(s, y)
+    seg = interval_integrals(s[1] - s[0], y)
     out = np.zeros(len(s), dtype=y.dtype)
     np.cumsum(seg, out=out[1:])
     return out
@@ -304,7 +313,7 @@ def cumulative_integral(s: np.ndarray, y: np.ndarray) -> np.ndarray:
 def reverse_cumulative_integral(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """int_{s_i}^{s_end} y ds, accumulated from the last node so that values
     near the far end keep full relative accuracy (no large-sum cancellation)."""
-    seg = interval_integrals(s, y)
+    seg = interval_integrals(s[1] - s[0], y)
     out = np.zeros(len(s), dtype=y.dtype)
     out[:-1] = np.cumsum(seg[::-1])[::-1]
     return out

@@ -127,6 +127,11 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("lemma43", SQUARE_CFG.replace("x_max = 10", "x_max = 0")),
         ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 200\ns_hi = 40\n"),
         ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 40\ns_hi = 40\n"),
+        ("solve", solve_cfg + "[solver]\nfinal_order = 3\n"),
+        ("rate-fit", solve_cfg + cosine + "[solver]\nfinal_order = 6\n"),
+        ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_min = 0\n"),
+        ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_max = -1\n"),
+        ("bessel-sweep", SQUARE_CFG + "[bessel]\nalpha_min = 9\nalpha_max = 4\n"),
     ]:
         bad.write_text(text)
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text

@@ -38,6 +38,12 @@ class TestScans:
         geo = 1.0 / (1.0 - np.exp(-step))
         assert F[-1] == pytest.approx(geo, rel=1e-12)
 
+    @pytest.mark.parametrize("tail", [1e-3, 1e-20])
+    def test_tail_mass_survives_at_deepest_node(self, tail):
+        s = np.linspace(1.0, 5.0, 200)
+        P = modes._cumulative_down(3.0 * s, np.sin(s), s[1] - s[0], tail)
+        assert P[-1] == tail
+
     def test_cumulative_rules_fourth_order(self):
         import mpmath as mp
 
