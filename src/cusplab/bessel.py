@@ -144,11 +144,6 @@ class HPair:
     exponent: np.ndarray
     lam: float
     n: int
-    x: np.ndarray
-
-    @property
-    def alpha(self) -> int:
-        return self.n + 2
 
 
 def h_pair(n: int, lam: float, x) -> HPair:
@@ -163,23 +158,4 @@ def h_pair(n: int, lam: float, x) -> HPair:
     pref = xv ** (-0.5 * n)
     m1 = pref * ive(alpha, s)
     m2 = pref * kve(alpha, s)
-    return HPair(m1, m2, s, float(lam), n, xv)
-
-
-def h_pair_derivative_mantissas(pair: HPair):
-    """Mantissas of H1'(x), H2'(x) sharing the exponents of the pair.
-
-    H_i' = -(n/2) x^{-n/2-1} F_i - sqrt(lambda) x^{-n/2-3/2} F_i' with the
-    order recurrences supplying F_i'.
-    """
-    n, lam, x, s = pair.n, pair.lam, pair.x, pair.exponent
-    alpha = n + 2
-    i1 = _i_prime(alpha, s)
-    k1 = _k_prime(alpha, s)
-    i0 = pair.h1_mantissa * x ** (0.5 * n)
-    k0 = pair.h2_mantissa * x ** (0.5 * n)
-    dpref = -0.5 * n * x ** (-0.5 * n - 1.0)
-    spref = np.sqrt(lam) * x ** (-0.5 * n - 1.5)
-    h1p = dpref * i0 - spref * i1
-    h2p = dpref * k0 - spref * k1
-    return h1p, h2p
+    return HPair(m1, m2, s, float(lam), n)

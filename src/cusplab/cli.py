@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, analysis, bessel, modes, radial, spectrum
-from .errors import ConfigError, CuspLabError
+from .errors import ConfigError, CuspLabError, NumericalError
 from .grid import RadialGrid
 from .model import CuspModel
 
@@ -170,7 +170,7 @@ def _solver_options(cfg, cutoff: float, tol: float) -> dict:
     """Keyword arguments of modes.picard_solve from [solver]; cutoff and tol
     are the calling command's defaults."""
     return {
-        "torus_resolution": _number(cfg, "solver", "torus_resolution", 16, int),
+        "torus_resolution": _number(cfg, "solver", "torus_resolution", 16, int, positive=True),
         "cutoff": _number(cfg, "solver", "cutoff", cutoff, positive=True),
         "tol": _number(cfg, "solver", "tol", tol, positive=True),
         "max_iter": _number(cfg, "solver", "max_iter", 40, int, positive=True),
@@ -184,11 +184,10 @@ def _solver_options(cfg, cutoff: float, tol: float) -> dict:
 def cmd_spectrum(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     count = _number(cfg, "spectrum", "count", 12, int)
-    entries = spectrum.eigenvalues_up_to(model, count)
-    rows = [[i, " ".join(str(k) for k in e.k), e.lam] for i, e in enumerate(entries)]
+    keys, lams = spectrum.eigenvalues_up_to(model, count)
+    rows = [[i, " ".join(map(str, k)), lam] for i, (k, lam) in enumerate(zip(keys.tolist(), lams))]
     write_csv(out_dir / "spectrum.csv", ["index", "mode", "lambda"], rows)
-    lam1 = next(e.lam for e in entries if e.lam > 0)
-    return {"lambda1": lam1, "count": count}
+    return {"lambda1": spectrum.first_eigenvalue(model), "count": count}
 
 
 def cmd_geometry_check(cfg, out_dir: Path) -> dict:
@@ -237,6 +236,8 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
         iv = bessel.bessel_i_scaled(alpha, s)
         kv = bessel.bessel_k_scaled(alpha, s)
         r_abel, r_mode = bessel.wronskian_residuals(alpha, s)
+        if not (np.all(np.isfinite(r_abel)) and np.all(np.isfinite(r_mode))):
+            raise NumericalError(f"non-finite Wronskian residual at alpha = {alpha}")
         worst = max(worst, float(np.max(r_abel)), float(np.max(r_mode)))
         for i, sv in enumerate(s):
             rows.append([alpha, sv, iv.mantissa[i], kv.mantissa[i], r_abel[i], r_mode[i]])
@@ -307,8 +308,8 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     if s_lo >= s_hi:
         raise ConfigError(f"[ratefit] needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
     u, state = modes.picard_solve(model, boundary, grid, **options)
-    lam1 = state.diagnostics["lambda1"]
-    window = analysis.window_from_s(lam1, s_lo, s_hi)
+    lam = spectrum.mode_eigenvalue(model, mode1_key)  # the fitted profile decays at 2 sqrt(lam)
+    window = analysis.window_from_s(lam, s_lo, s_hi)
     prof = np.abs(u.mode(mode1_key))
     fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
     mask = (grid.x >= window[0]) & (grid.x <= window[1])
@@ -317,7 +318,7 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], rows)
     return {
         "delta": fit.delta,
-        "delta_target": 2.0 * np.sqrt(lam1),
+        "delta_target": 2.0 * np.sqrt(lam),
         "p": fit.p,
         "p_target": -model.n / 2.0 + 0.25,
         "amplitude": fit.amplitude,

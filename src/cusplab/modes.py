@@ -169,12 +169,13 @@ def assemble_representation(
     model: CuspModel,
     boundary: dict,
     g: Field,
-    lam_max: float,
+    below: tuple,
     tail_tol: float | None = None,
     mode_floor: float = 1e-14,
 ):
-    """Combine the zero-mode kernel with mode solves for all eigenvalues up
-    to lam_max; returns (Field, diagnostics).
+    """Combine the zero-mode kernel with mode solves for the modes below the
+    cutoff, given as the (keys, lams) arrays of `spectrum.modes_below`;
+    returns (Field, diagnostics).
 
     boundary maps integer mode keys to boundary coefficients at x0.  Modes
     of g above the cutoff are not solved; their largest sup-norm is reported
@@ -185,13 +186,14 @@ def assemble_representation(
     grid = g.grid
     n = model.n
     dims = 2 * model.d
-    half = g.torus_resolution // 2
     zero = (0,) * dims
-    keys = {e.k: e.lam for e in modes_below(model, lam_max) if max(map(abs, e.k)) < half}
+    below_keys, below_lams = below
+    held = np.max(np.abs(below_keys), axis=1) < g.torus_resolution // 2
+    keys = dict(zip(map(tuple, below_keys[held].tolist()), below_lams[held]))
     for k in boundary:
         kk = tuple(int(i) for i in k)
         if kk != zero and kk not in keys:
-            keys[kk] = None  # boundary data forces the mode in
+            keys[kk] = mode_eigenvalue(model, kk)  # boundary data forces the mode in
 
     out = Field.zero(grid, dims, g.torus_resolution)
     beta0 = complex(boundary.get(zero, 0.0)).real
@@ -209,8 +211,6 @@ def assemble_representation(
         beta = complex(boundary.get(k, 0.0))
         if beta == 0.0 and sup[slot] <= mode_floor * scale:
             continue
-        if lam is None:
-            lam = mode_eigenvalue(model, k)
         lam_key = round(lam, 12)
         if lam_key not in pair_cache:
             pair_cache[lam_key] = h_pair(n, lam, grid.x)
@@ -268,18 +268,18 @@ def picard_solve(
     `final_order` radial stencils.
     """
     lam1 = first_eigenvalue(model)
-    lam_max = cutoff * lam1
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
+    below = modes_below(model, cutoff * lam1)
 
     u, diag = assemble_representation(
-        model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), lam_max
+        model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), below
     )
     history = []
     for it in range(1, max_iter + 1):
         g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order)
         u_old = u
-        u, diag = assemble_representation(model, boundary, g_field, lam_max, tail_tol=tail_tol)
+        u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)
         change = (u - u_old).sup_norm()
         del u_old
         history.append(change)
@@ -297,7 +297,7 @@ def picard_solve(
     # exponential tails of each mode profile clean for rate analysis
     g_clean = truncate_mode_noise(g_field)
     del g_field
-    u, diag = assemble_representation(model, boundary, g_clean, lam_max, tail_tol=tail_tol)
+    u, diag = assemble_representation(model, boundary, g_clean, below, tail_tol=tail_tol)
     del g_clean
 
     residual = geometry.monge_ampere_residual(model, u, final_order)

@@ -6,15 +6,12 @@ character chi_k(t) = exp(2*pi*i k.t) to lambda_k chi_k with
     lambda_k = pi^2 <A^{-1} c, c>,   c_a = xi_a - i xi_{a+d},  xi = B^{-T} k,
 
 where B has the lattice basis as columns and k runs over integer dual
-coordinates.  Enumeration is brute force over integer boxes with radius
-doubling until the requested eigenvalues are certified to lie strictly
-inside the box.
+coordinates.  Enumeration is brute force over integer boxes, each one
+array computation, with radius doubling until the requested eigenvalues are
+certified to lie strictly inside the box.
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,20 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError
 from .model import CuspModel
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    k: tuple
-    xi: np.ndarray
-    lam: float
-    c: np.ndarray
-
-
-def dual_lattice(model: CuspModel) -> np.ndarray:
-    """Columns are the dual basis: <xi_i, v_j> = delta_ij."""
-    B = model.lattice
-    return np.linalg.inv(B).T
 
 
 def mode_covector(model: CuspModel, k) -> np.ndarray:
@@ -54,62 +37,61 @@ def mode_eigenvalue(model: CuspModel, k):
     return np.pi**2 * np.real(np.sum(c.conj() * (c @ model.A_inv.T), axis=-1))
 
 
-def _entry(model: CuspModel, k: tuple) -> SpectrumEntry:
-    d = model.d
-    xi = np.linalg.solve(model.lattice.T, np.asarray(k, dtype=float))
-    c = xi[:d] - 1j * xi[d:]
-    lam = float(np.pi**2 * np.real(c.conj() @ (model.A_inv @ c)))
-    return SpectrumEntry(tuple(int(i) for i in k), xi, lam, c)
+# The box max|k_i| <= r has (2r + 1)^(2d) points.  Past this many the
+# enumeration is refused before anything is allocated: the radius stops at
+# 256 for n = 2 and at 8 for n = 3.
+_BOX_POINTS = 2**20
 
 
-def _enumerate_box(model: CuspModel, radius: int):
+def _box(model: CuspModel, radius: int, what: str):
+    """Integer keys of the box max|k_i| <= radius, shape (M, 2d), in
+    lexicographic order; their eigenvalues; and the least eigenvalue on the
+    box edge max|k_i| = radius, which closes the radius doubling."""
     dims = 2 * model.d
-    ks = itertools.product(range(-radius, radius + 1), repeat=dims)
-    return [_entry(model, k) for k in ks]
+    if (2 * radius + 1) ** dims > _BOX_POINTS:
+        raise ConfigError(f"{what} enumeration did not close; check lattice/A scales")
+    keys = np.indices((2 * radius + 1,) * dims).reshape(dims, -1).T - radius
+    lams = mode_eigenvalue(model, keys)
+    edge = np.max(np.abs(keys), axis=1) == radius
+    return keys, lams, np.min(lams[edge])
 
 
-def _boundary_min(model: CuspModel, radius: int) -> float:
-    dims = 2 * model.d
-    best = np.inf
-    for k in itertools.product(range(-radius, radius + 1), repeat=dims):
-        if max(abs(ki) for ki in k) != radius:
-            continue
-        lam = mode_eigenvalue(model, k)
-        best = min(best, lam)
-    return best
+def _sorted(keys: np.ndarray, lams: np.ndarray):
+    """(keys, lams) in ascending (lam, k) order."""
+    order = np.lexsort((*keys.T[::-1], lams))
+    return keys[order], lams[order]
 
 
-def eigenvalues_up_to(model: CuspModel, count: int) -> list[SpectrumEntry]:
-    """The `count` smallest eigenvalues with multiplicity, sorted ascending."""
+def eigenvalues_up_to(model: CuspModel, count: int):
+    """The `count` smallest eigenvalues with multiplicity: (keys, lams)
+    arrays of shapes (count, 2d) and (count,), sorted by (lam, k)."""
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     radius = 2
     while True:
-        entries = _enumerate_box(model, radius)
-        entries.sort(key=lambda e: (e.lam, e.k))
-        if len(entries) > count and entries[count - 1].lam < _boundary_min(model, radius):
-            return entries[:count]
+        keys, lams, edge_min = _box(model, radius, "eigenvalue")
+        keys, lams = _sorted(keys, lams)
+        if len(lams) > count and lams[count - 1] < edge_min:
+            return keys[:count], lams[:count]
         radius *= 2
-        if radius > 4096:
-            raise ConfigError("eigenvalue enumeration did not close; check lattice/A scales")
 
 
-def modes_below(model: CuspModel, lam_max: float) -> list[SpectrumEntry]:
-    """All nonzero modes with eigenvalue <= lam_max, sorted ascending."""
+def modes_below(model: CuspModel, lam_max: float):
+    """All nonzero modes with eigenvalue <= lam_max: (keys, lams) arrays of
+    shapes (M, 2d) and (M,), sorted by (lam, k)."""
     radius = 2
-    while _boundary_min(model, radius) <= lam_max:
+    while True:
+        keys, lams, edge_min = _box(model, radius, "mode")
+        if edge_min > lam_max:
+            below = (lams > 0) & (lams <= lam_max)
+            return _sorted(keys[below], lams[below])
         radius *= 2
-        if radius > 4096:
-            raise ConfigError("mode enumeration did not close; check lattice/A scales")
-    out = [e for e in _enumerate_box(model, radius) if 0 < e.lam <= lam_max]
-    out.sort(key=lambda e: (e.lam, e.k))
-    return out
 
 
 def first_eigenvalue(model: CuspModel) -> float:
     """Smallest positive eigenvalue."""
-    entries = eigenvalues_up_to(model, 2)
-    lam1 = entries[1].lam
+    _, lams = eigenvalues_up_to(model, 2)
+    lam1 = float(lams[1])
     if lam1 <= 0:
         raise ConfigError("first eigenvalue not positive; degenerate lattice?")
     return lam1

@@ -35,6 +35,23 @@ x_max = 10
 """
 
 
+N3_SOLVE_CFG = """
+[model]
+n = 3
+lattice = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1
+A = 1 0.2+0.1j ; 0.2-0.1j 0.8
+
+[grid]
+x0 = 0.05
+s_max = 34
+nodes = 200
+
+[boundary]
+kind = constant
+amplitude = -0.04
+"""
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "square.cfg"
@@ -52,6 +69,17 @@ def test_spectrum_command(cfg_path, tmp_path):
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "index,mode,lambda"
     assert len(lines) == 13
+
+
+def test_spectrum_command_count_one(tmp_path):
+    # the zero mode alone: lambda1 still comes from the spectrum
+    path = tmp_path / "one.cfg"
+    path.write_text(SQUARE_CFG.replace("count = 12", "count = 1"))
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", str(path), "-o", str(out)]) == 0
+    payload = json.loads((out / "spectrum.json").read_text())
+    assert payload["results"]["lambda1"] == pytest.approx(np.pi**2, rel=1e-12)
+    assert (out / "spectrum.csv").read_text().splitlines() == ["index,mode,lambda", "0,0 0,0"]
 
 
 def test_csv_output_deterministic(cfg_path, tmp_path):
@@ -96,6 +124,9 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     assert rc == 2
     rc = cli.main(["spectrum", str(tmp_path / "missing.cfg"), "-o", str(tmp_path / "o")])
     assert rc == 2
+    # a cutoff whose mode box exceeds the point budget is refused at once
+    bad.write_text(N3_SOLVE_CFG + "[solver]\ncutoff = 1e6\ntorus_resolution = 4\n")
+    assert cli.main(["solve", str(bad), "-o", str(tmp_path / "o")]) == 2
 
     # solver-bound configs must be rejected before any solve starts
     def no_solve(*args, **kwargs):
@@ -132,9 +163,50 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_min = 0\n"),
         ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_max = -1\n"),
         ("bessel-sweep", SQUARE_CFG + "[bessel]\nalpha_min = 9\nalpha_max = 4\n"),
+        ("solve", solve_cfg + "[solver]\ntorus_resolution = -4\n"),
     ]:
         bad.write_text(text)
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
+
+
+def test_numerical_failure_exit_code(tmp_path):
+    # at order 150 the scaled Bessel values under- and overflow, so the
+    # Wronskian residuals are NaN: a numerical failure, not a pass
+    path = tmp_path / "nan.cfg"
+    path.write_text(SQUARE_CFG + "[bessel]\nalpha_min = 150\nalpha_max = 150\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["bessel-sweep", str(path), "-o", str(tmp_path / "o")]) == 3
+
+
+def test_rate_fit_targets_the_fitted_mode(tmp_path):
+    # on lattice diag(1, 2) lambda_1 = pi^2/4 sits on mode (0, 1), while the
+    # fitted (1, 0) profile has lambda = pi^2 and decays at 2 pi
+    cfg = tmp_path / "rect.cfg"
+    cfg.write_text(
+        SQUARE_CFG.replace("lattice = 1 0 ; 0 1", "lattice = 1 0 ; 0 2")
+        + """
+[grid]
+x0 = 0.05
+s_max = 20
+nodes = 600
+
+[solver]
+cutoff = 5
+
+[boundary]
+kind = cosine
+amplitude = 1e-3
+
+[ratefit]
+s_lo = 40
+s_hi = 120
+"""
+    )
+    out = tmp_path / "out"
+    assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
+    res = json.loads((out / "rate-fit.json").read_text())["results"]
+    assert res["delta_target"] == pytest.approx(2 * np.pi, rel=1e-14)
+    assert abs(res["delta"] / res["delta_target"] - 1) < 0.01
 
 
 def test_solve_command_small(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from cusplab import analysis, modes
+from cusplab import analysis, modes, spectrum
 from cusplab.bessel import h_pair
 from cusplab.errors import ConfigError, NonContractionError
 from cusplab.fields import Field
@@ -125,7 +125,7 @@ class TestAssemble:
         g = Field.zero(grid, 2, 8)
         delta = 1e-3
         out, diag = modes.assemble_representation(
-            model, {(1, 0): delta, (-1, 0): delta}, g, lam_max=10 * np.pi**2
+            model, {(1, 0): delta, (-1, 0): delta}, g, spectrum.modes_below(model, 10 * np.pi**2)
         )
         pair = h_pair(2, np.pi**2, grid.x)
         ratio = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
@@ -140,7 +140,7 @@ class TestAssemble:
         grid = RadialGrid.make(0.1, 16.0, 30000)
         prof = (grid.x**2 * np.exp(-2.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, 8)
-        out, _ = modes.assemble_representation(model, {}, g, lam_max=10 * np.pi**2)
+        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 10 * np.pi**2))
         lg = geometry.linearized_apply(model, out, order=2)
         it = grid.interior(2)
         scale = np.max(np.abs(prof))
@@ -153,7 +153,7 @@ class TestAssemble:
         grid = RadialGrid.make(0.1, 14.0, 800)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, 8)
-        out, _ = modes.assemble_representation(model, {}, g, lam_max=5 * np.pi**2)
+        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2))
         assert out.conjugate_symmetry_defect() < 1e-14 * np.max(np.abs(prof))
 
     def test_modes_the_torus_grid_cannot_hold(self):
@@ -162,11 +162,11 @@ class TestAssemble:
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 300)
         g = Field.zero(grid, 2, 4)
-        lam_max = 10 * np.pi**2
-        _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, lam_max)
+        below = spectrum.modes_below(model, 10 * np.pi**2)
+        _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, below)
         assert diag["modes_solved"] == 2
         with pytest.raises(ConfigError):
-            modes.assemble_representation(model, {(2, 0): 1e-3, (-2, 0): 1e-3}, g, lam_max)
+            modes.assemble_representation(model, {(2, 0): 1e-3, (-2, 0): 1e-3}, g, below)
 
     def test_truncate_mode_noise(self):
         grid = RadialGrid.make(0.1, 14.0, 100)
@@ -224,8 +224,9 @@ class TestPicard:
         grid = RadialGrid.make(0.1, 14.0, 600)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, 8)
+        below = spectrum.modes_below(model, 5 * np.pi**2)
         with pytest.raises(ModeTailError):
-            modes.assemble_representation(model, {}, g, lam_max=5 * np.pi**2, tail_tol=1e-10)
+            modes.assemble_representation(model, {}, g, below, tail_tol=1e-10)
 
     def test_boundary_symmetry_required(self):
         model = square_model()
