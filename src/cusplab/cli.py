@@ -3,7 +3,8 @@
 Subcommands read an INI-style config, run one experiment, and write a CSV
 table plus a JSON sidecar (parameters and derived scalars) into the output
 directory.  Runs are deterministic: identical configs produce byte-identical
-CSV output.
+CSV output.  The sidecars of `solve` and `rate-fit` also hold the Picard
+solve's per-iteration trace, whose stage timings vary between runs.
 
 Config schema (sections and keys; all numeric unless noted):
 
@@ -126,6 +127,15 @@ def _number(cfg, section: str, key: str, default=None, kind=float, positive=Fals
     return value
 
 
+def _dimension(cfg, section: str) -> int:
+    """[section] n, the complex dimension: an integer n >= 2, as the model
+    cusp requires."""
+    n = _number(cfg, section, "n", 2, int)
+    if n < 2:
+        raise ConfigError(f"[{section}] n = {n} must be at least 2")
+    return n
+
+
 def build_model(cfg: configparser.ConfigParser) -> CuspModel:
     n = _number(cfg, "model", "n", kind=int)
     scale = _number(cfg, "model", "scale", 1.0)
@@ -198,7 +208,7 @@ def cmd_geometry_check(cfg, out_dir: Path) -> dict:
 
 
 def cmd_calabi(cfg, out_dir: Path) -> dict:
-    n = _number(cfg, "model", "n", 2, int)
+    n = _dimension(cfg, "model")
     a = _number(cfg, "calabi", "a", 0.0)
     b = _number(cfg, "calabi", "b", 0.0)
     t0 = _number(cfg, "calabi", "t0", -1.0)
@@ -250,7 +260,7 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
 
 
 def cmd_expand(cfg, out_dir: Path) -> dict:
-    n = _number(cfg, "expand", "n", 2, int)
+    n = _dimension(cfg, "expand")
     c = _number(cfg, "expand", "c", 1.0)
     order = _number(cfg, "expand", "order", 20, int)
     series = radial.expand_formal(n, -(n + 1) * c, order)
@@ -289,6 +299,7 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
         "iterations": state.iteration,
         "sup_change": state.sup_change,
         "contraction_history": state.contraction_history,
+        "trace": state.trace,
         "tangent_cone_c": c_fit,
         "tangent_cone_rms": c_rms,
         **state.diagnostics,
@@ -324,13 +335,14 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
         "amplitude": fit.amplitude,
         "rms": fit.rms,
         "residual_sup": state.diagnostics["residual_sup"],
+        "trace": state.trace,
     }
 
 
 def cmd_lemma43(cfg, out_dir: Path) -> dict:
     c = _number(cfg, "lemma43", "c", 2.0)
     k = _number(cfg, "lemma43", "k", 0.0)
-    eps = _number(cfg, "lemma43", "eps", 1.0)
+    eps = _number(cfg, "lemma43", "eps", 1.0, positive=True)
     x_max = _number(cfg, "lemma43", "x_max", 10.0, positive=True)
     report = analysis.lemma43_check(c, k, x_max, eps)
     xs = np.geomspace(1e-6, x_max, 60)

@@ -132,89 +132,106 @@ def normal_and_mean_curvature(model: CuspModel, eps: float):
 def _log1p_minus(w: np.ndarray) -> np.ndarray:
     """log(1 + w) - w, accurate for small w."""
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-4
-    ws = w[small]
-    out[small] = ws * ws * (-0.5 + ws * (1.0 / 3.0 + ws * (-0.25 + 0.2 * ws)))
-    out[~small] = np.log1p(w[~small]) - w[~small]
-    return out
+    series = w * w * (-0.5 + w * (1.0 / 3.0 + w * (-0.25 + 0.2 * w)))
+    return np.where(np.abs(w) < 1e-4, series, np.log1p(w) - w)
 
 
-def _mode_derivatives(f: Field, order: int):
-    """(rows, k, f_x, f_xx): flat torus indices of the nonzero coefficient
-    rows of f, the integer mode of each of those rows, and their radial
-    derivatives (zero rows have zero derivatives, so they are skipped)."""
-    m, dims = f.torus_resolution, f.torus_dims
-    flat = f.coeffs.reshape(m**dims, len(f.grid))
+def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order: int):
+    """(rows, k, profiles, f_x, f_xx) of the nonzero coefficient rows of
+    `coeffs` (torus axes first, last axis radial): their flat torus indices,
+    their integer modes (read from `k`, the mode index array of the same
+    torus shape), their profiles and their radial derivatives.  Zero rows
+    have zero derivatives, so they are skipped."""
+    flat = coeffs.reshape(-1, len(grid))
     rows = np.flatnonzero(np.any(flat != 0, axis=-1))
-    px, pxx = f.grid.deriv_x(flat[rows], order)
-    return rows, mode_indices(m, dims).reshape(-1, dims)[rows], px, pxx
+    prof = flat[rows]
+    px, pxx = grid.deriv_x(prof, order)
+    return rows, k.reshape(-1, k.shape[-1])[rows], prof, px, pxx
 
 
 def _chart_values(model: CuspModel, f: Field, order: int):
-    """Collocation values of f and the chart derivatives entering the
-    Hessian: f, f_x, f_xx, f_{a x}, f_{a bbar}."""
-    m = f.torus_resolution
-    dims = f.torus_dims
-    rows, k, px, pxx = _mode_derivatives(f, order)
-    prof = f.coeffs.reshape(m**dims, -1)[rows]
-    ca = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
-    axes = tuple(range(-dims - 1, -1))
+    """Collocation values of f and of the chart derivatives entering the
+    Hessian, each a real field: (f, f_x, f_xx, fax, fab) with fax the real
+    and imaginary parts of f_{a x}, shape (2, d) + values, and fab those of
+    f_{a bbar}, shape (2, d, d) + values (its imaginary part vanishes on the
+    diagonal, where it is left zero).
 
-    def _ifft(row_values):
-        """Collocation values of coefficients given on `rows` only."""
-        hat = np.zeros(row_values.shape[:-2] + (m**dims, len(f.grid)), dtype=complex)
-        hat[..., rows, :] = row_values
-        return np.fft.ifftn(hat.reshape(hat.shape[:-2] + f.coeffs.shape), axes=axes) * m**dims
-
-    return {
-        "f": _ifft(prof).real,
-        "fx": _ifft(px).real,
-        "fxx": _ifft(pxx).real,
-        "fax": _ifft(1j * np.pi * ca * px),
-        "fab": _ifft(-np.pi**2 * ca[:, None] * ca[None].conj() * prof),
-    }
-
-
-def _tilde_matrices(model: CuspModel, grid: RadialGrid, m: int, ch):
-    """Scaled metric and Hessian matrices G, H at collocation points.
-
-    The n-th row/column carry their z_n factors scaled away; positivity and
-    determinant ratios are invariant under that congruence.  Returned with
-    matrix axes last: shape torus + (N, n, n).
+    A coefficient weight w(k) applied to a real field keeps it real when w
+    is real and even in k or imaginary and odd; the mode covector c(k) is
+    odd, so the weights i pi Re c_a, i pi Im c_a and -pi^2 Re, Im of
+    c_a conj(c_b) all do.  Each field is then one `irfftn` of its half
+    spectrum, the k_last >= 0 half of the last torus axis.
     """
-    n, d = model.n, model.d
-    x = grid.x
-    zp = torus_points(model.lattice, m)
-    pa = model.phi_grad(zp)
-    pa_pt = pa[..., None, :]
-    shape = ch["f"].shape
-    G = np.zeros(shape + (n, n), dtype=complex)
-    H = np.zeros(shape + (n, n), dtype=complex)
-    x2 = x**2
-    fiber = 2.0 * x**3 * ch["fx"] + x**4 * ch["fxx"]
+    m, dims, nn, d = f.torus_resolution, f.torus_dims, len(f.grid), model.d
+    cut = m // 2 + 1
+    rows, k, prof, px, pxx = _mode_derivatives(
+        f.grid, f.coeffs[..., :cut, :], mode_indices(m, dims)[..., :cut, :], order
+    )
+    c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
+    shape = (m,) * dims + (nn,)
+
+    def real_field(row_values, out=None):
+        """Values of the real field whose half-spectrum rows `rows` hold
+        row_values (all other coefficients zero)."""
+        hat = np.zeros(shape[:-2] + (cut, nn), dtype=complex)
+        hat.reshape(-1, nn)[rows] = row_values
+        return np.fft.irfftn(hat, s=shape[:-1], axes=tuple(range(dims)), norm="forward", out=out)
+
+    fax = np.empty((2, d) + shape)
+    fab = np.zeros((2, d, d) + shape)
     for a in range(d):
+        real_field(1j * np.pi * c[a].real * px, out=fax[0, a])
+        real_field(1j * np.pi * c[a].imag * px, out=fax[1, a])
         for b in range(d):
-            G[..., a, b] = (n + 1) * (
-                x * model.A[a, b] + x2 * pa_pt[..., a] * pa_pt[..., b].conj()
-            )
-            H[..., a, b] = (
-                ch["fab"][a, b]
-                + x2 * model.A[a, b] * ch["fx"]
-                - x2
-                * (
-                    pa_pt[..., b].conj() * ch["fax"][a]
-                    + pa_pt[..., a] * ch["fax"][b].conj()
-                )
-                + fiber * pa_pt[..., a] * pa_pt[..., b].conj()
-            )
-        G[..., a, d] = -(n + 1) * x2 * pa_pt[..., a]
-        G[..., d, a] = G[..., a, d].conj()
-        H[..., a, d] = x2 * ch["fax"][a] - pa_pt[..., a] * fiber
-        H[..., d, a] = H[..., a, d].conj()
-    G[..., d, d] = (n + 1) * x2
-    H[..., d, d] = fiber
-    return G, H
+            w = -np.pi**2 * c[a] * c[b].conj()
+            real_field(w.real * prof, out=fab[0, a, b])
+            if b != a:
+                real_field(w.imag * prof, out=fab[1, a, b])
+    return real_field(prof), real_field(px), real_field(pxx), fax, fab
+
+
+class Collocation:
+    """What Monge-Ampere collocation on (model, grid, m) needs that does
+    not depend on the field; `modes.picard_solve` builds one per solve and
+    passes it to `quadratic_remainder` and `monge_ampere_residual`.
+
+    The scaled metric G at the collocation points: its n-th row and column
+    carry their z_n factors scaled away (positivity and determinant ratios
+    are invariant under that congruence), leading axes torus + (N,).  For
+    n = 2 it is kept as scalars: g00 = 3 (x A + x^2 |phi_a|^2), g11 = 3 x^2
+    and g01 = -3 x^2 phi_a, with det g = 9 A x^3 independent of z'.  For
+    n >= 3 it is kept as matrices G (matrix axes last) together with the
+    inverse L^{-1} of its Cholesky factor, G = L L^H.
+    """
+
+    def __init__(self, model: CuspModel, grid: RadialGrid, m: int):
+        self.model, self.grid, self.m = model, grid, m
+        n, d = model.n, model.d
+        pa = model.phi_grad(torus_points(model.lattice, m))[..., None, :]  # torus + (1, d)
+        self.pa = pa
+        x = grid.x
+        if n == 2:
+            self.a = float(model.A[0, 0].real)  # the 1 x 1 weight A
+            self.pa2 = np.abs(pa[..., 0]) ** 2
+            self.g00 = 3.0 * (x * self.a + x**2 * self.pa2)
+            self.g11 = 3.0 * x**2
+            self.detg = 9.0 * self.a * x**3
+            return
+        x = x[:, None, None]
+        G = np.empty(pa.shape[:-2] + (len(grid), n, n), dtype=complex)
+        G[..., :d, :d] = (n + 1) * (x * model.A + x**2 * pa[..., :, None] * pa[..., None, :].conj())
+        G[..., :d, d] = -(n + 1) * x[..., 0] ** 2 * pa
+        G[..., d, :d] = G[..., :d, d].conj()
+        G[..., d, d] = (n + 1) * grid.x**2
+        self.G = G
+        self.linv = np.linalg.inv(np.linalg.cholesky(G))
+
+    def check(self, model: CuspModel, f: Field):
+        """Raise ConfigError unless f lives on this model, grid and torus
+        resolution."""
+        same_grid = f.grid is self.grid or np.array_equal(f.grid.s, self.grid.s)
+        if model is not self.model or not same_grid or f.torus_resolution != self.m:
+            raise ConfigError("collocation geometry was built for another model, grid or torus resolution")
 
 
 def _positivity_guard(grid: RadialGrid, eigmin: np.ndarray, tr: np.ndarray, n: int):
@@ -227,41 +244,69 @@ def _positivity_guard(grid: RadialGrid, eigmin: np.ndarray, tr: np.ndarray, n: i
         raise MetricDegenerateError(grid.x[idx[-1]], idx[:-1], float(eigmin[idx]))
 
 
-def _ma_values(model: CuspModel, f: Field, order: int):
+def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | None = None):
     """(M values, Q values) of the Monge-Ampere operator at collocation
     points: M = log det(g + Hess f)/det g - f and its quadratic remainder
-    Q = M - L."""
-    ch = _chart_values(model, f, order)
-    G, H = _tilde_matrices(model, f.grid, f.torus_resolution, ch)
+    Q = M - L.  The Hessian H is assembled in the scaled frame of
+    `Collocation`; a missing `colloc` is built on the spot."""
+    if colloc is None:
+        colloc = Collocation(model, f.grid, f.torus_resolution)
+    colloc.check(model, f)
+    fv, fx, fxx, fax, fab = _chart_values(model, f, order)
+    x = f.grid.x
+    x2 = x**2
+    fiber = 2.0 * x**3 * fx + x**4 * fxx
     if model.n == 2:
-        g00 = np.real(G[..., 0, 0])
-        g11 = np.real(G[..., 1, 1])
-        g01 = G[..., 0, 1]
-        detg = g00 * g11 - np.abs(g01) ** 2
-        h00 = np.real(H[..., 0, 0])
-        h11 = np.real(H[..., 1, 1])
-        h01 = H[..., 0, 1]
-        deth = h00 * h11 - np.abs(h01) ** 2
-        cross = g00 * h11 + g11 * h00 - 2.0 * np.real(g01.conj() * h01)
+        p_re, p_im = colloc.pa[..., 0].real, colloc.pa[..., 0].imag
+        g00, g11, detg = colloc.g00, colloc.g11, colloc.detg
+        h00 = fab[0, 0, 0] + x2 * colloc.a * fx - 2.0 * x2 * (p_re * fax[0, 0] + p_im * fax[1, 0])
+        h00 += fiber * colloc.pa2
+        h01_re = x2 * fax[0, 0] - p_re * fiber
+        h01_im = x2 * fax[1, 0] - p_im * fiber
+        h11 = fiber
+        deth = h00 * h11 - (h01_re**2 + h01_im**2)
+        # -2 Re(conj(g01) h01) with g01 = -3 x^2 phi_a
+        cross = g00 * h11 + g11 * h00 + 6.0 * x2 * (p_re * h01_re + p_im * h01_im)
+        del h01_re, h01_im
         # trace and determinant of G + H give its smaller eigenvalue
         tr = (g00 + h00) + (g11 + h11)
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * (detg + cross + deth), 0.0))
         _positivity_guard(f.grid, 0.5 * (tr - disc), tr, 2)
+        del tr, disc
         tr_a = cross / detg
         det_a = deth / detg
         w = tr_a + det_a
-        m_vals = np.log1p(w) - ch["f"]
+        m_vals = np.log1p(w) - fv
         q_vals = _log1p_minus(w) + det_a
     else:
-        total = G + H
+        n, d = model.n, model.d
+        pa = colloc.pa
+        fax = fax[0] + 1j * fax[1]
+        fab = fab[0] + 1j * fab[1]
+        H = np.empty(fv.shape + (n, n), dtype=complex)
+        for a in range(d):
+            for b in range(d):
+                H[..., a, b] = (
+                    fab[a, b]
+                    + x2 * model.A[a, b] * fx
+                    - x2 * (pa[..., b].conj() * fax[a] + pa[..., a] * fax[b].conj())
+                    + fiber * pa[..., a] * pa[..., b].conj()
+                )
+            H[..., a, d] = x2 * fax[a] - pa[..., a] * fiber
+            H[..., d, a] = H[..., a, d].conj()
+        H[..., d, d] = fiber
+        del fax, fab
+        total = colloc.G + H
         tr = np.real(np.trace(total, axis1=-2, axis2=-1))
-        _positivity_guard(f.grid, np.linalg.eigvalsh(total)[..., 0], tr, model.n)
-        del total  # released before the factorization, which sets the peak memory
-        L = np.linalg.cholesky(G)
-        B = np.linalg.solve(L, H)
-        B = np.linalg.solve(L, B.conj().swapaxes(-1, -2))
+        _positivity_guard(f.grid, np.linalg.eigvalsh(total)[..., 0], tr, n)
+        del total  # released before the congruence, which sets the peak memory
+        # B = L^{-1} H L^{-H} = L^{-1} (L^{-1} H)^H, since H is Hermitian
+        B = np.matmul(colloc.linv, H)
+        del H
+        np.conjugate(B, out=B)
+        B = np.matmul(colloc.linv, B.swapaxes(-1, -2))
         eig = np.linalg.eigvalsh(B)
-        m_vals = np.sum(np.log1p(eig), axis=-1) - ch["f"]
+        m_vals = np.sum(np.log1p(eig), axis=-1) - fv
         q_vals = np.sum(_log1p_minus(eig), axis=-1)
     return m_vals, q_vals
 
@@ -271,15 +316,17 @@ def _ma_values(model: CuspModel, f: Field, order: int):
 _NYQUIST_ABS = 1e-13
 
 
-def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2) -> Field:
-    """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field."""
-    m_vals, _ = _ma_values(model, f, order)
+def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None) -> Field:
+    """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field; `colloc`
+    is the solve's `Collocation` (built on the spot when omitted)."""
+    m_vals, _ = _ma_values(model, f, order, colloc)
     return Field.from_values(f.grid, m_vals, nyquist_abs=_NYQUIST_ABS)
 
 
-def quadratic_remainder(model: CuspModel, f: Field, order: int = 2) -> Field:
-    """Q(f) = M(f) - L(f), the nonlinear part of the operator."""
-    _, q_vals = _ma_values(model, f, order)
+def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None) -> Field:
+    """Q(f) = M(f) - L(f), the nonlinear part of the operator; `colloc` as
+    in `monge_ampere_residual`."""
+    _, q_vals = _ma_values(model, f, order, colloc)
     return Field.from_values(f.grid, q_vals, nyquist_abs=_NYQUIST_ABS)
 
 
@@ -313,10 +360,10 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     x = grid.x[idx]
     v = np.concatenate([p.z_prime.real, p.z_prime.imag])
     t = np.linalg.solve(model.lattice, v)
-    rows, k, px, pxx = _mode_derivatives(f, order=2)
+    _, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(f.torus_resolution, f.torus_dims), 2)
     c = mode_covector(model, k)
     chi = np.exp(2j * np.pi * (k @ t))
-    prof = f.coeffs.reshape(-1, len(grid))[rows, idx]
+    prof = prof[:, idx]
     fx = float(np.sum(px[:, idx] * chi).real)
     fxx = float(np.sum(pxx[:, idx] * chi).real)
     fax = 1j * np.pi * (px[:, idx] * chi) @ c

@@ -18,6 +18,7 @@ remainder of the Monge-Ampere operator.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,11 +229,16 @@ def assemble_representation(
 
 @dataclass
 class PicardState:
+    """Outcome of `picard_solve`.  `trace` holds one record per iteration:
+    sup_change, tail_indicator, modes_solved, and the seconds spent in
+    collocation (`geometry.quadratic_remainder`) and in assembly."""
+
     iterate: Field
     iteration: int
     sup_change: float
     contraction_history: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    trace: list = field(default_factory=list)
 
 
 def _ell0_decay_power(u: Field) -> float:
@@ -263,26 +269,36 @@ def picard_solve(
     x0 given as torus mode coefficients.
 
     cutoff is the mode cutoff in multiples of the first eigenvalue.  Returns
-    (Field, PicardState); the state records the contraction history, the
-    spectral tail indicator, and the final residual measured with the
-    `final_order` radial stencils.
+    (Field, PicardState); the state records the contraction history, a
+    per-iteration trace, the spectral tail indicator, and the final residual
+    measured with the `final_order` radial stencils.  The collocation
+    geometry is built once here and shared by every collocation call.
     """
     lam1 = first_eigenvalue(model)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
     below = modes_below(model, cutoff * lam1)
 
+    colloc = geometry.Collocation(model, grid, torus_resolution)
     u, diag = assemble_representation(
         model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), below
     )
-    history = []
+    # each iterate is checked for real values on its own: its roundoff
+    # imaginary part is small against the iterate, not against a difference
+    # of two nearly equal iterates
+    values = u.values()
+    history, trace = [], []
     for it in range(1, max_iter + 1):
-        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order)
-        u_old = u
+        t0 = time.perf_counter()
+        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order, colloc)
+        t1 = time.perf_counter()
         u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)
-        change = (u - u_old).sup_norm()
-        del u_old
+        t2 = time.perf_counter()
+        values, values_old = u.values(), values
+        change = float(np.max(np.abs(values - values_old)))
+        del values_old
         history.append(change)
+        trace.append({"sup_change": change, **diag, "collocation_s": t1 - t0, "assembly_s": t2 - t1})
         if change < tol:
             break
         if it >= 3 and history[-1] > history[-2]:
@@ -292,6 +308,7 @@ def picard_solve(
             )
     else:
         raise NonContractionError(f"no convergence within {max_iter} iterations")
+    del values
 
     # one last pass with the noise-floored inhomogeneity keeps the deep
     # exponential tails of each mode profile clean for rate analysis
@@ -300,13 +317,14 @@ def picard_solve(
     u, diag = assemble_representation(model, boundary, g_clean, below, tail_tol=tail_tol)
     del g_clean
 
-    residual = geometry.monge_ampere_residual(model, u, final_order)
+    residual = geometry.monge_ampere_residual(model, u, final_order, colloc)
     res_sup = residual.sup_norm(grid.interior(final_order))
     state = PicardState(
         iterate=u,
         iteration=it,
         sup_change=history[-1] if history else 0.0,
         contraction_history=history,
+        trace=trace,
         diagnostics={
             "tail_indicator": diag["tail_indicator"],
             "modes_solved": diag["modes_solved"],

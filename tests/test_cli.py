@@ -92,6 +92,40 @@ def test_csv_output_deterministic(cfg_path, tmp_path):
         assert (out1 / f"{name}.json").read_bytes() == (out2 / f"{name}.json").read_bytes()
 
 
+def test_solve_output_deterministic_and_traced(tmp_path):
+    # collocation's FFT path feeds solve.csv: a rerun must write the same bytes
+    cfg = tmp_path / "cosine.cfg"
+    cfg.write_text(
+        SQUARE_CFG
+        + """
+[grid]
+x0 = 0.05
+s_max = 16
+nodes = 400
+
+[solver]
+torus_resolution = 8
+
+[boundary]
+kind = cosine
+amplitude = 1e-4
+"""
+    )
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        assert cli.main(["solve", str(cfg), "-o", str(out)]) == 0
+    csv_bytes = (out1 / "solve.csv").read_bytes()
+    assert csv_bytes == (out2 / "solve.csv").read_bytes()
+    assert csv_bytes.startswith(b"x,s,u_mode0,u_mode1_cos")
+    # the sidecar holds one trace record per iteration; the CSV no timings
+    res = json.loads((out1 / "solve.json").read_text())["results"]
+    assert len(res["trace"]) == res["iterations"] >= 2
+    assert [r["sup_change"] for r in res["trace"]] == res["contraction_history"]
+    keys = {"sup_change", "tail_indicator", "modes_solved", "collocation_s", "assembly_s"}
+    assert all(set(r) == keys for r in res["trace"])
+    assert all(r["collocation_s"] > 0 and r["assembly_s"] > 0 for r in res["trace"])
+
+
 def test_expand_command_matches_closed_form(cfg_path, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["expand", cfg_path, "-o", str(out)]) == 0
@@ -135,8 +169,12 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     def no_calabi(*args, **kwargs):
         raise AssertionError("integrate_calabi called on an invalid config")
 
+    def no_expand(*args, **kwargs):
+        raise AssertionError("expand_formal called on an invalid config")
+
     monkeypatch.setattr(cli.modes, "picard_solve", no_solve)
     monkeypatch.setattr(cli.radial, "integrate_calabi", no_calabi)
+    monkeypatch.setattr(cli.radial, "expand_formal", no_expand)
     solve_cfg = SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 400\n"
     cosine = "[boundary]\nkind = cosine\namplitude = 1e-3\n"
     for command, text in [
@@ -164,7 +202,16 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_max = -1\n"),
         ("bessel-sweep", SQUARE_CFG + "[bessel]\nalpha_min = 9\nalpha_max = 4\n"),
         ("solve", solve_cfg + "[solver]\ntorus_resolution = -4\n"),
+        ("lemma43", SQUARE_CFG.replace("eps = 1", "eps = 0")),
+        ("lemma43", SQUARE_CFG.replace("eps = 1", "eps = -2")),
+        ("lemma43", SQUARE_CFG.replace("eps = 1", "eps = -1")),
+        ("calabi", SQUARE_CFG.replace("[model]\nn = 2", "[model]\nn = -1")),
+        ("calabi", SQUARE_CFG.replace("[model]\nn = 2", "[model]\nn = 0")),
+        ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = -1")),
+        ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = 0")),
+        ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = -2")),
     ]:
+        assert text != SQUARE_CFG  # each replacement above must take effect
         bad.write_text(text)
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
 
@@ -205,6 +252,7 @@ s_hi = 120
     out = tmp_path / "out"
     assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
     res = json.loads((out / "rate-fit.json").read_text())["results"]
+    assert len(res["trace"]) >= 2 and res["trace"][-1]["modes_solved"] >= 2
     assert res["delta_target"] == pytest.approx(2 * np.pi, rel=1e-14)
     assert abs(res["delta"] / res["delta_target"] - 1) < 0.01
 
