@@ -152,22 +152,14 @@ def ratio_upper(c: float, k: float, x, x0: float) -> np.ndarray:
     """R2(x) = c int_x^{x0} t^k e^{+c/sqrt(t)} dt / (x^{k+3/2} e^{+c/sqrt(x)})."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    yg, wg = _legendre_nodes()
+    tau1 = 1.0 / np.sqrt(x0)
     for i, xi in enumerate(x):
         tau0 = 1.0 / np.sqrt(xi)
-        tau1 = 1.0 / np.sqrt(x0)
-        upper = tau0 - tau1
         # integrand ~ e^{-c w}: past ~45/c the contribution is below 1e-18
-        upper_eff = min(upper, 45.0 / c)
-        panels = max(1, int(np.ceil(upper_eff * c / 8.0)))
-        total = 0.0
-        edges = np.linspace(0.0, upper_eff, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            wmid = 0.5 * (b - a) * yg + 0.5 * (a + b)
-            ww = 0.5 * (b - a) * wg
-            vals = (1.0 - wmid / tau0) ** (-(2.0 * k + 3.0)) * np.exp(-c * wmid)
-            total += float(ww @ vals)
-        out[i] = 2.0 * c * total
+        upper = min(tau0 - tau1, 45.0 / c)
+        out[i] = 2.0 * c * _panelled_exp_integral(
+            lambda w: (1.0 - w / tau0) ** (-(2.0 * k + 3.0)), c, upper
+        )
     return out
 
 

@@ -262,6 +262,8 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
 def cmd_expand(cfg, out_dir: Path) -> dict:
     n = _dimension(cfg, "expand")
     c = _number(cfg, "expand", "c", 1.0)
+    if c == 0:
+        raise ConfigError("[expand] c = 0 makes every closed-form coefficient zero")
     order = _number(cfg, "expand", "order", 20, int)
     series = radial.expand_formal(n, -(n + 1) * c, order)
     target = radial.tangent_cone_coefficients(n, c, order)

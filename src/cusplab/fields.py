@@ -1,15 +1,15 @@
 """Circle-invariant fields on the cusp.
 
-A Field stores torus Fourier coefficients over a shared radial grid in one
-dense complex array of shape (m,)*dims + (len(grid),), in numpy FFT index
-order: the complex radial profile of the integer dual-lattice index k sits
-at index k mod m.  The characters are chi_k(t) = exp(2*pi*i k.t) in
-fractional lattice coordinates t, so the coefficient <-> collocation-value
-conversion is one discrete Fourier transform on a uniform torus grid of size
-m per direction.  The Nyquist planes (some k_i = -m/2) stay zero.
-
-Real-valuedness corresponds to coefficient conjugate symmetry between k
-and -k; constructors enforce it up to roundoff.
+A Field is real valued.  It stores its torus Fourier coefficients over a
+shared radial grid as the `rfftn` half spectrum, one dense complex array of
+shape (m,)*(dims-1) + (m//2+1, len(grid)): the radial profile of the
+integer dual-lattice index k with k_last >= 0 sits at index k mod m, and
+that of -k is its complex conjugate.  The characters are
+chi_k(t) = exp(2*pi*i k.t) in fractional lattice coordinates t, so the
+coefficients and the collocation values on a uniform torus grid of size m
+per direction are one real FFT apart (`real_values`, `Field.from_values`).
+The Nyquist planes (some |k_i| = m/2) stay zero.  No other module knows
+this layout.
 """
 
 from __future__ import annotations
@@ -21,14 +21,23 @@ import numpy as np
 from .errors import ConfigError
 from .grid import RadialGrid
 
-_REAL_TOL = 1e-9
+_CONJ_RTOL = 1e-12
 
 
 def mode_indices(m: int, dims: int) -> np.ndarray:
-    """Integer mode index k at each FFT position, shape (m,)*dims + (dims,);
-    the Nyquist positions read -m/2."""
+    """Integer mode index k at each stored position of a half spectrum,
+    shape (m,)*(dims-1) + (m//2+1, dims); the Nyquist positions read
+    |k_i| = m/2."""
     k = (np.arange(m) + m // 2) % m - m // 2
-    return np.stack(np.meshgrid(*[k] * dims, indexing="ij"), axis=-1)
+    axes = [k] * (dims - 1) + [np.arange(m // 2 + 1)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def real_values(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Collocation values, shape (m,)*dims + (N,), of the real field whose
+    half spectrum is `coeffs` (torus axes first, last axis radial)."""
+    dims = coeffs.ndim - 1
+    return np.fft.irfftn(coeffs, s=(m,) * dims, axes=tuple(range(dims)), norm="forward", out=out)
 
 
 @dataclass
@@ -39,10 +48,10 @@ class Field:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         shape = self.coeffs.shape
-        m = shape[0] if shape else 0
-        if len(shape) < 2 or shape != (m,) * (len(shape) - 1) + (len(self.grid),):
+        m = 2 * (shape[-2] - 1) if len(shape) > 1 else 0
+        if shape != (m,) * (len(shape) - 2) + (m // 2 + 1, len(self.grid)):
             raise ConfigError(
-                f"coefficients must have shape (m,)*dims + ({len(self.grid)},), "
+                f"coefficients must have shape (m,)*(dims-1) + (m//2+1, {len(self.grid)}), "
                 f"got {self.coeffs.shape}"
             )
         if m < 4 or (m & (m - 1)) != 0:
@@ -52,8 +61,8 @@ class Field:
 
     @classmethod
     def zero(cls, grid: RadialGrid, torus_dims: int, torus_resolution: int) -> "Field":
-        shape = (torus_resolution,) * torus_dims + (len(grid),)
-        return cls(grid, np.zeros(shape, dtype=complex))
+        m = torus_resolution
+        return cls(grid, np.zeros((m,) * (torus_dims - 1) + (m // 2 + 1, len(grid)), dtype=complex))
 
     @classmethod
     def from_radial(cls, grid: RadialGrid, profile, torus_dims: int, torus_resolution: int) -> "Field":
@@ -61,17 +70,24 @@ class Field:
 
     @classmethod
     def from_modes(cls, grid: RadialGrid, modes: dict, torus_resolution: int) -> "Field":
-        """Field with the given profile for each integer mode key, zero elsewhere."""
+        """Field with the given profile for each integer mode key, zero
+        elsewhere.  The profile of -k must be the complex conjugate of that
+        of k (a missing key counts as zero), so that the field is real."""
         if not modes:
             raise ConfigError("field needs at least one mode (use Field.zero)")
-        dims = len(next(iter(modes)))
-        f = cls.zero(grid, dims, torus_resolution)
-        nn = len(grid)
-        for k, prof in modes.items():
-            prof = np.asarray(prof, dtype=complex)
-            if prof.shape != (nn,):
-                raise ConfigError(f"profile for mode {k} has shape {prof.shape}, want ({nn},)")
-            f.coeffs[f.index(k)] = prof
+        f = cls.zero(grid, len(next(iter(modes))), torus_resolution)
+        profiles = {tuple(int(ki) for ki in k): np.asarray(p, dtype=complex) for k, p in modes.items()}
+        for k, prof in profiles.items():
+            if prof.shape != (len(grid),):
+                raise ConfigError(f"profile for mode {k} has shape {prof.shape}, want ({len(grid)},)")
+            slot = f.index(k)
+            mk = tuple(-ki for ki in k)
+            partner = profiles.get(mk, np.zeros_like(prof))
+            defect = np.max(np.abs(partner - prof.conj())) if partner.shape == prof.shape else np.inf
+            if defect > _CONJ_RTOL * np.max(np.abs(prof)):
+                raise ConfigError(f"profile of mode {mk} is not the conjugate of that of mode {k}")
+            if k[-1] >= 0:
+                f.coeffs[slot] = prof
         return f
 
     @classmethod
@@ -82,7 +98,8 @@ class Field:
         nyquist_tol: float = 1e-8,
         nyquist_abs: float = 0.0,
     ) -> "Field":
-        """Build a Field from collocation values of shape (m,)*dims + (len(grid),).
+        """Build a Field from real collocation values of shape
+        (m,)*dims + (len(grid),).
 
         Nyquist bins must be negligible, relative to the largest coefficient
         or below the absolute allowance `nyquist_abs` (for values produced by
@@ -94,9 +111,9 @@ class Field:
         m = values.shape[0]
         if values.shape[:-1] != (m,) * dims:
             raise ConfigError(f"values must be (m,)*dims + (N,), got {values.shape}")
-        coeffs = np.fft.fftn(values, axes=tuple(range(dims))) / m**dims
+        coeffs = np.fft.rfftn(values, axes=tuple(range(dims)), norm="forward")
         scale = np.max(np.abs(coeffs)) + 1e-300
-        nyquist = np.any(mode_indices(m, dims) == -(m // 2), axis=-1)
+        nyquist = np.any(np.abs(mode_indices(m, dims)) == m // 2, axis=-1)
         nyq_max = float(np.max(np.abs(coeffs[nyquist])))
         if nyq_max > nyquist_tol * scale and nyq_max > nyquist_abs:
             raise ConfigError(
@@ -110,48 +127,36 @@ class Field:
 
     @property
     def torus_resolution(self) -> int:
-        return self.coeffs.shape[0]
+        return 2 * (self.coeffs.shape[-2] - 1)
 
     @property
     def torus_dims(self) -> int:
         return self.coeffs.ndim - 1
 
     def index(self, k) -> tuple:
-        """Array index of the integer mode k; rejects keys that alias."""
+        """Array index of the integer mode k, or of -k when k_last < 0;
+        rejects keys that alias."""
         m = self.torus_resolution
         k = tuple(int(ki) for ki in k)
         if len(k) != self.torus_dims:
             raise ConfigError(f"mode {k} needs {self.torus_dims} entries")
         if max(abs(ki) for ki in k) >= m // 2:
             raise ConfigError(f"mode {k} aliases on a grid of size {m}")
-        return tuple(ki % m for ki in k)
+        sign = -1 if k[-1] < 0 else 1
+        return tuple(sign * ki % m for ki in k)
 
     def mode(self, k) -> np.ndarray:
         """Radial profile of the integer mode k (zero when not present)."""
-        return self.coeffs[self.index(k)].copy()
+        prof = self.coeffs[self.index(k)]
+        return prof.conj() if int(k[-1]) < 0 else prof.copy()
 
     def radial_mean(self) -> np.ndarray:
         """Profile of the torus-constant mode (real part)."""
         return self.coeffs[(0,) * self.torus_dims].real.copy()
 
-    def values(self, real_tol: float = _REAL_TOL) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """Collocation values on the uniform torus grid, last axis radial."""
-        m = self.torus_resolution
-        dims = self.torus_dims
-        vals = np.fft.ifftn(self.coeffs, axes=tuple(range(dims))) * m**dims
-        scale = np.max(np.abs(vals.real)) + 1e-300
-        imag = np.max(np.abs(vals.imag))
-        if imag > real_tol * scale:
-            raise ConfigError(
-                f"field is not real valued: imaginary part {imag:.3e} vs scale {scale:.3e}"
-            )
-        return vals.real
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max |c(k) - conj(c(-k))| over all modes (0 for a real field)."""
-        axes = tuple(range(self.torus_dims))
-        reflected = np.roll(np.flip(self.coeffs, axes), 1, axes)  # index -k mod m
-        return float(np.max(np.abs(self.coeffs - reflected.conj())))
+        return real_values(self.coeffs, self.torus_resolution)
 
     def sup_norm(self, interior: slice | None = None) -> float:
         vals = self.values()

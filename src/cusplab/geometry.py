@@ -29,7 +29,7 @@ from .errors import (
     ConfigError,
     MetricDegenerateError,
 )
-from .fields import Field, mode_indices, torus_points
+from .fields import Field, mode_indices, real_values, torus_points
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
@@ -159,23 +159,20 @@ def _chart_values(model: CuspModel, f: Field, order: int):
     A coefficient weight w(k) applied to a real field keeps it real when w
     is real and even in k or imaginary and odd; the mode covector c(k) is
     odd, so the weights i pi Re c_a, i pi Im c_a and -pi^2 Re, Im of
-    c_a conj(c_b) all do.  Each field is then one `irfftn` of its half
-    spectrum, the k_last >= 0 half of the last torus axis.
+    c_a conj(c_b) all do.  Each field is then one `fields.real_values` call
+    on the weighted half spectrum.
     """
-    m, dims, nn, d = f.torus_resolution, f.torus_dims, len(f.grid), model.d
-    cut = m // 2 + 1
-    rows, k, prof, px, pxx = _mode_derivatives(
-        f.grid, f.coeffs[..., :cut, :], mode_indices(m, dims)[..., :cut, :], order
-    )
+    m, nn, d = f.torus_resolution, len(f.grid), model.d
+    rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(m, f.torus_dims), order)
     c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
-    shape = (m,) * dims + (nn,)
+    shape = (m,) * f.torus_dims + (nn,)
 
     def real_field(row_values, out=None):
-        """Values of the real field whose half-spectrum rows `rows` hold
+        """Values of the real field whose stored rows `rows` hold
         row_values (all other coefficients zero)."""
-        hat = np.zeros(shape[:-2] + (cut, nn), dtype=complex)
+        hat = np.zeros_like(f.coeffs)
         hat.reshape(-1, nn)[rows] = row_values
-        return np.fft.irfftn(hat, s=shape[:-1], axes=tuple(range(dims)), norm="forward", out=out)
+        return real_values(hat, m, out=out)
 
     fax = np.empty((2, d) + shape)
     fab = np.zeros((2, d, d) + shape)
@@ -363,11 +360,13 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     _, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(f.torus_resolution, f.torus_dims), 2)
     c = mode_covector(model, k)
     chi = np.exp(2j * np.pi * (k @ t))
-    prof = prof[:, idx]
-    fx = float(np.sum(px[:, idx] * chi).real)
-    fxx = float(np.sum(pxx[:, idx] * chi).real)
-    fax = 1j * np.pi * (px[:, idx] * chi) @ c
-    fab = -np.pi**2 * np.einsum("r,ra,rb->ab", prof * chi, c, c.conj())
+    # a stored row with k_last > 0 stands for k and -k as well; their terms
+    # are complex conjugates, and c(-k) = -c(k)
+    w = np.where(k[:, -1] > 0, 2.0, 1.0)
+    fx = float(np.sum(w * (px[:, idx] * chi).real))
+    fxx = float(np.sum(w * (pxx[:, idx] * chi).real))
+    fax = -np.pi * (w * (px[:, idx] * chi).imag) @ c
+    fab = -np.pi**2 * np.einsum("r,ra,rb->ab", w * (prof[:, idx] * chi).real, c, c.conj())
     pa = model.phi_grad(p.z_prime)
     r = model.radius_from_x(p.z_prime, x)
     zn = r * np.exp(1j * p.theta)

@@ -183,6 +183,8 @@ def assemble_representation(
     as the tail indicator (error if tail_tol is given and exceeded).  Modes
     below the cutoff that the torus grid cannot resolve (some |k_i| >= m/2)
     carry no coefficient and are skipped unless boundary data forces them.
+    Keys with k_last < 0 are skipped too: the field stores those modes as
+    the conjugates of the modes -k.
     """
     grid = g.grid
     n = model.n
@@ -207,6 +209,8 @@ def assemble_representation(
     pair_cache = {}
     modes_solved = 0
     for k, lam in keys.items():
+        if k[-1] < 0:
+            continue
         slot = out.index(k)
         unsolved[slot] = False
         beta = complex(boundary.get(k, 0.0))
@@ -283,20 +287,16 @@ def picard_solve(
     u, diag = assemble_representation(
         model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), below
     )
-    # each iterate is checked for real values on its own: its roundoff
-    # imaginary part is small against the iterate, not against a difference
-    # of two nearly equal iterates
-    values = u.values()
     history, trace = [], []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order, colloc)
         t1 = time.perf_counter()
+        u_old = u
         u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)
         t2 = time.perf_counter()
-        values, values_old = u.values(), values
-        change = float(np.max(np.abs(values - values_old)))
-        del values_old
+        change = (u - u_old).sup_norm()
+        del u_old
         history.append(change)
         trace.append({"sup_change": change, **diag, "collocation_s": t1 - t0, "assembly_s": t2 - t1})
         if change < tol:
@@ -308,7 +308,6 @@ def picard_solve(
             )
     else:
         raise NonContractionError(f"no convergence within {max_iter} iterations")
-    del values
 
     # one last pass with the noise-floored inhomogeneity keeps the deep
     # exponential tails of each mode profile clean for rate analysis

@@ -211,6 +211,12 @@ def _q_compose(u: list, n: int, K: int) -> list:
     return out
 
 
+# The exact coefficients cost a fast-growing amount of rational arithmetic:
+# on a 2-core desktop order 40 takes about 4 s and order 80 over a minute,
+# so orders past the cap are refused before any of it starts.
+_MAX_ORDER = 40
+
+
 @lru_cache(maxsize=32)
 def _unit_coefficients(n: int, K: int):
     """Exact coefficients D_k of the formal solution with D_1 = 1.
@@ -240,8 +246,8 @@ def expand_formal(n: int, c1: float, K: int) -> PowerSeries:
     and a polynomial in C_1..C_{k-1} on the nonlinear side, so the system
     is triangular and never singular for k >= 2.
     """
-    if K < 1:
-        raise ConfigError(f"need K >= 1, got {K}")
+    if not 1 <= K <= _MAX_ORDER:
+        raise ConfigError(f"need 1 <= K <= {_MAX_ORDER}, got {K}")
     D = _unit_coefficients(n, K)
     C = np.zeros(K + 1)
     for k in range(1, K + 1):
@@ -335,7 +341,6 @@ def radial_rep_l0(
     grid: RadialGrid,
     g0: np.ndarray,
     u_x0: float,
-    check_decay: bool = True,
 ):
     """Solution of x^2 u'' + (n+1) x u' - (n+1) u = g0 with value u_x0 at the
     boundary node and decay at x -> 0, by variation of parameters on the
@@ -352,20 +357,18 @@ def radial_rep_l0(
     x0 = grid.x0
     gmax = float(np.max(np.abs(g0)))
 
-    tail_p = np.inf
     tail_P = 0.0
     tail_Q = 0.0
     if gmax > 0 and abs(g0[-1]) > 1e-13 * gmax:
         tail_p = _power_fit(x[-6:], g0[-6:])
-        if check_decay and tail_p < 1.02:
+        if tail_p < 1.02:
             raise DecayPreconditionError(
                 f"zero-mode inhomogeneity decays like x^{tail_p:.3f}; "
                 "need better than x^1 for the kernel integrals"
             )
         xm = x[-1]
         tail_P = g0[-1] * xm ** (n + 1) / (n + 1 + tail_p)
-        if tail_p > 1.0:
-            tail_Q = g0[-1] / (xm * (tail_p - 1.0))
+        tail_Q = g0[-1] / (xm * (tail_p - 1.0))
 
     # integrals in s: dt = -2 s^{-3} ds
     w = 2.0 / s**3
@@ -373,8 +376,7 @@ def radial_rep_l0(
     yQ = g0 / x**2 * w
     P = tail_P + reverse_cumulative_integral(s, yP)  # int_0^{x_i} t^n g0 dt
     Q = cumulative_integral(s, yQ)  # int_{x_i}^{x0} t^{-2} g0 dt
-    cQ = Q
     coeff = u_x0 / x0 + x0 ** (-(n + 2)) / (n + 2) * P[0]
     u = coeff * x - x ** (-(n + 1)) / (n + 2) * P - x / (n + 2) * Q
-    split_coeff = coeff - (cQ[-1] + tail_Q) / (n + 2)
+    split_coeff = coeff - (Q[-1] + tail_Q) / (n + 2)
     return u, split_coeff

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cusplab import cli
+from cusplab.errors import ConfigError
 
 
 SQUARE_CFG = """
@@ -210,10 +211,25 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = -1")),
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = 0")),
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = -2")),
+        ("expand", SQUARE_CFG.replace("[expand]\nn = 2\nc = 1", "[expand]\nn = 2\nc = 0")),
     ]:
         assert text != SQUARE_CFG  # each replacement above must take effect
         bad.write_text(text)
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
+
+
+def test_expand_order_cap(tmp_path, monkeypatch):
+    # past the cap the exact coefficients are refused before any rational
+    # arithmetic; the patch keeps an uncapped build from running for minutes
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("exact coefficients computed past the order cap")
+
+    monkeypatch.setattr(cli.radial, "_unit_coefficients", no_coefficients)
+    with pytest.raises(ConfigError):
+        cli.radial.expand_formal(2, -3.0, 400)
+    path = tmp_path / "order.cfg"
+    path.write_text(SQUARE_CFG.replace("order = 20", "order = 400"))
+    assert cli.main(["expand", str(path), "-o", str(tmp_path / "o")]) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path):

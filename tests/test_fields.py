@@ -27,24 +27,24 @@ def test_roundtrip_modes_values_modes(m, k):
     g = Field.from_values(grid, vals)
     for key, p in modes.items():
         assert np.allclose(g.mode(key), p, atol=1e-13)
-    nyquist = np.any(mode_indices(m, dims) == -(m // 2), axis=-1)
+    nyquist = np.any(np.abs(mode_indices(m, dims)) == m // 2, axis=-1)
     assert not np.any(g.coeffs[nyquist])
+    assert g.torus_resolution == m
+    assert g.torus_dims == dims
 
 
-def test_values_rejects_nonreal_field():
+@pytest.mark.parametrize("k", [(1, 2), (1, 0)], ids=["k_last-nonzero", "k_last-zero"])
+def test_from_modes_rejects_nonreal_field(k):
     grid = _grid()
-    f = Field.from_modes(grid, {(1, 0): np.ones(32, dtype=complex)}, 8)
-    with pytest.raises(ConfigError):
-        f.values()
-
-
-def test_conjugate_symmetry_defect():
-    grid = _grid()
-    p = np.ones(32, dtype=complex)
-    sym = Field.from_modes(grid, {(1, 0): p, (-1, 0): p.conj()}, 8)
-    assert sym.conjugate_symmetry_defect() < 1e-15
-    broken = Field.from_modes(grid, {(1, 0): p, (-1, 0): 2 * p}, 8)
-    assert broken.conjugate_symmetry_defect() == pytest.approx(1.0)
+    p = (1.0 + 0.5j) * np.ones(32)
+    mk = tuple(-ki for ki in k)
+    f = Field.from_modes(grid, {k: p, mk: p.conj()}, 8)
+    assert np.array_equal(f.mode(mk), p.conj())
+    for modes in ({k: p}, {k: p, mk: 2 * p.conj()}, {k: p, mk: p}):
+        with pytest.raises(ConfigError):
+            Field.from_modes(grid, modes, 8)
+    with pytest.raises(ConfigError):  # the torus-constant profile must be real
+        Field.from_modes(grid, {(0, 0): p}, 8)
 
 
 def test_aliasing_guards():

@@ -4,7 +4,7 @@ import pytest
 from cusplab import analysis, geometry
 from cusplab.bessel import h_pair
 from cusplab.errors import BoundaryStencilError, ConfigError, MetricDegenerateError
-from cusplab.fields import Field, mode_indices
+from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel, CuspPoint
 
@@ -309,32 +309,30 @@ class TestMongeAmpere:
         assert np.max(np.abs(lf[it] - target[it])) / np.max(np.abs(target[it])) < 1e-5
 
 
-def _field_on_modes(grid, m, keys, amplitude):
-    """Real field with profile amplitude (a_k + i b_k) x exp(-1/sqrt(x)) on
-    each key k, its conjugate on -k, and distinct (a_k, b_k) per key."""
+def _modes_on_keys(grid, keys, amplitude):
+    """Profiles amplitude (a_k + i b_k) x exp(-1/sqrt(x)) on each key k, their
+    conjugates on -k, and distinct (a_k, b_k) per key: a real field."""
     base = grid.x * np.exp(-1.0 / np.sqrt(grid.x))
     modes = {}
     for j, k in enumerate(keys):
         coef = amplitude * ((1.0 + 0.3 * j) + (0.7 - 0.4 * j) * 1j)
         modes[k] = coef * base
         modes[tuple(-i for i in k)] = np.conj(coef) * base
-    return Field.from_modes(grid, modes, m)
+    return modes
 
 
-def _pointwise_residual(model, f, node, idx):
+def _pointwise_residual(model, f, modes, node, idx):
     """log det(g + i ddbar f)/det g - f at torus node `node` and radial node
-    idx, from metric_coefficients, holomorphic_hessian and slogdet."""
-    m, dims = f.torus_resolution, f.torus_dims
-    t = np.array(node) / m
+    idx, from metric_coefficients, holomorphic_hessian and slogdet; the
+    value of f is summed from its mode profiles `modes`."""
+    t = np.array(node) / f.torus_resolution
     v = model.lattice @ t
     p = CuspPoint(v[: model.d] + 1j * v[model.d :], x=f.grid.x[idx])
     g = geometry.metric_coefficients(model, p).entries
     h = geometry.holomorphic_hessian(model, f, p).entries
     sign, logdet = np.linalg.slogdet(np.linalg.solve(g, g + h))
     assert abs(sign - 1) < 1e-12
-    k = mode_indices(m, dims).reshape(-1, dims)
-    chi = np.exp(2j * np.pi * (k @ t))
-    value = np.sum(f.coeffs.reshape(-1, len(f.grid))[:, idx] * chi)
+    value = sum(prof[idx] * np.exp(2j * np.pi * np.dot(k, t)) for k, prof in modes.items())
     assert abs(value.imag) < 1e-15
     return logdet - value.real
 
@@ -368,9 +366,10 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
     # and the Hessian: every term of the scaled Hessian must be present
     model = CuspModel(n, lattice, A)
     grid = RadialGrid.make(0.2, 5.0, 200 if n == 2 else 24)
-    f = _field_on_modes(grid, m, keys, amplitude)
+    modes = _modes_on_keys(grid, keys, amplitude)
+    f = Field.from_modes(grid, modes, m)
     values = geometry.monge_ampere_residual(model, f, order=2).values()
     points = list(zip(nodes, (len(grid) // 4, len(grid) // 2, 3 * len(grid) // 4)))
-    ref = np.array([_pointwise_residual(model, f, node, idx) for node, idx in points])
+    ref = np.array([_pointwise_residual(model, f, modes, node, idx) for node, idx in points])
     got = np.array([values[node + (idx,)] for node, idx in points])
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
