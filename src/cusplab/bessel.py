@@ -148,8 +148,8 @@ class HPair:
 
 def h_pair(n: int, lam: float, x) -> HPair:
     """Both homogeneous solutions of the mode equation at eigenvalue lam."""
-    if lam <= 0:
-        raise ConfigError(f"need lambda > 0, got {lam}")
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ConfigError(f"need a finite lambda > 0, got {lam}")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xv <= 0):
         raise ConfigError("x must be positive")

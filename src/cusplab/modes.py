@@ -102,6 +102,33 @@ def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     return exp_weighted_cumsum(sigma, np.append(0.0, seg))
 
 
+_PAIR_CACHE_SIZE = 8
+_pair_cache: dict = {}  # (n, lam, len(s), s[0], s[-1]) -> (s, HPair), oldest first
+
+
+def _kernel_pair(n: int, lam: float, grid: RadialGrid) -> HPair:
+    """The kernel pair at eigenvalue lam on the grid's nodes, computed once.
+
+    The pair depends on the mode only through lam, and on the square torus
+    4 or 8 characters share each lam, so the last `_PAIR_CACHE_SIZE` pairs
+    are held (oldest dropped first) with read-only arrays.  A hit needs n,
+    lam to 12 decimals and the grid's s nodes equal bit for bit.
+    """
+    s = grid.s
+    key = (n, round(float(lam), 12), len(s), s[0], s[-1])
+    hit = _pair_cache.get(key)
+    if hit is not None and np.array_equal(hit[0], s):
+        return hit[1]
+    pair = h_pair(n, lam, grid.x)
+    for a in (pair.h1_mantissa, pair.h2_mantissa, pair.exponent):
+        a.flags.writeable = False
+    _pair_cache.pop(key, None)
+    if len(_pair_cache) >= _PAIR_CACHE_SIZE:
+        del _pair_cache[next(iter(_pair_cache))]
+    _pair_cache[key] = (s.copy(), pair)
+    return pair
+
+
 @dataclass(frozen=True)
 class ModeProblem:
     n: int
@@ -111,9 +138,14 @@ class ModeProblem:
     grid: RadialGrid
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("mode problems need lambda > 0 (the zero mode is radial)")
-        f = np.asarray(self.f, dtype=complex)
+        if not (self.lam > 0 and np.isfinite(self.lam)):
+            raise ConfigError(
+                f"mode problems need a finite lambda > 0 (the zero mode is radial), got {self.lam}"
+            )
+        if not np.isfinite(self.v_x0):
+            raise ConfigError(f"boundary value v(x0) must be finite, got {self.v_x0}")
+        f = np.asarray(self.f)
+        f = f.astype(np.result_type(f.dtype, float), copy=False)  # a real f stays real
         if f.shape != (len(self.grid),):
             raise ConfigError("inhomogeneity must be sampled on the grid")
         if not np.all(np.isfinite(f)):
@@ -143,8 +175,9 @@ def _solve_with_pair(pair: HPair, grid: RadialGrid, f: np.ndarray, v_x0: complex
 
 
 def mode_solve(problem: ModeProblem) -> np.ndarray:
-    """Bounded solution of the mode equation with prescribed boundary value."""
-    pair = h_pair(problem.n, problem.lam, problem.grid.x)
+    """Bounded solution of the mode equation with prescribed boundary value;
+    real when f and v(x0) are real."""
+    pair = _kernel_pair(problem.n, problem.lam, problem.grid)
     return _solve_with_pair(pair, problem.grid, problem.f, problem.v_x0)
 
 
@@ -206,7 +239,6 @@ def assemble_representation(
     scale = float(np.max(sup))
     unsolved = np.ones(sup.shape, dtype=bool)
     unsolved[zero] = False
-    pair_cache = {}
     modes_solved = 0
     for k, lam in keys.items():
         if k[-1] < 0:
@@ -216,10 +248,8 @@ def assemble_representation(
         beta = complex(boundary.get(k, 0.0))
         if beta == 0.0 and sup[slot] <= mode_floor * scale:
             continue
-        lam_key = round(lam, 12)
-        if lam_key not in pair_cache:
-            pair_cache[lam_key] = h_pair(n, lam, grid.x)
-        out.coeffs[slot] = _solve_with_pair(pair_cache[lam_key], grid, g.coeffs[slot], beta)
+        pair = _kernel_pair(n, lam, grid)
+        out.coeffs[slot] = _solve_with_pair(pair, grid, g.coeffs[slot], beta)
         modes_solved += 1
 
     tail = float(np.max(sup[unsolved]))

@@ -165,3 +165,6 @@ def test_argument_validation():
         bessel.bessel_k_scaled(4, -1.0)
     with pytest.raises(ConfigError):
         bessel.h_pair(2, -1.0, 0.1)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            bessel.h_pair(2, lam, 0.1)

@@ -116,6 +116,89 @@ class TestModeSolve:
             modes.ModeProblem(n=2, lam=0.0, f=np.zeros(100), v_x0=0.0, grid=grid)
         with pytest.raises(ConfigError):
             modes.ModeProblem(n=2, lam=1.0, f=np.full(100, np.nan), v_x0=0.0, grid=grid)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                modes.ModeProblem(n=2, lam=lam, f=np.zeros(100), v_x0=0.0, grid=grid)
+        for v_x0 in (np.nan, np.inf, complex(0.0, np.inf)):
+            with pytest.raises(ConfigError):
+                modes.ModeProblem(n=2, lam=1.0, f=np.zeros(100), v_x0=v_x0, grid=grid)
+
+    def test_real_inhomogeneity_solved_in_real_arithmetic(self):
+        grid = RadialGrid.make(0.1, 20.0, 3000)
+        f = np.sin(3.0 * grid.s) * np.exp(-0.1 * grid.s)
+        real = modes.mode_solve(modes.ModeProblem(n=2, lam=2 * np.pi**2, f=f, v_x0=0.4, grid=grid))
+        cplx = modes.mode_solve(
+            modes.ModeProblem(n=2, lam=2 * np.pi**2, f=f.astype(complex), v_x0=0.4, grid=grid)
+        )
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(real, cplx.real)
+
+
+class TestKernelPairReuse:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Empty pair cache; counts the kernel pairs actually computed."""
+        monkeypatch.setattr(modes, "_pair_cache", {})
+        computed = []
+
+        def counting(*args):
+            computed.append(args[1])
+            return h_pair(*args)
+
+        monkeypatch.setattr(modes, "h_pair", counting)
+        return computed
+
+    def test_one_pair_per_eigenvalue(self, calls):
+        # every square-torus character k != 0 with lambda <= 10 pi^2: 36
+        # problems over 7 distinct eigenvalues
+        grid = RadialGrid.make(0.1, 20.0, 400)
+        rng = np.random.default_rng(1)
+        lams = [
+            np.pi**2 * (k1 * k1 + k2 * k2)
+            for k1 in range(-3, 4)
+            for k2 in range(-3, 4)
+            if 0 < k1 * k1 + k2 * k2 <= 10
+        ]
+        assert len(lams) == 36
+        for lam in lams:
+            modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=rng.normal(size=400), v_x0=0.0, grid=grid))
+        assert len(calls) == 7
+
+    def test_equal_grid_built_apart_hits(self, calls):
+        g1 = RadialGrid.make(0.1, 20.0, 400)
+        g2 = RadialGrid(np.linspace(g1.s[0], g1.s[-1], 400))
+        assert g1 is not g2 and np.array_equal(g1.s, g2.s)
+        assert modes._kernel_pair(2, np.pi**2, g1) is modes._kernel_pair(2, np.pi**2, g2)
+        assert len(calls) == 1
+
+    def test_moved_interior_node_misses(self, calls):
+        g1 = RadialGrid.make(0.1, 20.0, 400)
+        s = g1.s.copy()
+        s[200] = np.nextafter(s[200], np.inf)  # within the grid's uniformity tolerance
+        g2 = RadialGrid(s)
+        assert (len(g2), g2.s[0], g2.s[-1]) == (len(g1), g1.s[0], g1.s[-1])
+        modes._kernel_pair(2, np.pi**2, g1)
+        pair = modes._kernel_pair(2, np.pi**2, g2)
+        assert len(calls) == 2
+        assert np.array_equal(pair.exponent, h_pair(2, np.pi**2, g2.x).exponent)
+
+    def test_cached_arrays_read_only(self, calls):
+        pair = modes._kernel_pair(2, np.pi**2, RadialGrid.make(0.1, 20.0, 400))
+        for a in (pair.h1_mantissa, pair.h2_mantissa, pair.exponent):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_cache_bounded(self, calls):
+        grid = RadialGrid.make(0.1, 20.0, 200)
+        bound = modes._PAIR_CACHE_SIZE
+        for j in range(1, bound + 4):
+            modes._kernel_pair(2, j * np.pi**2, grid)
+            assert len(modes._pair_cache) <= bound
+        # the newest pair is held, the oldest was dropped
+        modes._kernel_pair(2, (bound + 3) * np.pi**2, grid)
+        assert len(calls) == bound + 3
+        modes._kernel_pair(2, np.pi**2, grid)
+        assert len(calls) == bound + 4
 
 
 class TestAssemble:
