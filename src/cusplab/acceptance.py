@@ -164,7 +164,7 @@ def criterion_a5() -> CriterionResult:
     c_fit, _ = modes.extract_tangent_cone(u, model.n)
     prof = np.abs(u.mode((1, 0)))
     window = analysis.window_from_s(lam1, 40.0, 200.0)
-    fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
+    fit = analysis.decay_fit(grid.x, prof, window)
     delta_target = 2.0 * np.sqrt(lam1)
     delta_err = abs(fit.delta - delta_target) / delta_target
     p_err = abs(fit.p - (-0.75))

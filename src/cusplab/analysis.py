@@ -6,7 +6,7 @@ The sharp envelope for a remainder governed by the first torus eigenvalue is
 
 decay_fit estimates (amplitude, power p, exponential coefficient delta) in
 the model A x^p exp(-delta/sqrt(x)) by linear least squares of log|v|
-against {1, log x, 1/sqrt(x)}; fixing delta drops the third column.
+against {1, log x, 1/sqrt(x)}.
 
 lemma43_check validates the two calculus inequalities
 
@@ -32,8 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Field
-from .model import CuspModel
 
 
 def barrier_sign(n: int, p: float) -> float:
@@ -45,14 +43,13 @@ def barrier_sign(n: int, p: float) -> float:
     return (p - 1.0) * (p + n + 1.0) / (n + 1.0)
 
 
-def decay_envelope(n: int, lam1: float, x):
-    x = np.asarray(x, dtype=float)
-    return x ** (-0.5 * n + 0.25) * np.exp(-2.0 * np.sqrt(lam1) / np.sqrt(x))
-
-
 def window_from_s(lam1: float, s_lo: float, s_hi: float):
     """Convert a window in s = 2 sqrt(lambda_1)/sqrt(x) units to x bounds."""
     return (2.0 * np.sqrt(lam1) / s_hi) ** 2, (2.0 * np.sqrt(lam1) / s_lo) ** 2
+
+
+# decay_fit's least-squares fit of three parameters needs this many window nodes
+MIN_FIT_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -65,41 +62,26 @@ class DecayFit:
     nodes: int
 
 
-def decay_fit(x, profile, window, mode="free_delta", delta: float | None = None) -> DecayFit:
+def decay_fit(x, profile, window) -> DecayFit:
     """Fit |profile| ~ A x^p exp(-delta/sqrt(x)) on the window (x_lo, x_hi).
 
-    mode "free_delta" fits all three parameters; "fixed_delta" requires
-    delta and fits (A, p) only.  The profile must have one sign on the
+    All three parameters are fitted.  The profile must have one sign on the
     window; the rms of log|profile| against the model is always reported.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(profile, dtype=float)
     x_lo, x_hi = window
     mask = (x >= x_lo) & (x <= x_hi)
-    if mask.sum() < 8:
-        raise ConfigError(f"window {window} contains {mask.sum()} nodes; need >= 8")
+    if mask.sum() < MIN_FIT_NODES:
+        raise ConfigError(f"window ({x_lo:.6g}, {x_hi:.6g}) contains {mask.sum()} nodes; need >= {MIN_FIT_NODES}")
     xv = x[mask]
     vv = v[mask]
     if np.any(vv == 0) or (np.any(vv > 0) and np.any(vv < 0)):
         raise ConfigError("profile changes sign (or vanishes) inside the fit window")
     y = np.log(np.abs(vv))
-    if mode == "free_delta":
-        cols = np.column_stack([np.ones_like(xv), np.log(xv), -1.0 / np.sqrt(xv)])
-        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        log_a, p_fit, delta_fit = coef
-    elif mode == "fixed_delta":
-        if delta is None:
-            raise ConfigError("fixed_delta mode needs delta")
-        y = y + delta / np.sqrt(xv)
-        cols = np.column_stack([np.ones_like(xv), np.log(xv)])
-        coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        log_a, p_fit = coef
-        delta_fit = float(delta)
-        y = y - delta / np.sqrt(xv)
-        cols = np.column_stack([np.ones_like(xv), np.log(xv), -1.0 / np.sqrt(xv)])
-        coef = np.array([log_a, p_fit, delta_fit])
-    else:
-        raise ConfigError(f"unknown fit mode {mode!r}")
+    cols = np.column_stack([np.ones_like(xv), np.log(xv), -1.0 / np.sqrt(xv)])
+    coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    log_a, p_fit, delta_fit = coef
     resid = y - cols @ coef
     return DecayFit(
         window=(float(x_lo), float(x_hi)),
@@ -196,46 +178,3 @@ def lemma43_check(c: float, k: float, x_max: float, eps: float = 1.0, num: int =
         r2_ok = True  # admissible window empty: nothing to check
     passed = (sup_r1 < 2.0) and (abs(limit_r1 - 2.0) <= 0.02) and r2_ok
     return CalculusReport(c, k, eps, sup_r1, limit_r1, sup_r2, x0_adm, passed)
-
-
-# --- envelope diagnostics ---
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    passed: bool
-    first_violation_x: float | None
-    margin: float
-
-
-def envelope_check(
-    u: Field,
-    model: CuspModel,
-    lam1: float,
-    bound: float,
-    x_star: float,
-    x0: float,
-    power: float,
-) -> EnvelopeReport:
-    """Node-wise check of max |u(y)| <= bound * H(y) on [x_star, x0] and
-    <= bound * H(x_star) (y/x_star)^power below x_star."""
-    if not 0 < x_star <= x0:
-        raise ConfigError("need 0 < x_star <= x0")
-    if not 0 < power < 1:
-        raise ConfigError("need 0 < power < 1")
-    x = u.grid.x
-    full = u.values()
-    vals = np.max(np.abs(full), axis=tuple(range(full.ndim - 1)))
-    n = model.n
-    env = np.where(
-        x >= x_star,
-        bound * decay_envelope(n, lam1, x),
-        bound * decay_envelope(n, lam1, x_star) * (x / x_star) ** power,
-    )
-    inside = x <= x0
-    ratio = np.where(inside, vals / env, 0.0)
-    worst = float(np.max(ratio))
-    if worst <= 1.0:
-        return EnvelopeReport(True, None, 1.0 - worst)
-    idx = int(np.argmax(ratio))
-    return EnvelopeReport(False, float(x[idx]), 1.0 - worst)

@@ -40,10 +40,6 @@ class ScaledBessel:
     mantissa: np.ndarray
     exponent: np.ndarray
 
-    def value(self):
-        """Materialize the raw value (only safe for moderate exponents)."""
-        return self.mantissa * np.exp(self.exponent)
-
 
 def _check_args(alpha: int, s) -> np.ndarray:
     if alpha < 3 or alpha != int(alpha):

@@ -6,19 +6,10 @@ directory.  Runs are deterministic: identical configs produce byte-identical
 CSV output.  The sidecars of `solve` and `rate-fit` also hold the Picard
 solve's per-iteration trace, whose stage timings vary between runs.
 
-Config schema (sections and keys; all numeric unless noted):
-
-    [model]    n, lattice (rows 'a b; c d' are basis vectors), A (rows),
-               scale
-    [grid]     x0, s_max, nodes
-    [solver]   cutoff, tol, max_iter, torus_resolution, final_order (2 or 4)
-    [boundary] kind = constant | cosine, amplitude
-    [spectrum] count
-    [calabi]   a, b, t0, t_end, tol, psi0
-    [bessel]   alpha_min, alpha_max, s_min, s_max, points
-    [expand]   n, c, order
-    [ratefit]  s_lo, s_hi
-    [lemma43]  c, k, eps, x_max
+`TABLE` below is the config schema: every section, key, type, default and
+check.  Each command reads its sections through `section`, so a missing,
+malformed, non-finite or out-of-range value, and any section or key the
+table does not list, is refused before any computation starts.
 
 Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 acceptance
 failure in `report`.
@@ -84,19 +75,106 @@ def write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def matrix(text: str) -> np.ndarray:
+    """A matrix written as ';'-separated rows of whitespace-separated real or
+    complex entries."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
-    matrix = np.array([[complex(v) if ("j" in v or "J" in v) else float(v) for v in r.split()] for r in rows])
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"non-finite entry in {text!r}")
-    return matrix
+    return np.array([[complex(v) if ("j" in v or "J" in v) else float(v) for v in r.split()] for r in rows])
+
+
+# section -> key -> (type, default, check).  A default of None marks a key
+# that the config must give, or whose default the reading command passes.
+# A check is "positive", a closed interval (lo, hi) or a set of choices.
+TABLE = {
+    "model": {
+        "n": (int, 2, (2, math.inf)),  # complex dimension
+        "lattice": (matrix, None, None),  # rows are the torus basis vectors
+        "A": (matrix, None, None),  # Hermitian positive definite
+        "scale": (float, 1.0, None),
+    },
+    "grid": {"x0": (float, None, None), "s_max": (float, None, None), "nodes": (int, None, "positive")},
+    "solver": {  # cutoff is in multiples of lambda_1
+        "cutoff": (float, None, "positive"), "tol": (float, None, "positive"), "max_iter": (int, 40, "positive"),
+        "torus_resolution": (int, 16, "positive"), "final_order": (int, 4, {2, 4}),
+    },
+    "boundary": {"kind": (str, "constant", {"constant", "cosine"}), "amplitude": (float, 0.0, None)},
+    "spectrum": {"count": (int, 12, "positive")},
+    "calabi": {
+        "a": (float, 0.0, None), "b": (float, 0.0, None), "t0": (float, -1.0, None),
+        "t_end": (float, -50.0, None), "tol": (float, 1e-12, "positive"), "psi0": (float, 0.0, None),
+    },
+    "bessel": {
+        "alpha_min": (int, 4, None), "alpha_max": (int, 8, None), "s_min": (float, 0.5, "positive"),
+        "s_max": (float, 500.0, "positive"), "points": (int, 120, "positive"),
+    },
+    "expand": {"n": (int, 2, (2, math.inf)), "c": (float, 1.0, None), "order": (int, 20, (1, radial._MAX_ORDER))},
+    "ratefit": {"s_lo": (float, 40.0, "positive"), "s_hi": (float, 200.0, None)},  # s = 2 sqrt(lam)/sqrt(x)
+    "lemma43": {
+        "c": (float, 2.0, None), "k": (float, 0.0, None),
+        "eps": (float, 1.0, "positive"), "x_max": (float, 10.0, "positive"),
+    },
+}
+
+
+class _Section(dict):
+    """Checked values of one section; reading a required key that the config
+    leaves out raises ConfigError."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key):
+        raise ConfigError(f"[{self.name}] {key} is missing")
+
+
+def section(cfg: configparser.ConfigParser, name: str, **defaults) -> dict:
+    """The checked values of [name]: each key of TABLE[name] as the config
+    gives it, else from `defaults`, else the table's default.
+
+    Raises ConfigError for an unknown section or key (keys compare
+    lower-cased, as configparser stores them) and for a malformed,
+    non-finite or out-of-range value.
+    """
+    if name not in TABLE:
+        raise ConfigError(f"unknown section [{name}]; the sections are {', '.join(TABLE)}")
+    keys = {key.lower(): key for key in TABLE[name]}
+    given = dict(cfg[name]) if cfg.has_section(name) else {}
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{name}]; the keys are {', '.join(TABLE[name])}")
+    out = _Section(name)
+    for lower, key in keys.items():
+        kind, default, check = TABLE[name][key]
+        if lower not in given:
+            default = defaults.get(key, default)
+            if default is not None:
+                out[key] = default
+            continue
+        raw = given[lower]
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{name}] {key} = {raw!r} is not a valid {kind.__name__}") from None
+        if kind in (float, matrix) and not np.all(np.isfinite(value)):
+            raise ConfigError(f"[{name}] {key} = {raw!r} is not finite")
+        if check == "positive" and not value > 0:
+            raise ConfigError(f"[{name}] {key} = {raw!r} must be positive")
+        if isinstance(check, tuple) and not check[0] <= value <= check[1]:
+            raise ConfigError(f"[{name}] {key} = {raw!r} must lie in [{check[0]}, {check[1]}]")
+        if isinstance(check, set) and value not in check:
+            raise ConfigError(f"[{name}] {key} = {raw!r} must be one of {sorted(check)}")
+        out[key] = value
+    return out
 
 
 def load_config(path: str) -> configparser.ConfigParser:
+    """The parsed config, with every section checked against TABLE."""
     cfg = configparser.ConfigParser()
     try:
         read = cfg.read(path)
-        _resolved(cfg)  # interpolates every value, so a malformed one fails here
+        for name in cfg.sections():  # reading interpolates, so a malformed value fails here
+            section(cfg, name)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not read:
@@ -104,88 +182,25 @@ def load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _number(cfg, section: str, key: str, default=None, kind=float, positive=False, choices=None):
-    """[section] key (or default when absent) as a finite value of type kind,
-    above zero when `positive` is set and one of `choices` when given.
-
-    Raises ConfigError for a missing, non-numeric, non-finite or out-of-range
-    value, so a bad config is rejected before any computation starts.
-    """
-    raw = cfg.get(section, key, fallback=default)
-    if raw is None:
-        raise ConfigError(f"[{section}] {key} is missing")
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
-    if positive and value <= 0:
-        raise ConfigError(f"[{section}] {key} = {raw!r} must be positive")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"[{section}] {key} = {raw!r} must be one of {choices}")
-    return value
-
-
-def _dimension(cfg, section: str) -> int:
-    """[section] n, the complex dimension: an integer n >= 2, as the model
-    cusp requires."""
-    n = _number(cfg, section, "n", 2, int)
-    if n < 2:
-        raise ConfigError(f"[{section}] n = {n} must be at least 2")
-    return n
-
-
 def build_model(cfg: configparser.ConfigParser) -> CuspModel:
-    n = _number(cfg, "model", "n", kind=int)
-    scale = _number(cfg, "model", "scale", 1.0)
-    try:
-        sec = cfg["model"]
-        lattice = np.real(_parse_matrix(sec["lattice"])).T  # rows are basis vectors
-        A = _parse_matrix(sec["A"])
-        return CuspModel(n=n, lattice=lattice, A=A, scale=scale)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid [model] section: {exc}") from exc
+    sec = section(cfg, "model")
+    lattice = np.real(sec["lattice"]).T  # rows are basis vectors
+    return CuspModel(n=sec["n"], lattice=lattice, A=sec["A"], scale=sec["scale"])
 
 
 def build_grid(cfg: configparser.ConfigParser) -> RadialGrid:
-    x0 = _number(cfg, "grid", "x0")
-    s_max = _number(cfg, "grid", "s_max")
-    nodes = _number(cfg, "grid", "nodes", kind=int)
-    try:
-        return RadialGrid.make(x0, s_max, nodes)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [grid] section: {exc}") from exc
+    sec = section(cfg, "grid")
+    return RadialGrid.make(sec["x0"], sec["s_max"], sec["nodes"])
 
 
-def _resolved(cfg: configparser.ConfigParser) -> dict:
-    return {s: dict(cfg[s]) for s in cfg.sections()}
-
-
-def _boundary_from_config(cfg, grid, n) -> dict:
-    kind = cfg.get("boundary", "kind", fallback="constant")
-    amp = _number(cfg, "boundary", "amplitude", 0.0)
+def _boundary(cfg, n: int) -> dict:
+    sec = section(cfg, "boundary")
+    amp = sec["amplitude"]
     dims = 2 * (n - 1)
-    zero = (0,) * dims
-    if kind == "constant":
-        return {zero: amp}
-    if kind == "cosine":
-        k = tuple([1] + [0] * (dims - 1))
-        mk = tuple(-i for i in k)
-        return {k: amp / 2.0, mk: amp / 2.0}
-    raise ConfigError(f"unknown boundary kind {kind!r}")
-
-
-def _solver_options(cfg, cutoff: float, tol: float) -> dict:
-    """Keyword arguments of modes.picard_solve from [solver]; cutoff and tol
-    are the calling command's defaults."""
-    return {
-        "torus_resolution": _number(cfg, "solver", "torus_resolution", 16, int, positive=True),
-        "cutoff": _number(cfg, "solver", "cutoff", cutoff, positive=True),
-        "tol": _number(cfg, "solver", "tol", tol, positive=True),
-        "max_iter": _number(cfg, "solver", "max_iter", 40, int, positive=True),
-        "final_order": _number(cfg, "solver", "final_order", 4, int, choices=(2, 4)),
-    }
+    if sec["kind"] == "constant":
+        return {(0,) * dims: amp}
+    k = (1,) + (0,) * (dims - 1)
+    return {k: amp / 2.0, tuple(-i for i in k): amp / 2.0}
 
 
 # --- subcommand implementations ---
@@ -193,7 +208,7 @@ def _solver_options(cfg, cutoff: float, tol: float) -> dict:
 
 def cmd_spectrum(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
-    count = _number(cfg, "spectrum", "count", 12, int)
+    count = section(cfg, "spectrum")["count"]
     keys, lams = spectrum.eigenvalues_up_to(model, count)
     rows = [[i, " ".join(map(str, k)), lam] for i, (k, lam) in enumerate(zip(keys.tolist(), lams))]
     write_csv(out_dir / "spectrum.csv", ["index", "mode", "lambda"], rows)
@@ -208,14 +223,9 @@ def cmd_geometry_check(cfg, out_dir: Path) -> dict:
 
 
 def cmd_calabi(cfg, out_dir: Path) -> dict:
-    n = _dimension(cfg, "model")
-    a = _number(cfg, "calabi", "a", 0.0)
-    b = _number(cfg, "calabi", "b", 0.0)
-    t0 = _number(cfg, "calabi", "t0", -1.0)
-    t_end = _number(cfg, "calabi", "t_end", -50.0)
-    tol = _number(cfg, "calabi", "tol", 1e-12, positive=True)
-    psi0 = _number(cfg, "calabi", "psi0", 0.0)
-    traj = radial.integrate_calabi(n, a, b, t0, t_end, tol, psi0)
+    n = section(cfg, "model")["n"]
+    sec = section(cfg, "calabi")
+    traj = radial.integrate_calabi(n, **sec)
     fi = traj.first_integral()
     rows = [[t, p, pp, f] for t, p, pp, f in zip(traj.t_nodes, traj.psi, traj.psi_prime, fi)]
     write_csv(out_dir / "calabi.csv", ["t", "psi", "psi_prime", "first_integral"], rows)
@@ -224,22 +234,19 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
         "ode_residual": traj.ode_residual(),
         "breakdown_t": traj.breakdown_t,
     }
-    if b > 0:
-        angle, empirical = radial.cone_angle(n, b)
+    if sec["b"] > 0:
+        angle, empirical = radial.cone_angle(n, sec["b"])
         payload["cone_angle"] = angle
         payload["cone_angle_empirical"] = 2.0 * np.pi * empirical
     return payload
 
 
 def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
-    a_min = _number(cfg, "bessel", "alpha_min", 4, int)
-    a_max = _number(cfg, "bessel", "alpha_max", 8, int)
+    sec = section(cfg, "bessel")
+    a_min, a_max = sec["alpha_min"], sec["alpha_max"]
     if a_min > a_max:
         raise ConfigError(f"[bessel] alpha_min = {a_min} exceeds alpha_max = {a_max}")
-    s_min = _number(cfg, "bessel", "s_min", 0.5, positive=True)
-    s_max = _number(cfg, "bessel", "s_max", 500.0, positive=True)
-    points = _number(cfg, "bessel", "points", 120, int, positive=True)
-    s = np.geomspace(s_min, s_max, points)
+    s = np.geomspace(sec["s_min"], sec["s_max"], sec["points"])
     rows = []
     worst = 0.0
     for alpha in range(a_min, a_max + 1):
@@ -251,20 +258,16 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
         worst = max(worst, float(np.max(r_abel)), float(np.max(r_mode)))
         for i, sv in enumerate(s):
             rows.append([alpha, sv, iv.mantissa[i], kv.mantissa[i], r_abel[i], r_mode[i]])
-    write_csv(
-        out_dir / "bessel-sweep.csv",
-        ["alpha", "s", "i_scaled", "k_scaled", "abel_residual", "mode_wronskian_residual"],
-        rows,
-    )
+    header = ["alpha", "s", "i_scaled", "k_scaled", "abel_residual", "mode_wronskian_residual"]
+    write_csv(out_dir / "bessel-sweep.csv", header, rows)
     return {"max_residual": worst}
 
 
 def cmd_expand(cfg, out_dir: Path) -> dict:
-    n = _dimension(cfg, "expand")
-    c = _number(cfg, "expand", "c", 1.0)
+    sec = section(cfg, "expand")
+    n, c, order = sec["n"], sec["c"], sec["order"]
     if c == 0:
         raise ConfigError("[expand] c = 0 makes every closed-form coefficient zero")
-    order = _number(cfg, "expand", "order", 20, int)
     series = radial.expand_formal(n, -(n + 1) * c, order)
     target = radial.tangent_cone_coefficients(n, c, order)
     rows = []
@@ -287,8 +290,8 @@ def cmd_green_test(cfg, out_dir: Path) -> dict:
 def cmd_solve(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    boundary = _boundary_from_config(cfg, grid, model.n)
-    u, state = modes.picard_solve(model, boundary, grid, **_solver_options(cfg, cutoff=9.0, tol=1e-10))
+    boundary = _boundary(cfg, model.n)
+    u, state = modes.picard_solve(model, boundary, grid, **section(cfg, "solver", cutoff=9.0, tol=1e-10))
     c_fit, c_rms = modes.extract_tangent_cone(u, model.n)
     mode1_key = tuple([1] + [0] * (2 * model.d - 1))
     prof1 = u.mode(mode1_key)
@@ -311,21 +314,24 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
 def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    boundary = _boundary_from_config(cfg, grid, model.n)
+    boundary = _boundary(cfg, model.n)
     mode1_key = tuple([1] + [0] * (2 * model.d - 1))
     if not boundary.get(mode1_key):
         raise ConfigError("rate-fit needs a cosine boundary with nonzero amplitude")
-    options = _solver_options(cfg, cutoff=25.0, tol=1e-11)
-    s_lo = _number(cfg, "ratefit", "s_lo", 40.0, positive=True)
-    s_hi = _number(cfg, "ratefit", "s_hi", 200.0)
+    options = section(cfg, "solver", cutoff=25.0, tol=1e-11)
+    window_s = section(cfg, "ratefit")
+    s_lo, s_hi = window_s["s_lo"], window_s["s_hi"]
     if s_lo >= s_hi:
         raise ConfigError(f"[ratefit] needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
-    u, state = modes.picard_solve(model, boundary, grid, **options)
     lam = spectrum.mode_eigenvalue(model, mode1_key)  # the fitted profile decays at 2 sqrt(lam)
     window = analysis.window_from_s(lam, s_lo, s_hi)
-    prof = np.abs(u.mode(mode1_key))
-    fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
     mask = (grid.x >= window[0]) & (grid.x <= window[1])
+    if mask.sum() < analysis.MIN_FIT_NODES:
+        raise ConfigError(f"[ratefit] window s in [{s_lo}, {s_hi}] (x in [{window[0]:.6g}, {window[1]:.6g}]) "
+                          f"holds {mask.sum()} grid nodes; the fit needs {analysis.MIN_FIT_NODES}")
+    u, state = modes.picard_solve(model, boundary, grid, **options)
+    prof = np.abs(u.mode(mode1_key))
+    fit = analysis.decay_fit(grid.x, prof, window)
     env = fit.amplitude * grid.x[mask] ** fit.p * np.exp(-fit.delta / np.sqrt(grid.x[mask]))
     rows = [[xv, pv, ev] for xv, pv, ev in zip(grid.x[mask], prof[mask], env)]
     write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], rows)
@@ -342,22 +348,13 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
 
 
 def cmd_lemma43(cfg, out_dir: Path) -> dict:
-    c = _number(cfg, "lemma43", "c", 2.0)
-    k = _number(cfg, "lemma43", "k", 0.0)
-    eps = _number(cfg, "lemma43", "eps", 1.0, positive=True)
-    x_max = _number(cfg, "lemma43", "x_max", 10.0, positive=True)
-    report = analysis.lemma43_check(c, k, x_max, eps)
-    xs = np.geomspace(1e-6, x_max, 60)
-    r1 = analysis.ratio_lower(c, k, xs)
+    sec = section(cfg, "lemma43")
+    report = analysis.lemma43_check(**sec)
+    xs = np.geomspace(1e-6, sec["x_max"], 60)
+    r1 = analysis.ratio_lower(sec["c"], sec["k"], xs)
     rows = [[xv, rv] for xv, rv in zip(xs, r1)]
     write_csv(out_dir / "lemma43.csv", ["x", "r1"], rows)
-    return {
-        "sup_r1": report.sup_r1,
-        "limit_r1": report.limit_r1,
-        "sup_r2": report.sup_r2,
-        "x0_admissible": report.x0_admissible,
-        "passed": report.passed,
-    }
+    return {key: getattr(report, key) for key in ("sup_r1", "limit_r1", "sup_r2", "x0_admissible", "passed")}
 
 
 def cmd_report(cfg, out_dir: Path) -> dict:
@@ -365,12 +362,8 @@ def cmd_report(cfg, out_dir: Path) -> dict:
     # no timings in the CSV: outputs must be byte-identical across reruns
     rows = [[r.name, r.passed] for r in results]
     write_csv(out_dir / "report.csv", ["criterion", "passed"], rows)
-    payload = {
-        "criteria": {
-            r.name: {"passed": r.passed, "seconds": r.seconds, **r.details} for r in results
-        },
-        "all_passed": all(r.passed for r in results),
-    }
+    criteria = {r.name: {"passed": r.passed, "seconds": r.seconds, **r.details} for r in results}
+    payload = {"criteria": criteria, "all_passed": all(r.passed for r in results)}
     for r in results:
         print(r.line())
     return payload
@@ -407,7 +400,8 @@ def main(argv=None) -> int:
     except CuspLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    sidecar = {"command": args.command, "config": _resolved(cfg), "results": payload}
+    resolved = {name: dict(cfg[name]) for name in cfg.sections()}
+    sidecar = {"command": args.command, "config": resolved, "results": payload}
     write_json(out_dir / f"{args.command}.json", sidecar)
     if args.command == "report" and not payload["all_passed"]:
         return 4

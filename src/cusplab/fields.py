@@ -22,6 +22,9 @@ from .errors import ConfigError
 from .grid import RadialGrid
 
 _CONJ_RTOL = 1e-12
+# largest Nyquist content, relative to the largest coefficient, that
+# Field.from_values drops silently
+_NYQUIST_RTOL = 1e-8
 
 
 def mode_indices(m: int, dims: int) -> np.ndarray:
@@ -95,16 +98,15 @@ class Field:
         cls,
         grid: RadialGrid,
         values: np.ndarray,
-        nyquist_tol: float = 1e-8,
         nyquist_abs: float = 0.0,
     ) -> "Field":
         """Build a Field from real collocation values of shape
         (m,)*dims + (len(grid),).
 
-        Nyquist bins must be negligible, relative to the largest coefficient
-        or below the absolute allowance `nyquist_abs` (for values produced by
-        arithmetic whose roundoff floor exceeds the field scale); they are
-        dropped.
+        Nyquist bins must be negligible, at most `_NYQUIST_RTOL` times the
+        largest coefficient or below the absolute allowance `nyquist_abs`
+        (for values produced by arithmetic whose roundoff floor exceeds the
+        field scale); they are dropped.
         """
         values = np.asarray(values)
         dims = values.ndim - 1
@@ -115,7 +117,7 @@ class Field:
         scale = np.max(np.abs(coeffs)) + 1e-300
         nyquist = np.any(np.abs(mode_indices(m, dims)) == m // 2, axis=-1)
         nyq_max = float(np.max(np.abs(coeffs[nyquist])))
-        if nyq_max > nyquist_tol * scale and nyq_max > nyquist_abs:
+        if nyq_max > _NYQUIST_RTOL * scale and nyq_max > nyquist_abs:
             raise ConfigError(
                 f"torus_resolution {m} too small: Nyquist content {nyq_max:.3e} "
                 f"vs scale {scale:.3e}"

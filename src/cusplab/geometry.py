@@ -38,18 +38,14 @@ _HERM_RTOL = 1e-12
 
 
 class HermitianForm:
-    """An n x n Hermitian matrix of coefficients in a tagged frame."""
+    """An n x n Hermitian matrix of coefficients in the holomorphic frame."""
 
-    def __init__(self, entries: np.ndarray, frame: str):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=complex)
         scale = np.max(np.abs(entries)) + 1e-300
         if np.max(np.abs(entries - entries.conj().T)) > _HERM_RTOL * scale:
             raise ConfigError("entries are not Hermitian")
         self.entries = entries
-        self.frame = frame
-
-    def __repr__(self):
-        return f"HermitianForm(frame={self.frame!r}, n={self.entries.shape[0]})"
 
 
 def _check_point(model: CuspModel, p: CuspPoint):
@@ -71,7 +67,7 @@ def metric_coefficients(model: CuspModel, p: CuspPoint) -> HermitianForm:
     g[:d, d] = -(n + 1) * x**2 * pa / zn.conj()
     g[d, :d] = g[:d, d].conj()
     g[d, d] = (n + 1) * x**2 / r**2
-    return HermitianForm(g, frame="holomorphic")
+    return HermitianForm(g)
 
 
 def inverse_metric(model: CuspModel, p: CuspPoint) -> HermitianForm:
@@ -92,7 +88,7 @@ def inverse_metric(model: CuspModel, p: CuspPoint) -> HermitianForm:
     ginv[:d, d] = (Ainv @ pa) * zn / ((n + 1) * x)
     ginv[d, :d] = ginv[:d, d].conj()
     ginv[d, d] = r**2 * (1.0 - q * x) / ((n + 1) * x**2)
-    return HermitianForm(ginv, frame="holomorphic")
+    return HermitianForm(ginv)
 
 
 def cross_section_metric(model: CuspModel, eps: float, p: CuspPoint) -> np.ndarray:
@@ -117,16 +113,6 @@ def cross_section_metric(model: CuspModel, eps: float, p: CuspPoint) -> np.ndarr
     m[2 * d, d : 2 * d] = -e2 * phi_x
     m[2 * d, 2 * d] = 2.0 * e2
     return m
-
-
-def normal_and_mean_curvature(model: CuspModel, eps: float):
-    """Unit-normal coefficient of r d/dr on {x = eps^2} and the mean
-    curvature of that level set (the latter independent of eps)."""
-    if eps <= 0:
-        raise ConfigError(f"need eps > 0, got {eps}")
-    n = model.n
-    root = np.sqrt(2.0 * (n + 1))
-    return -1.0 / (eps**2 * root), -n / root
 
 
 def _log1p_minus(w: np.ndarray) -> np.ndarray:
@@ -381,4 +367,4 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     hess[:d, d] = (x**2 * fax - pa * fiber) / zn.conj()
     hess[d, :d] = hess[:d, d].conj()
     hess[d, d] = fiber / r**2
-    return HermitianForm(hess, frame="holomorphic")
+    return HermitianForm(hess)

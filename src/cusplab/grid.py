@@ -150,7 +150,3 @@ class RadialGrid:
         f_x = -0.5 * s**3 * fs
         f_xx = 0.75 * s**5 * fs + 0.25 * s**6 * fss
         return f_x, f_xx
-
-    def refine(self, factor: int = 2) -> "RadialGrid":
-        """Same s range with (len-1)*factor + 1 nodes."""
-        return RadialGrid(np.linspace(self.s[0], self.s[-1], (len(self.s) - 1) * factor + 1))

@@ -133,11 +133,3 @@ class CuspPoint:
         if not self.x > 0:
             raise ConfigError(f"x must be positive, got {self.x}")
         object.__setattr__(self, "z_prime", z)
-
-    @property
-    def sigma(self) -> float:
-        return 1.0 / self.x
-
-    def rho(self, n: int) -> float:
-        """Distance-like coordinate -sqrt((n+1)/2) log x."""
-        return -np.sqrt((n + 1) / 2.0) * np.log(self.x)

@@ -34,6 +34,11 @@ from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
 
 _EXP_GUARD = 1e-9
 _BLOCK_RANGE = 30.0
+# a mode of g no larger than this fraction of g's largest mode, with no
+# boundary data, is left unsolved by assemble_representation
+_MODE_FLOOR = 1e-14
+# radial stencil order of the collocation inside each Picard iteration
+_ITERATION_ORDER = 4
 
 
 def _block_size(sigma: np.ndarray) -> int:
@@ -205,7 +210,6 @@ def assemble_representation(
     g: Field,
     below: tuple,
     tail_tol: float | None = None,
-    mode_floor: float = 1e-14,
 ):
     """Combine the zero-mode kernel with mode solves for the modes below the
     cutoff, given as the (keys, lams) arrays of `spectrum.modes_below`;
@@ -246,7 +250,7 @@ def assemble_representation(
         slot = out.index(k)
         unsolved[slot] = False
         beta = complex(boundary.get(k, 0.0))
-        if beta == 0.0 and sup[slot] <= mode_floor * scale:
+        if beta == 0.0 and sup[slot] <= _MODE_FLOOR * scale:
             continue
         pair = _kernel_pair(n, lam, grid)
         out.coeffs[slot] = _solve_with_pair(pair, grid, g.coeffs[slot], beta)
@@ -295,7 +299,6 @@ def picard_solve(
     cutoff: float = 9.0,
     tol: float = 1e-10,
     max_iter: int = 40,
-    order: int = 4,
     final_order: int = 4,
     tail_tol: float | None = None,
 ):
@@ -320,7 +323,7 @@ def picard_solve(
     history, trace = [], []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, order, colloc)
+        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, _ITERATION_ORDER, colloc)
         t1 = time.perf_counter()
         u_old = u
         u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)

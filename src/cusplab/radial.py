@@ -16,6 +16,7 @@ Three independent pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -181,7 +182,7 @@ class PowerSeries:
 
 
 def _series_mul(u: list, v: list, K: int) -> list:
-    out = [u[0] * v[0] * 0] * (K + 1)
+    out = [Fraction(0)] * (K + 1)
     for i, ui in enumerate(u):
         if ui == 0:
             continue
@@ -191,29 +192,25 @@ def _series_mul(u: list, v: list, K: int) -> list:
 
 
 def _q_compose(u: list, n: int, K: int) -> list:
-    """q(u) = log(1 + u/(n+1)) - u/(n+1) as a truncated series in x.
+    """q(u) = log(1 + u/(n+1)) - u/(n+1) as a truncated series in x, in
+    exact rational arithmetic (u holds Fractions).
 
-    u has no constant term, so powers of u/(n+1) up to K suffice.  Works on
-    any field (floats or Fractions).
+    u has no constant term, so powers of u/(n+1) up to K suffice.
     """
-    from fractions import Fraction
-
-    inv = Fraction(1, n + 1) if isinstance(u[1], Fraction) else 1.0 / (n + 1)
-    y = [ui * inv for ui in u]
-    out = [y[0] * 0] * (K + 1)
+    y = [ui / (n + 1) for ui in u]
+    out = [Fraction(0)] * (K + 1)
     power = list(y)
     for mdeg in range(2, K + 1):
         power = _series_mul(power, y, K)
-        sgn = 1 if mdeg % 2 == 0 else -1
-        coef = Fraction(-sgn, mdeg) if isinstance(u[1], Fraction) else -sgn / mdeg
+        coef = Fraction(-1 if mdeg % 2 == 0 else 1, mdeg)
         for i in range(K + 1):
             out[i] += coef * power[i]
     return out
 
 
-# The exact coefficients cost a fast-growing amount of rational arithmetic:
-# on a 2-core desktop order 40 takes about 4 s and order 80 over a minute,
-# so orders past the cap are refused before any of it starts.
+# The exact coefficients cost a fast-growing amount of rational arithmetic
+# (order 40 takes about 1.5 s on a 2-core desktop), so orders past the cap
+# are refused before any of it starts.
 _MAX_ORDER = 40
 
 
@@ -225,16 +222,13 @@ def _unit_coefficients(n: int, K: int):
     solution is C_k = D_k c1^k.  Computed once in rational arithmetic; the
     triangular pivot (k-1)(k+n+1) never vanishes for k >= 2.
     """
-    from fractions import Fraction
-
     D = [Fraction(0)] * (K + 1)
     D[1] = Fraction(1)
     for k in range(2, K + 1):
-        u = [i * D[i] for i in range(K + 1)]
-        v = [i * (i + 1) * D[i] for i in range(K + 1)]
-        rhs = _q_compose(u, n, K)
-        rhs2 = _q_compose(v, n, K)
-        val = -(n + 1) * ((n - 1) * rhs[k] + rhs2[k])
+        # the x^k coefficient of q(u) involves u_1..u_k only: truncate at k
+        u = [i * D[i] for i in range(k + 1)]
+        v = [i * (i + 1) * D[i] for i in range(k + 1)]
+        val = -(n + 1) * ((n - 1) * _q_compose(u, n, k)[k] + _q_compose(v, n, k)[k])
         D[k] = val / ((k - 1) * (k + n + 1))
     return tuple(D)
 
@@ -257,13 +251,18 @@ def expand_formal(n: int, c1: float, K: int) -> PowerSeries:
 
 def series_equation_residual(series: PowerSeries) -> float:
     """Max |coefficient| of (linear side - nonlinear side) through order K;
-    zero for a solution."""
+    zero for a solution.
+
+    Evaluated exactly on the rationals equal to the float coefficients, so
+    the residual measures the coefficients' own error and not cancellation
+    among the alternating, binomial-sized terms of q's powers.
+    """
     n = series.n
-    C = list(series.coeffs.astype(float))
     K = series.order
-    lhs = [(k - 1.0) * (k + n + 1.0) * C[k] for k in range(K + 1)]
+    C = [Fraction(float(c)) for c in series.coeffs]
+    lhs = [(k - 1) * (k + n + 1) * C[k] for k in range(K + 1)]
     u = [k * C[k] for k in range(K + 1)]
-    v = [k * (k + 1.0) * C[k] for k in range(K + 1)]
+    v = [k * (k + 1) * C[k] for k in range(K + 1)]
     q1 = _q_compose(u, n, K)
     q2 = _q_compose(v, n, K)
     rhs = [-(n + 1) * ((n - 1) * q1[k] + q2[k]) for k in range(K + 1)]

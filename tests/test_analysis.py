@@ -35,7 +35,7 @@ class TestDecayFit:
         grid = self._grid()
         v = 2.7 * grid.x**p * np.exp(-delta / np.sqrt(grid.x))
         window = analysis.window_from_s(np.pi**2, 40.0, 200.0)
-        fit = analysis.decay_fit(grid.x, v, window, mode="free_delta")
+        fit = analysis.decay_fit(grid.x, v, window)
         assert fit.p == pytest.approx(p, abs=0.02)
         assert abs(fit.delta - delta) / delta < 0.005
         assert fit.amplitude == pytest.approx(2.7, rel=0.05)
@@ -43,17 +43,9 @@ class TestDecayFit:
     def test_pure_power_gives_zero_delta(self):
         grid = self._grid()
         v = grid.x**2
-        fit = analysis.decay_fit(grid.x, v, (grid.x[-1], grid.x[0]), mode="free_delta")
+        fit = analysis.decay_fit(grid.x, v, (grid.x[-1], grid.x[0]))
         assert abs(fit.delta) < 1e-6
         assert fit.p == pytest.approx(2.0, abs=1e-8)
-
-    def test_fixed_delta_mode(self):
-        grid = self._grid()
-        v = grid.x ** (-0.75) * np.exp(-2 * np.pi / np.sqrt(grid.x))
-        window = analysis.window_from_s(np.pi**2, 40.0, 200.0)
-        fit = analysis.decay_fit(grid.x, v, window, mode="fixed_delta", delta=2 * np.pi)
-        assert fit.p == pytest.approx(-0.75, abs=1e-8)
-        assert fit.delta == 2 * np.pi
 
     def test_exact_kernel_profile(self):
         # frozen oracle: fitting H2 itself on s in [40, 200] gives the sharp
@@ -64,7 +56,7 @@ class TestDecayFit:
         pair = h_pair(2, lam1, grid.x)
         prof = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
         window = analysis.window_from_s(lam1, 40.0, 200.0)
-        fit = analysis.decay_fit(grid.x, prof, window, mode="free_delta")
+        fit = analysis.decay_fit(grid.x, prof, window)
         assert abs(fit.delta - 2 * np.pi) / (2 * np.pi) < 0.01
         assert fit.p == pytest.approx(-0.6645, abs=0.005)
         assert abs(fit.p - (-0.75)) < 0.1
@@ -72,11 +64,9 @@ class TestDecayFit:
     def test_guards(self):
         grid = self._grid()
         with pytest.raises(ConfigError):
-            analysis.decay_fit(grid.x, np.sin(grid.s), (0.001, 0.02), mode="free_delta")
+            analysis.decay_fit(grid.x, np.sin(grid.s), (0.001, 0.02))
         with pytest.raises(ConfigError):
-            analysis.decay_fit(grid.x, grid.x, (0.049, 0.05), mode="free_delta")
-        with pytest.raises(ConfigError):
-            analysis.decay_fit(grid.x, grid.x, (0.001, 0.02), mode="fixed_delta")
+            analysis.decay_fit(grid.x, grid.x, (0.049, 0.05))
 
 
 class TestCalculusBounds:
@@ -102,41 +92,6 @@ class TestCalculusBounds:
     def test_parameter_guard(self):
         with pytest.raises(ConfigError):
             analysis.lemma43_check(2.0, -1.6, x_max=1.0)
-
-
-class TestEnvelope:
-    def _setup(self):
-        model = CuspModel(2, np.eye(2), np.array([[1.0]]))
-        lam1 = np.pi**2
-        grid = RadialGrid.make(0.05, 25.0, 400)
-        return model, lam1, grid
-
-    def test_majorized_profile_passes(self):
-        model, lam1, grid = self._setup()
-        h = analysis.decay_envelope(2, lam1, grid.x)
-        u = Field.from_radial(grid, 0.5 * h, 2, 4)
-        rep = analysis.envelope_check(u, model, lam1, bound=1.0, x_star=0.002, x0=0.05, power=0.5)
-        assert rep.passed
-        assert rep.margin > 0
-
-    def test_violation_located(self):
-        model, lam1, grid = self._setup()
-        h = analysis.decay_envelope(2, lam1, grid.x)
-        prof = 0.5 * h
-        j = 50
-        prof[j] = 3.0 * h[j]
-        u = Field.from_radial(grid, prof, 2, 4)
-        rep = analysis.envelope_check(u, model, lam1, bound=1.0, x_star=0.002, x0=0.05, power=0.5)
-        assert not rep.passed
-        assert rep.first_violation_x == pytest.approx(grid.x[j])
-
-    def test_parameter_guards(self):
-        model, lam1, grid = self._setup()
-        u = Field.zero(grid, 2, 4)
-        with pytest.raises(ConfigError):
-            analysis.envelope_check(u, model, lam1, 1.0, x_star=0.0, x0=0.05, power=0.5)
-        with pytest.raises(ConfigError):
-            analysis.envelope_check(u, model, lam1, 1.0, x_star=0.01, x0=0.05, power=1.5)
 
 
 def test_indicial_agreement_with_linearized_operator():

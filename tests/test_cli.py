@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cusplab import cli
-from cusplab.errors import ConfigError
+from cusplab import acceptance, cli
+from cusplab.errors import ConfigError, NumericalError
 
 
 SQUARE_CFG = """
@@ -67,6 +74,7 @@ def test_spectrum_command(cfg_path, tmp_path):
     payload = json.loads((out / "spectrum.json").read_text())
     assert payload["results"]["lambda1"] == pytest.approx(np.pi**2, rel=1e-12)
     assert payload["config"]["model"]["n"] == "2"
+    assert payload["config"]["model"]["a"] == "1"  # keys as configparser stores them
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "index,mode,lambda"
     assert len(lines) == 13
@@ -212,6 +220,12 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = 0")),
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2", "[expand]\nn = -2")),
         ("expand", SQUARE_CFG.replace("[expand]\nn = 2\nc = 1", "[expand]\nn = 2\nc = 0")),
+        # misspelt names, which used to fall back to the defaults silently
+        ("spectrum", SQUARE_CFG.replace("count = 12", "cont = 3")),
+        ("solve", solve_cfg + "[solver]\ncutof = 2\n"),
+        ("solve", solve_cfg + "[solvr]\ncutoff = 2\n"),
+        # a fit window that holds no grid node is refused before the solve
+        ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 1e9\ns_hi = 2e9\n"),
     ]:
         assert text != SQUARE_CFG  # each replacement above must take effect
         bad.write_text(text)
@@ -302,3 +316,114 @@ amplitude = -0.0299
     header = (out / "solve.csv").read_text().splitlines()[0]
     # a constant boundary solves no (1, 0) mode, so there is no cosine column
     assert header == "x,s,u_mode0"
+
+
+def test_model_dimension_has_one_default(tmp_path):
+    # [model] n defaults to 2 for every reader; calabi needs no lattice or A
+    path = tmp_path / "default.cfg"
+    path.write_text(SQUARE_CFG.replace("[model]\nn = 2\n", "[model]\n"))
+    assert cli.build_model(cli.load_config(str(path))).n == 2
+    path.write_text("[calabi]\nb = 0.5\nt_end = -30\n")
+    assert cli.main(["calabi", str(path), "-o", str(tmp_path / "o")]) == 0
+
+
+def test_readme_example_uses_only_table_keys(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    cfg = cli.load_config(str(path))  # refuses a key or section the table does not list
+    assert set(cfg.sections()) == set(cli.TABLE)
+    for name in cfg.sections():
+        assert set(cfg[name]) <= {key.lower() for key in cli.TABLE[name]}
+
+
+# sections each command reads; the fuzz test draws keys from these alone, so
+# that most draws get past the config check and into the command
+COMMAND_SECTIONS = {
+    "spectrum": ["model", "spectrum"],
+    "calabi": ["model", "calabi"],
+    "bessel-sweep": ["bessel"],
+    "expand": ["expand"],
+    "lemma43": ["lemma43"],
+    "solve": ["model", "grid", "solver", "boundary"],
+    "rate-fit": ["model", "grid", "solver", "boundary", "ratefit"],
+    "geometry-check": [],
+    "green-test": [],
+    "report": [],
+}
+# valid values besides each key's default, at tier-1 sizes
+FUZZ_VALUES = {
+    ("model", "lattice"): ["1 0 ; 0 1", "1 0.5 ; 0 0.8660254"],
+    ("model", "A"): ["1", "1.3"],
+    ("grid", "x0"): ["0.05"],
+    ("grid", "s_max"): ["16"],
+    ("grid", "nodes"): ["400", "60"],
+    ("solver", "cutoff"): ["3"],
+    ("solver", "tol"): ["1e-10"],
+    ("solver", "torus_resolution"): ["8"],
+    ("boundary", "kind"): ["cosine"],
+    ("boundary", "amplitude"): ["1e-3"],
+    ("spectrum", "count"): ["3"],
+    ("calabi", "b"): ["0.5"],
+    ("calabi", "t_end"): ["-5"],
+    ("bessel", "alpha_max"): ["5"],
+    ("bessel", "points"): ["5"],
+    ("expand", "order"): ["5"],
+    ("ratefit", "s_hi"): ["100"],
+    ("lemma43", "x_max"): ["1"],
+}
+FUZZ_TOKENS = ["abc", "nan", "inf", "-1", "0", "1%", ""]
+
+
+@st.composite
+def fuzzed_config(draw, sections):
+    """A config of valid values for `sections`, with up to two keys set to
+    a bad token or left out, and at times a misspelt key or section."""
+    entries = {}
+    for name in sections:
+        for key, (kind, default, check) in cli.TABLE[name].items():
+            valid = ([] if default is None else [str(default)]) + FUZZ_VALUES.get((name, key), [])
+            entries[name, key] = draw(st.sampled_from(valid))
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        entries[draw(st.sampled_from(sorted(entries)))] = draw(st.sampled_from(FUZZ_TOKENS + [None]))
+    text = {name: [f"[{name}]"] for name in sections}
+    for (name, key), value in entries.items():
+        if value is not None:  # None leaves the key out
+            text[name].append(f"{key} = {value}")
+    if sections and draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(sections))
+        text[name].append(f"{draw(st.sampled_from(list(cli.TABLE[name])))}x = 1")
+    if draw(st.integers(0, 7)) == 0:
+        text["solvr"] = ["[solvr]", "cutoff = 2"]
+    return "\n".join(line for lines in text.values() for line in lines) + "\n"
+
+
+def _stub_result(name):
+    return acceptance.CriterionResult(name, True, {"stub": 1.0})
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_fuzzed_configs_exit_cleanly(command, tmp_path, monkeypatch):
+    # the solvers and criteria are patched out: the test is of config
+    # handling, and every value drawn is tier-1 sized
+    def no_solve(*args, **kwargs):
+        raise NumericalError("picard_solve patched out")
+
+    monkeypatch.setattr(cli.modes, "picard_solve", no_solve)
+    monkeypatch.setattr(cli.acceptance, "criterion_a4", lambda: _stub_result("A4"))
+    monkeypatch.setattr(cli.acceptance, "criterion_a9", lambda: _stub_result("A9"))
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: [_stub_result("A1")])
+    path = tmp_path / "fuzz.cfg"
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(fuzzed_config(COMMAND_SECTIONS[command]))
+    def run(text):
+        path.write_text(text)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), np.errstate(all="ignore"):
+            rc = cli.main([command, str(path), "-o", str(tmp_path / "o")])
+        assert rc in {0, 2, 3, 4}, text
+        assert "Traceback" not in err.getvalue(), text
+
+    run()

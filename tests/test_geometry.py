@@ -86,14 +86,6 @@ class TestCrossSection:
         spread = (max(vals) - min(vals)) / abs(vals[0])
         assert spread < 1e-8
 
-    def test_normal_and_mean_curvature(self):
-        m = square_model()
-        nrm, mc = geometry.normal_and_mean_curvature(m, 0.1)
-        assert nrm == pytest.approx(-100.0 / np.sqrt(6.0))
-        assert mc == pytest.approx(-2.0 / np.sqrt(6.0))
-        _, mc2 = geometry.normal_and_mean_curvature(m, 0.01)
-        assert mc2 == mc
-
 
 class TestHessian:
     def _field_and_grid(self, profile_fn, mode=None):

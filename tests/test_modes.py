@@ -396,9 +396,7 @@ class TestStructure:
         )
         assert state.diagnostics["residual_sup"] < 1e-7
         prof = np.abs(u.mode((0, 1)))
-        fit = analysis.decay_fit(
-            grid.x, prof, analysis.window_from_s(lam1, 40.0, 200.0), mode="free_delta"
-        )
+        fit = analysis.decay_fit(grid.x, prof, analysis.window_from_s(lam1, 40.0, 200.0))
         target = 2.0 * np.sqrt(lam1)
         assert abs(fit.delta - target) / target < 0.02
         assert abs(fit.p - (-0.75)) < 0.1

@@ -133,6 +133,13 @@ class TestExpansion:
         scale = np.max(np.abs((k - 1) * (k + 3) * series.coeffs))
         assert radial.series_equation_residual(series) / scale < 1e-8
 
+    def test_equation_residual_exact_at_order_cap(self):
+        # C_k = 3(-1)^k/k are all at most 3, but the powers of u/(n+1) carry
+        # binomial-sized alternating terms: summed in floats the residual
+        # read 1029 at order 40, while the coefficients are good to rounding
+        series = radial.expand_formal(2, -3.0, 40)
+        assert radial.series_equation_residual(series) < 1e-12
+
 
 class TestZeroModeKernel:
     def test_homogeneous_case(self):
