@@ -287,7 +287,7 @@ def criterion_a9() -> CriterionResult:
     grid = RadialGrid.make(x0=0.1, s_max=10.0, num=30000)
     worst_indicial = 0.0
     for pw in (-(model.n + 1), 0.5, 1.0, 2.0, 3.0):
-        f = Field.from_radial(grid, grid.x**pw, torus_dims=2, torus_resolution=4)
+        f = Field.from_radial(grid, grid.x**pw, (4, 4))
         lf = geometry.linearized_apply(model, f).radial_mean()
         target = analysis.barrier_sign(model.n, pw) * grid.x**pw
         interior = grid.interior(2)
@@ -303,7 +303,7 @@ def criterion_a9() -> CriterionResult:
             (1, 0): 0.2 * grid2.x * np.exp(-1.0 / np.sqrt(grid2.x)) + 0j,
             (-1, 0): 0.2 * grid2.x * np.exp(-1.0 / np.sqrt(grid2.x)) + 0j,
         },
-        8,
+        (8, 8),
     )
     sups = []
     eps_list = (1e-2, 1e-3, 1e-4)

@@ -4,7 +4,11 @@ Subcommands read an INI-style config, run one experiment, and write a CSV
 table plus a JSON sidecar (parameters and derived scalars) into the output
 directory.  Runs are deterministic: identical configs produce byte-identical
 CSV output.  The sidecars of `solve` and `rate-fit` also hold the Picard
-solve's per-iteration trace, whose stage timings vary between runs.
+solve's per-iteration trace, whose stage timings vary between runs, and the
+torus shape the solve collocated on: `[solver] torus_resolution` points
+along each lattice axis the boundary modes vary along, one along the others
+(a constant boundary collocates one torus point per radial node, the cosine
+boundary (1, 0, ...) m points).  The shape goes only into the sidecar.
 
 `TABLE` below is the config schema: every section, key, type, default and
 check.  Each command reads its sections through `section`, so a missing,
@@ -343,6 +347,8 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
         "amplitude": fit.amplitude,
         "rms": fit.rms,
         "residual_sup": state.diagnostics["residual_sup"],
+        "torus_shape": state.diagnostics["torus_shape"],
+        "torus_shape_reason": state.diagnostics["torus_shape_reason"],
         "trace": state.trace,
     }
 

@@ -1,15 +1,18 @@
 """Circle-invariant fields on the cusp.
 
-A Field is real valued.  It stores its torus Fourier coefficients over a
-shared radial grid as the `rfftn` half spectrum, one dense complex array of
-shape (m,)*(dims-1) + (m//2+1, len(grid)): the radial profile of the
-integer dual-lattice index k with k_last >= 0 sits at index k mod m, and
-that of -k is its complex conjugate.  The characters are
+A Field is real valued.  Its torus grid has a per-axis shape
+(m_1, ..., m_dims), each m_i either 1 or a power of two >= 4; an axis of
+size 1 carries only the mode k_i = 0, so the field is constant along it.
+The field stores its torus Fourier coefficients over a shared radial grid
+as the `rfftn` half spectrum, one dense complex array of shape
+(m_1, ..., m_{dims-1}, m_dims//2+1, len(grid)): the radial profile of the
+integer dual-lattice index k with k_last >= 0 sits at index k_i mod m_i,
+and that of -k is its complex conjugate.  The characters are
 chi_k(t) = exp(2*pi*i k.t) in fractional lattice coordinates t, so the
-coefficients and the collocation values on a uniform torus grid of size m
-per direction are one real FFT apart (`real_values`, `Field.from_values`).
-The Nyquist planes (some |k_i| = m/2) stay zero.  No other module knows
-this layout.
+coefficients and the collocation values on the uniform torus grid of that
+shape are one real FFT apart (`real_values`, `Field.from_values`).  The
+Nyquist planes (some 2|k_i| = m_i) stay zero.  No other module knows this
+layout.
 """
 
 from __future__ import annotations
@@ -27,20 +30,31 @@ _CONJ_RTOL = 1e-12
 _NYQUIST_RTOL = 1e-8
 
 
-def mode_indices(m: int, dims: int) -> np.ndarray:
-    """Integer mode index k at each stored position of a half spectrum,
-    shape (m,)*(dims-1) + (m//2+1, dims); the Nyquist positions read
-    |k_i| = m/2."""
-    k = (np.arange(m) + m // 2) % m - m // 2
-    axes = [k] * (dims - 1) + [np.arange(m // 2 + 1)]
+def check_torus_shape(shape: tuple):
+    """Raise ConfigError unless every axis size is 1 or a power of two >= 4."""
+    for m in shape:
+        if m != 1 and (m < 4 or (m & (m - 1)) != 0):
+            raise ConfigError(f"torus_resolution must be a power of two >= 4, got {m}")
+
+
+def mode_indices(shape: tuple) -> np.ndarray:
+    """Integer mode index k at each stored position of the half spectrum of
+    a torus grid of the given shape, shape[:-1] + (shape[-1]//2+1, dims);
+    the Nyquist positions read 2|k_i| = m_i."""
+    axes = [(np.arange(m) + m // 2) % m - m // 2 for m in shape[:-1]]
+    axes.append(np.arange(shape[-1] // 2 + 1))
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def real_values(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Collocation values, shape (m,)*dims + (N,), of the real field whose
-    half spectrum is `coeffs` (torus axes first, last axis radial)."""
-    dims = coeffs.ndim - 1
-    return np.fft.irfftn(coeffs, s=(m,) * dims, axes=tuple(range(dims)), norm="forward", out=out)
+def real_values(coeffs: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Collocation values, shape + (N,), of the real field whose half
+    spectrum on a torus grid of that shape is `coeffs` (torus axes first,
+    last axis radial)."""
+    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(len(shape))), norm="forward", out=out)
+
+
+def _half_shape(shape: tuple) -> tuple:
+    return tuple(shape[:-1]) + (shape[-1] // 2 + 1,)
 
 
 @dataclass
@@ -50,35 +64,34 @@ class Field:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        shape = self.coeffs.shape
-        m = 2 * (shape[-2] - 1) if len(shape) > 1 else 0
-        if shape != (m,) * (len(shape) - 2) + (m // 2 + 1, len(self.grid)):
+        if self.coeffs.ndim < 2 or self.coeffs.shape != _half_shape(self.torus_shape) + (len(self.grid),):
             raise ConfigError(
-                f"coefficients must have shape (m,)*(dims-1) + (m//2+1, {len(self.grid)}), "
+                f"coefficients must have shape (m_1, ..., m_dims//2+1, {len(self.grid)}), "
                 f"got {self.coeffs.shape}"
             )
-        if m < 4 or (m & (m - 1)) != 0:
-            raise ConfigError(f"torus_resolution must be a power of two >= 4, got {m}")
+        check_torus_shape(self.torus_shape)
 
     # --- constructors ---
 
     @classmethod
-    def zero(cls, grid: RadialGrid, torus_dims: int, torus_resolution: int) -> "Field":
-        m = torus_resolution
-        return cls(grid, np.zeros((m,) * (torus_dims - 1) + (m // 2 + 1, len(grid)), dtype=complex))
+    def zero(cls, grid: RadialGrid, shape: tuple) -> "Field":
+        """The zero field on a torus grid of the given per-axis shape."""
+        check_torus_shape(shape)
+        return cls(grid, np.zeros(_half_shape(shape) + (len(grid),), dtype=complex))
 
     @classmethod
-    def from_radial(cls, grid: RadialGrid, profile, torus_dims: int, torus_resolution: int) -> "Field":
-        return cls.from_modes(grid, {(0,) * torus_dims: profile}, torus_resolution)
+    def from_radial(cls, grid: RadialGrid, profile, shape: tuple) -> "Field":
+        return cls.from_modes(grid, {(0,) * len(shape): profile}, shape)
 
     @classmethod
-    def from_modes(cls, grid: RadialGrid, modes: dict, torus_resolution: int) -> "Field":
-        """Field with the given profile for each integer mode key, zero
-        elsewhere.  The profile of -k must be the complex conjugate of that
-        of k (a missing key counts as zero), so that the field is real."""
+    def from_modes(cls, grid: RadialGrid, modes: dict, shape: tuple) -> "Field":
+        """Field on a torus grid of the given shape with the given profile
+        for each integer mode key, zero elsewhere.  The profile of -k must
+        be the complex conjugate of that of k (a missing key counts as
+        zero), so that the field is real."""
         if not modes:
             raise ConfigError("field needs at least one mode (use Field.zero)")
-        f = cls.zero(grid, len(next(iter(modes))), torus_resolution)
+        f = cls.zero(grid, shape)
         profiles = {tuple(int(ki) for ki in k): np.asarray(p, dtype=complex) for k, p in modes.items()}
         for k, prof in profiles.items():
             if prof.shape != (len(grid),):
@@ -101,7 +114,7 @@ class Field:
         nyquist_abs: float = 0.0,
     ) -> "Field":
         """Build a Field from real collocation values of shape
-        (m,)*dims + (len(grid),).
+        torus shape + (len(grid),).
 
         Nyquist bins must be negligible, at most `_NYQUIST_RTOL` times the
         largest coefficient or below the absolute allowance `nyquist_abs`
@@ -109,17 +122,15 @@ class Field:
         field scale); they are dropped.
         """
         values = np.asarray(values)
-        dims = values.ndim - 1
-        m = values.shape[0]
-        if values.shape[:-1] != (m,) * dims:
-            raise ConfigError(f"values must be (m,)*dims + (N,), got {values.shape}")
-        coeffs = np.fft.rfftn(values, axes=tuple(range(dims)), norm="forward")
+        shape = values.shape[:-1]
+        check_torus_shape(shape)
+        coeffs = np.fft.rfftn(values, axes=tuple(range(len(shape))), norm="forward")
         scale = np.max(np.abs(coeffs)) + 1e-300
-        nyquist = np.any(np.abs(mode_indices(m, dims)) == m // 2, axis=-1)
-        nyq_max = float(np.max(np.abs(coeffs[nyquist])))
+        nyquist = np.any(2 * np.abs(mode_indices(shape)) == shape, axis=-1)
+        nyq_max = float(np.max(np.abs(coeffs[nyquist]), initial=0.0))
         if nyq_max > _NYQUIST_RTOL * scale and nyq_max > nyquist_abs:
             raise ConfigError(
-                f"torus_resolution {m} too small: Nyquist content {nyq_max:.3e} "
+                f"torus shape {shape} too small: Nyquist content {nyq_max:.3e} "
                 f"vs scale {scale:.3e}"
             )
         coeffs[nyquist] = 0.0
@@ -128,8 +139,15 @@ class Field:
     # --- structure ---
 
     @property
+    def torus_shape(self) -> tuple:
+        """Per-axis size (m_1, ..., m_dims) of the torus grid."""
+        half = self.coeffs.shape[-2]
+        return self.coeffs.shape[:-2] + (2 * (half - 1) if half > 1 else half,)
+
+    @property
     def torus_resolution(self) -> int:
-        return 2 * (self.coeffs.shape[-2] - 1)
+        """The largest axis size of the torus grid."""
+        return max(self.torus_shape)
 
     @property
     def torus_dims(self) -> int:
@@ -137,20 +155,28 @@ class Field:
 
     def index(self, k) -> tuple:
         """Array index of the integer mode k, or of -k when k_last < 0;
-        rejects keys that alias."""
-        m = self.torus_resolution
+        rejects keys that alias (some 2|k_i| >= m_i, so on an axis of size 1
+        every k_i != 0)."""
+        shape = self.torus_shape
         k = tuple(int(ki) for ki in k)
-        if len(k) != self.torus_dims:
-            raise ConfigError(f"mode {k} needs {self.torus_dims} entries")
-        if max(abs(ki) for ki in k) >= m // 2:
-            raise ConfigError(f"mode {k} aliases on a grid of size {m}")
+        if len(k) != len(shape):
+            raise ConfigError(f"mode {k} needs {len(shape)} entries")
+        if any(2 * abs(ki) >= m for ki, m in zip(k, shape)):
+            raise ConfigError(f"mode {k} aliases on a torus grid of shape {shape}")
         sign = -1 if k[-1] < 0 else 1
-        return tuple(sign * ki % m for ki in k)
+        return tuple(sign * ki % m for ki, m in zip(k, shape))
 
     def mode(self, k) -> np.ndarray:
-        """Radial profile of the integer mode k (zero when not present)."""
+        """Radial profile of the integer mode k: zero when not present, and
+        zero when k varies along an axis of size 1, since the field is
+        constant along that axis by construction."""
+        k = tuple(int(ki) for ki in k)
+        shape = self.torus_shape
+        if len(k) == len(shape) and any(ki and m == 1 for ki, m in zip(k, shape)):
+            self.index([0 if m == 1 else ki for ki, m in zip(k, shape)])  # refuses the other axes' aliases
+            return np.zeros(len(self.grid), dtype=complex)
         prof = self.coeffs[self.index(k)]
-        return prof.conj() if int(k[-1]) < 0 else prof.copy()
+        return prof.conj() if k[-1] < 0 else prof.copy()
 
     def radial_mean(self) -> np.ndarray:
         """Profile of the torus-constant mode (real part)."""
@@ -158,7 +184,7 @@ class Field:
 
     def values(self) -> np.ndarray:
         """Collocation values on the uniform torus grid, last axis radial."""
-        return real_values(self.coeffs, self.torus_resolution)
+        return real_values(self.coeffs, self.torus_shape)
 
     def sup_norm(self, interior: slice | None = None) -> float:
         vals = self.values()
@@ -189,12 +215,11 @@ class Field:
     __rmul__ = __mul__
 
 
-def torus_points(lattice: np.ndarray, m: int) -> np.ndarray:
-    """Complex coordinates z' of the collocation grid, shape (m,)*2d + (d,)."""
-    twod = lattice.shape[0]
-    d = twod // 2
-    t_axes = [np.arange(m) / m for _ in range(twod)]
-    mesh = np.meshgrid(*t_axes, indexing="ij")
+def torus_points(lattice: np.ndarray, shape: tuple) -> np.ndarray:
+    """Complex coordinates z' of the collocation grid of the given per-axis
+    shape, shape + (d,)."""
+    d = lattice.shape[0] // 2
+    mesh = np.meshgrid(*(np.arange(m) / m for m in shape), indexing="ij")
     t = np.stack(mesh, axis=-1)
     v = t @ lattice.T
     return v[..., :d] + 1j * v[..., d:]

@@ -148,17 +148,17 @@ def _chart_values(model: CuspModel, f: Field, order: int):
     c_a conj(c_b) all do.  Each field is then one `fields.real_values` call
     on the weighted half spectrum.
     """
-    m, nn, d = f.torus_resolution, len(f.grid), model.d
-    rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(m, f.torus_dims), order)
+    torus, nn, d = f.torus_shape, len(f.grid), model.d
+    rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(torus), order)
     c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
-    shape = (m,) * f.torus_dims + (nn,)
+    shape = torus + (nn,)
 
     def real_field(row_values, out=None):
         """Values of the real field whose stored rows `rows` hold
         row_values (all other coefficients zero)."""
         hat = np.zeros_like(f.coeffs)
         hat.reshape(-1, nn)[rows] = row_values
-        return real_values(hat, m, out=out)
+        return real_values(hat, torus, out=out)
 
     fax = np.empty((2, d) + shape)
     fab = np.zeros((2, d, d) + shape)
@@ -174,9 +174,10 @@ def _chart_values(model: CuspModel, f: Field, order: int):
 
 
 class Collocation:
-    """What Monge-Ampere collocation on (model, grid, m) needs that does
-    not depend on the field; `modes.picard_solve` builds one per solve and
-    passes it to `quadratic_remainder` and `monge_ampere_residual`.
+    """What Monge-Ampere collocation on (model, grid, torus shape) needs
+    that does not depend on the field; `modes.picard_solve` builds one per
+    solve, on the torus shape its boundary data spans, and passes it to
+    `quadratic_remainder` and `monge_ampere_residual`.
 
     The scaled metric G at the collocation points: its n-th row and column
     carry their z_n factors scaled away (positivity and determinant ratios
@@ -187,10 +188,10 @@ class Collocation:
     inverse L^{-1} of its Cholesky factor, G = L L^H.
     """
 
-    def __init__(self, model: CuspModel, grid: RadialGrid, m: int):
-        self.model, self.grid, self.m = model, grid, m
+    def __init__(self, model: CuspModel, grid: RadialGrid, shape: tuple):
+        self.model, self.grid, self.shape = model, grid, tuple(shape)
         n, d = model.n, model.d
-        pa = model.phi_grad(torus_points(model.lattice, m))[..., None, :]  # torus + (1, d)
+        pa = model.phi_grad(torus_points(model.lattice, self.shape))[..., None, :]  # torus + (1, d)
         self.pa = pa
         x = grid.x
         if n == 2:
@@ -211,10 +212,10 @@ class Collocation:
 
     def check(self, model: CuspModel, f: Field):
         """Raise ConfigError unless f lives on this model, grid and torus
-        resolution."""
+        shape."""
         same_grid = f.grid is self.grid or np.array_equal(f.grid.s, self.grid.s)
-        if model is not self.model or not same_grid or f.torus_resolution != self.m:
-            raise ConfigError("collocation geometry was built for another model, grid or torus resolution")
+        if model is not self.model or not same_grid or f.torus_shape != self.shape:
+            raise ConfigError("collocation geometry was built for another model, grid or torus shape")
 
 
 def _positivity_guard(grid: RadialGrid, eigmin: np.ndarray, tr: np.ndarray, n: int):
@@ -233,7 +234,7 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
     Q = M - L.  The Hessian H is assembled in the scaled frame of
     `Collocation`; a missing `colloc` is built on the spot."""
     if colloc is None:
-        colloc = Collocation(model, f.grid, f.torus_resolution)
+        colloc = Collocation(model, f.grid, f.torus_shape)
     colloc.check(model, f)
     fv, fx, fxx, fax, fab = _chart_values(model, f, order)
     x = f.grid.x
@@ -320,7 +321,7 @@ def linearized_apply(model: CuspModel, f: Field, order: int = 2) -> Field:
         raise ConfigError("grid too coarse for second differences")
     n = model.n
     x = f.grid.x
-    lam = mode_eigenvalue(model, mode_indices(f.torus_resolution, f.torus_dims))[..., None]
+    lam = mode_eigenvalue(model, mode_indices(f.torus_shape))[..., None]
     px, pxx = f.grid.deriv_x(f.coeffs, order)
     out = (x**2 * pxx + (n + 1) * x * px - (n + 1) * f.coeffs - lam * f.coeffs / x) / (n + 1)
     return Field(f.grid, out)
@@ -343,7 +344,7 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     x = grid.x[idx]
     v = np.concatenate([p.z_prime.real, p.z_prime.imag])
     t = np.linalg.solve(model.lattice, v)
-    _, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(f.torus_resolution, f.torus_dims), 2)
+    _, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(f.torus_shape), 2)
     c = mode_covector(model, k)
     chi = np.exp(2j * np.pi * (k @ t))
     # a stored row with k_last > 0 stands for k and -k as well; their terms

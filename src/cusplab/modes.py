@@ -26,7 +26,7 @@ import numpy as np
 from . import geometry
 from .bessel import HPair, h_pair
 from .errors import ConfigError, ModeTailError, NonContractionError, NumericalError
-from .fields import Field
+from .fields import Field, check_torus_shape
 from .grid import RadialGrid
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
@@ -218,8 +218,9 @@ def assemble_representation(
     boundary maps integer mode keys to boundary coefficients at x0.  Modes
     of g above the cutoff are not solved; their largest sup-norm is reported
     as the tail indicator (error if tail_tol is given and exceeded).  Modes
-    below the cutoff that the torus grid cannot resolve (some |k_i| >= m/2)
-    carry no coefficient and are skipped unless boundary data forces them.
+    below the cutoff that the torus grid of g cannot resolve (some
+    2|k_i| >= m_i, so every k_i != 0 on an axis of size 1) carry no
+    coefficient and are skipped unless nonzero boundary data forces them.
     Keys with k_last < 0 are skipped too: the field stores those modes as
     the conjugates of the modes -k.
     """
@@ -228,14 +229,14 @@ def assemble_representation(
     dims = 2 * model.d
     zero = (0,) * dims
     below_keys, below_lams = below
-    held = np.max(np.abs(below_keys), axis=1) < g.torus_resolution // 2
+    held = np.all(2 * np.abs(below_keys) < g.torus_shape, axis=1)
     keys = dict(zip(map(tuple, below_keys[held].tolist()), below_lams[held]))
-    for k in boundary:
+    for k, v in boundary.items():
         kk = tuple(int(i) for i in k)
-        if kk != zero and kk not in keys:
+        if kk != zero and v != 0 and kk not in keys:
             keys[kk] = mode_eigenvalue(model, kk)  # boundary data forces the mode in
 
-    out = Field.zero(grid, dims, g.torus_resolution)
+    out = Field.zero(grid, g.torus_shape)
     beta0 = complex(boundary.get(zero, 0.0)).real
     out.coeffs[zero], _ = radial_rep_l0(n, grid, g.radial_mean(), beta0)
 
@@ -256,7 +257,7 @@ def assemble_representation(
         out.coeffs[slot] = _solve_with_pair(pair, grid, g.coeffs[slot], beta)
         modes_solved += 1
 
-    tail = float(np.max(sup[unsolved]))
+    tail = float(np.max(sup[unsolved], initial=0.0))
     if tail_tol is not None and tail > tail_tol:
         raise ModeTailError(
             f"spectral tail {tail:.3e} above the cutoff exceeds tolerance {tail_tol:.1e}; "
@@ -269,7 +270,9 @@ def assemble_representation(
 class PicardState:
     """Outcome of `picard_solve`.  `trace` holds one record per iteration:
     sup_change, tail_indicator, modes_solved, and the seconds spent in
-    collocation (`geometry.quadratic_remainder`) and in assembly."""
+    collocation (`geometry.quadratic_remainder`) and in assembly.
+    `diagnostics` holds the torus shape the solve collocated on, with the
+    lattice axes the boundary data spans as its reason."""
 
     iterate: Field
     iteration: int
@@ -291,6 +294,20 @@ def _ell0_decay_power(u: Field) -> float:
     return float(np.polyfit(lx, lp, 1)[0])
 
 
+def boundary_torus_shape(boundary: dict, dims: int, torus_resolution: int) -> tuple:
+    """Torus grid of a solve with this boundary data: torus_resolution on
+    each lattice axis i along which some boundary mode with a nonzero
+    coefficient varies (k_i != 0), 1 on every other axis.
+
+    The model metric and the Monge-Ampere operator commute with the lifted
+    torus translations, so the solution has no mode outside the sublattice
+    that the boundary modes span: it is constant along every other axis,
+    and one sample there holds all of it."""
+    check_torus_shape((torus_resolution,) * dims)
+    spanned = {i for k, v in boundary.items() if v != 0 for i, ki in enumerate(k) if ki != 0}
+    return tuple(torus_resolution if i in spanned else 1 for i in range(dims))
+
+
 def picard_solve(
     model: CuspModel,
     boundary: dict,
@@ -308,25 +325,34 @@ def picard_solve(
     cutoff is the mode cutoff in multiples of the first eigenvalue.  Returns
     (Field, PicardState); the state records the contraction history, a
     per-iteration trace, the spectral tail indicator, and the final residual
-    measured with the `final_order` radial stencils.  The collocation
+    measured with the `final_order` radial stencils.  The solve collocates
+    on `boundary_torus_shape`: torus_resolution points along the lattice
+    axes the boundary data spans, one along the others.  The collocation
     geometry is built once here and shared by every collocation call.
     """
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     lam1 = first_eigenvalue(model)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
+    shape = boundary_torus_shape(boundary, 2 * model.d, torus_resolution)
     below = modes_below(model, cutoff * lam1)
 
-    colloc = geometry.Collocation(model, grid, torus_resolution)
-    u, diag = assemble_representation(
-        model, boundary, Field.zero(grid, 2 * model.d, torus_resolution), below
-    )
+    def assemble(g, stage):
+        try:
+            return assemble_representation(model, boundary, g, below, tail_tol=tail_tol)
+        except ModeTailError as exc:
+            raise ModeTailError(f"{stage}: {exc}") from None
+
+    colloc = geometry.Collocation(model, grid, shape)
+    u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
     history, trace = [], []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, _ITERATION_ORDER, colloc)
         t1 = time.perf_counter()
         u_old = u
-        u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)
+        u, diag = assemble(g_field, f"Picard iteration {it}")
         t2 = time.perf_counter()
         change = (u - u_old).sup_norm()
         del u_old
@@ -336,17 +362,20 @@ def picard_solve(
             break
         if it >= 3 and history[-1] > history[-2]:
             raise NonContractionError(
-                f"iteration stopped contracting (changes {history[-2:]}); "
-                "boundary data too large for the fixed point"
+                f"Picard iteration {it} stopped contracting: change {history[-1]:.3e} "
+                f"after {history[-2]:.3e}; boundary data too large for the fixed point"
             )
     else:
-        raise NonContractionError(f"no convergence within {max_iter} iterations")
+        raise NonContractionError(
+            f"no convergence within {max_iter} iterations: Picard iteration {it} "
+            f"changed the iterate by {history[-1]:.3e}, tolerance {tol:.1e}"
+        )
 
     # one last pass with the noise-floored inhomogeneity keeps the deep
     # exponential tails of each mode profile clean for rate analysis
     g_clean = truncate_mode_noise(g_field)
     del g_field
-    u, diag = assemble_representation(model, boundary, g_clean, below, tail_tol=tail_tol)
+    u, diag = assemble(g_clean, f"final pass after Picard iteration {it}")
     del g_clean
 
     residual = geometry.monge_ampere_residual(model, u, final_order, colloc)
@@ -354,7 +383,7 @@ def picard_solve(
     state = PicardState(
         iterate=u,
         iteration=it,
-        sup_change=history[-1] if history else 0.0,
+        sup_change=history[-1],
         contraction_history=history,
         trace=trace,
         diagnostics={
@@ -363,6 +392,11 @@ def picard_solve(
             "residual_sup": res_sup,
             "ell0_decay_power": _ell0_decay_power(u),
             "lambda1": lam1,
+            "torus_shape": shape,
+            "torus_shape_reason": (
+                f"boundary modes with nonzero coefficients vary along lattice axes "
+                f"{[i for i, m in enumerate(shape) if m > 1]}; every other axis is sampled once"
+            ),
         },
     )
     return u, state

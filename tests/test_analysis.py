@@ -101,7 +101,7 @@ def test_indicial_agreement_with_linearized_operator():
     grid = RadialGrid.make(0.1, 10.0, 30000)
     it = grid.interior(2)
     for p in (-3.0, 0.5, 1.0, 2.0, 3.0):
-        f = Field.from_radial(grid, grid.x**p, 2, 4)
+        f = Field.from_radial(grid, grid.x**p, (4, 4))
         lf = geometry.linearized_apply(model, f).radial_mean()
         target = analysis.barrier_sign(2, p) * grid.x**p
         scale = np.max(np.abs(grid.x[it] ** p))

@@ -285,6 +285,9 @@ s_hi = 120
     assert len(res["trace"]) >= 2 and res["trace"][-1]["modes_solved"] >= 2
     assert res["delta_target"] == pytest.approx(2 * np.pi, rel=1e-14)
     assert abs(res["delta"] / res["delta_target"] - 1) < 0.01
+    # the cosine boundary (1, 0) spans lattice axis 0 only
+    assert res["torus_shape"] == [16, 1]
+    assert "lattice axes [0]" in res["torus_shape_reason"]
 
 
 def test_solve_command_small(tmp_path):
@@ -316,6 +319,22 @@ amplitude = -0.0299
     header = (out / "solve.csv").read_text().splitlines()[0]
     # a constant boundary solves no (1, 0) mode, so there is no cosine column
     assert header == "x,s,u_mode0"
+
+
+def test_solve_sidecar_records_torus_shape(tmp_path):
+    # a constant n = 3 boundary spans no lattice axis: the solve collocates
+    # one torus point per node, the (1, 0, 0, 0) profile read on that field
+    # is zero, and the shape goes into the sidecar, never into the CSV
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text(N3_SOLVE_CFG + "[solver]\ntorus_resolution = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(cfg), "-o", str(out)]) == 0
+    res = json.loads((out / "solve.json").read_text())["results"]
+    assert res["torus_shape"] == [1, 1, 1, 1]
+    assert "lattice axes []" in res["torus_shape_reason"]
+    text = (out / "solve.csv").read_text()
+    assert text.splitlines()[0] == "x,s,u_mode0"
+    assert "torus" not in text
 
 
 def test_model_dimension_has_one_default(tmp_path):

@@ -21,13 +21,13 @@ def test_roundtrip_modes_values_modes(m, k):
     dims = len(k)
     mk = tuple(-ki for ki in k)
     modes = {(0,) * dims: rng.normal(size=32).astype(complex), k: prof, mk: prof.conj()}
-    f = Field.from_modes(grid, modes, m)
+    f = Field.from_modes(grid, modes, (m,) * dims)
     vals = f.values()
     assert vals.shape == (m,) * dims + (32,)
     g = Field.from_values(grid, vals)
     for key, p in modes.items():
         assert np.allclose(g.mode(key), p, atol=1e-13)
-    nyquist = np.any(np.abs(mode_indices(m, dims)) == m // 2, axis=-1)
+    nyquist = np.any(np.abs(mode_indices((m,) * dims)) == m // 2, axis=-1)
     assert not np.any(g.coeffs[nyquist])
     assert g.torus_resolution == m
     assert g.torus_dims == dims
@@ -38,19 +38,19 @@ def test_from_modes_rejects_nonreal_field(k):
     grid = _grid()
     p = (1.0 + 0.5j) * np.ones(32)
     mk = tuple(-ki for ki in k)
-    f = Field.from_modes(grid, {k: p, mk: p.conj()}, 8)
+    f = Field.from_modes(grid, {k: p, mk: p.conj()}, (8, 8))
     assert np.array_equal(f.mode(mk), p.conj())
     for modes in ({k: p}, {k: p, mk: 2 * p.conj()}, {k: p, mk: p}):
         with pytest.raises(ConfigError):
-            Field.from_modes(grid, modes, 8)
+            Field.from_modes(grid, modes, (8, 8))
     with pytest.raises(ConfigError):  # the torus-constant profile must be real
-        Field.from_modes(grid, {(0, 0): p}, 8)
+        Field.from_modes(grid, {(0, 0): p}, (8, 8))
 
 
 def test_aliasing_guards():
     grid = _grid()
     with pytest.raises(ConfigError):
-        Field.from_modes(grid, {(4, 0): np.ones(32, dtype=complex)}, 8)  # Nyquist mode
+        Field.from_modes(grid, {(4, 0): np.ones(32, dtype=complex)}, (8, 8))  # Nyquist mode
     vals = np.zeros((4, 4, 32))
     vals[...] = np.cos(2 * np.pi * np.arange(4) * 2 / 4)[:, None, None]  # Nyquist content
     with pytest.raises(ConfigError):
@@ -59,8 +59,8 @@ def test_aliasing_guards():
 
 def test_algebra_and_norms():
     grid = _grid()
-    a = Field.from_radial(grid, grid.x, 2, 8)
-    b = Field.from_radial(grid, grid.x**2, 2, 8)
+    a = Field.from_radial(grid, grid.x, (8, 8))
+    b = Field.from_radial(grid, grid.x**2, (8, 8))
     c = a + 2.0 * b - b
     assert np.allclose(c.radial_mean(), grid.x + grid.x**2)
     assert c.sup_norm() == pytest.approx(np.max(grid.x + grid.x**2))
@@ -69,8 +69,56 @@ def test_algebra_and_norms():
 
 def test_torus_points_shape_and_values():
     lattice = np.array([[1.0, 0.0], [0.0, 2.0]])
-    pts = torus_points(lattice, 4)
+    pts = torus_points(lattice, (4, 4))
     assert pts.shape == (4, 4, 1)
     assert pts[0, 0, 0] == 0
     assert pts[1, 0, 0] == pytest.approx(0.25)
     assert pts[0, 1, 0] == pytest.approx(0.5j)
+
+
+@pytest.mark.parametrize(
+    "shape, k", [((8, 1), (1, 0)), ((1, 1, 1, 4), (0, 0, 0, 1))], ids=["dims2-8x1", "dims4-1x1x1x4"]
+)
+def test_roundtrip_on_collapsed_axes(shape, k):
+    # an axis of size 1 is neither a Nyquist nor an aliasing axis for k_i = 0
+    grid = _grid()
+    rng = np.random.default_rng(5)
+    prof = rng.normal(size=32) + 1j * rng.normal(size=32)
+    modes = {(0,) * len(shape): rng.normal(size=32).astype(complex), k: prof, tuple(-ki for ki in k): prof.conj()}
+    f = Field.from_modes(grid, modes, shape)
+    assert (f.torus_shape, f.torus_resolution, f.torus_dims) == (shape, max(shape), len(shape))
+    vals = f.values()
+    assert vals.shape == shape + (32,)
+    g = Field.from_values(grid, vals)
+    for key, p in modes.items():
+        assert np.allclose(g.mode(key), p, atol=1e-13)
+    radial = Field.from_radial(grid, grid.x, (1,) * len(shape))
+    assert np.array_equal(Field.from_values(grid, radial.values()).radial_mean(), grid.x)
+
+
+def test_mode_on_collapsed_axis():
+    grid = _grid()
+    p = (1.0 + 0.5j) * grid.x
+    f = Field.from_modes(grid, {(1, 0): p, (-1, 0): p.conj()}, (8, 1))
+    # read: the field is constant along axis 1, so every mode varying along it is zero
+    for k in [(1, 1), (0, -1), (-3, 2)]:
+        assert np.array_equal(f.mode(k), np.zeros(32))
+    assert np.array_equal(f.mode((-1, 0)), p.conj())
+    assert not np.any(Field.from_radial(grid, grid.x, (1, 1, 1, 1)).mode((1, 0, 0, 0)))
+    # store: refused
+    with pytest.raises(ConfigError):
+        Field.from_modes(grid, {(0, 1): p, (0, -1): p.conj()}, (8, 1))
+    with pytest.raises(ConfigError):
+        f.index((1, 1))
+    # alias: an axis of size 8 still refuses |k_i| >= 4, whatever k is on the collapsed axis
+    for k in [(4, 0), (4, 1), (-5, 2)]:
+        with pytest.raises(ConfigError):
+            f.mode(k)
+    with pytest.raises(ConfigError):
+        f.mode((1, 0, 0))
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (6, 1), (1, 0), (-4, -4)])
+def test_torus_shape_axes_are_one_or_powers_of_two(shape):
+    with pytest.raises(ConfigError):
+        Field.zero(_grid(), shape)

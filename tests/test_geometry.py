@@ -94,7 +94,7 @@ class TestHessian:
         if mode is not None:
             modes[mode] = profile_fn(grid.x).astype(complex)
             modes[tuple(-i for i in mode)] = profile_fn(grid.x).astype(complex)
-        return Field.from_modes(grid, modes, 8), grid
+        return Field.from_modes(grid, modes, (8, 8)), grid
 
     def test_radial_linear_profile(self):
         m = square_model()
@@ -134,7 +134,7 @@ class TestHessian:
                 (1, 0): 0.5 * prof.astype(complex),
                 (-1, 0): 0.5 * prof.astype(complex),
             },
-            8,
+            (8, 8),
         )
         idx = len(grid) // 3
         x0 = grid.x[idx]
@@ -195,7 +195,7 @@ class TestLinearized:
     def test_radial_solutions_annihilated(self):
         m = square_model()
         grid = RadialGrid.make(0.1, 10.0, 20000)
-        f = Field.from_radial(grid, grid.x, 2, 4)
+        f = Field.from_radial(grid, grid.x, (4, 4))
         lf = geometry.linearized_apply(m, f).radial_mean()
         it = grid.interior(2)
         assert np.max(np.abs(lf[it])) < 1e-8
@@ -203,7 +203,7 @@ class TestLinearized:
     def test_indicial_value_on_square(self):
         m = square_model()
         grid = RadialGrid.make(0.1, 10.0, 20000)
-        f = Field.from_radial(grid, grid.x**2, 2, 4)
+        f = Field.from_radial(grid, grid.x**2, (4, 4))
         lf = geometry.linearized_apply(m, f).radial_mean()
         it = grid.interior(2)
         target = (m.n + 3) / (m.n + 1) * grid.x**2
@@ -220,7 +220,7 @@ class TestLinearized:
         f = Field.from_modes(
             grid,
             {(1, 0): 0.5 * prof.astype(complex), (-1, 0): 0.5 * prof.astype(complex)},
-            8,
+            (8, 8),
         )
         lf = geometry.linearized_apply(m, f, order=4)
         it = grid.interior(4)
@@ -236,7 +236,7 @@ class TestMongeAmpere:
     def test_zero_field(self):
         m = square_model()
         grid = RadialGrid.make(0.1, 8.0, 300)
-        z = Field.zero(grid, 2, 4)
+        z = Field.zero(grid, (4, 4))
         assert geometry.monge_ampere_residual(m, z).sup_norm() == 0.0
 
     def test_tangent_cone_residual_and_order(self):
@@ -244,7 +244,7 @@ class TestMongeAmpere:
         sups = []
         for num in (800, 1600):
             grid = RadialGrid.make(0.1, 10.0, num)
-            tc = Field.from_radial(grid, -3 * np.log1p(0.3 * grid.x), 2, 4)
+            tc = Field.from_radial(grid, -3 * np.log1p(0.3 * grid.x), (4, 4))
             res = geometry.monge_ampere_residual(m, tc)
             sups.append(res.sup_norm(grid.interior(2)))
         assert sups[0] < 2e-6
@@ -261,7 +261,7 @@ class TestMongeAmpere:
                 (1, 0): 0.2 * grid.x * np.exp(-1.0 / np.sqrt(grid.x)) + 0j,
                 (-1, 0): 0.2 * grid.x * np.exp(-1.0 / np.sqrt(grid.x)) + 0j,
             },
-            8,
+            (8, 8),
         )
         eps_list = (1e-2, 1e-3, 1e-4)
         sups = [
@@ -278,7 +278,7 @@ class TestMongeAmpere:
     )
     def test_degenerate_metric_reported(self, m):
         grid = RadialGrid.make(0.1, 6.0, 200)
-        huge = Field.from_radial(grid, -40.0 * grid.x, 2 * m.d, 4)
+        huge = Field.from_radial(grid, -40.0 * grid.x, (4,) * (2 * m.d))
         with pytest.raises(MetricDegenerateError):
             geometry.monge_ampere_residual(m, huge)
 
@@ -289,12 +289,12 @@ class TestMongeAmpere:
         sups = []
         for num in (400, 800):
             grid = RadialGrid.make(0.1, 8.0, num)
-            tc = Field.from_radial(grid, -4 * np.log1p(0.3 * grid.x), 4, 4)
+            tc = Field.from_radial(grid, -4 * np.log1p(0.3 * grid.x), (4, 4, 4, 4))
             sups.append(geometry.monge_ampere_residual(m, tc).sup_norm(grid.interior(2)))
         assert sups[0] < 5e-6
         assert np.log2(sups[0] / sups[1]) >= 1.9
         grid = RadialGrid.make(0.1, 8.0, 4000)
-        f = Field.from_radial(grid, grid.x**2, 4, 4)
+        f = Field.from_radial(grid, grid.x**2, (4, 4, 4, 4))
         lf = geometry.linearized_apply(m, f).radial_mean()
         target = 1.5 * grid.x**2
         it = grid.interior(2)
@@ -359,7 +359,7 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
     model = CuspModel(n, lattice, A)
     grid = RadialGrid.make(0.2, 5.0, 200 if n == 2 else 24)
     modes = _modes_on_keys(grid, keys, amplitude)
-    f = Field.from_modes(grid, modes, m)
+    f = Field.from_modes(grid, modes, (m,) * len(keys[0]))
     values = geometry.monge_ampere_residual(model, f, order=2).values()
     points = list(zip(nodes, (len(grid) // 4, len(grid) // 2, 3 * len(grid) // 4)))
     ref = np.array([_pointwise_residual(model, f, modes, node, idx) for node, idx in points])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from cusplab import analysis, modes, spectrum
+from cusplab import analysis, geometry, modes, spectrum
 from cusplab.bessel import h_pair
-from cusplab.errors import ConfigError, NonContractionError
+from cusplab.errors import ConfigError, ModeTailError, NonContractionError
 from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel
@@ -12,6 +12,11 @@ from cusplab.model import CuspModel
 
 def square_model():
     return CuspModel(2, np.eye(2), np.array([[1.0]]))
+
+
+def n3_model():
+    """The n = 3 model of the picard_n3 benchmark workload."""
+    return CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
 
 
 class TestScans:
@@ -205,7 +210,7 @@ class TestAssemble:
     def test_pure_boundary_mode(self):
         model = square_model()
         grid = RadialGrid.make(0.1, 18.0, 1200)
-        g = Field.zero(grid, 2, 8)
+        g = Field.zero(grid, (8, 8))
         delta = 1e-3
         out, diag = modes.assemble_representation(
             model, {(1, 0): delta, (-1, 0): delta}, g, spectrum.modes_below(model, 10 * np.pi**2)
@@ -222,7 +227,7 @@ class TestAssemble:
         model = square_model()
         grid = RadialGrid.make(0.1, 16.0, 30000)
         prof = (grid.x**2 * np.exp(-2.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, (8, 8))
         out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 10 * np.pi**2))
         lg = geometry.linearized_apply(model, out, order=2)
         it = grid.interior(2)
@@ -235,7 +240,7 @@ class TestAssemble:
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 800)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, (8, 8))
         out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2))
         # both modes sit on the stored k_last = 0 plane and are solved apart
         assert np.max(np.abs(out.mode((-1, 0)) - out.mode((1, 0)).conj())) < 1e-14 * np.max(np.abs(prof))
@@ -245,7 +250,7 @@ class TestAssemble:
         # (-2, 0): it is skipped, and boundary data on it is rejected
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 300)
-        g = Field.zero(grid, 2, 4)
+        g = Field.zero(grid, (4, 4))
         below = spectrum.modes_below(model, 10 * np.pi**2)
         _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, below)
         assert diag["modes_solved"] == 2
@@ -255,7 +260,7 @@ class TestAssemble:
     def test_truncate_mode_noise(self):
         grid = RadialGrid.make(0.1, 14.0, 100)
         prof = np.exp(-np.arange(100.0)).astype(complex)
-        f = Field.from_modes(grid, {(0, 0): prof}, 8)
+        f = Field.from_modes(grid, {(0, 0): prof}, (8, 8))
         cleaned = modes.truncate_mode_noise(f, floor=1e-14)
         assert cleaned.mode((0, 0))[-1] == 0.0
         assert cleaned.mode((0, 0))[0] == prof[0]
@@ -302,12 +307,10 @@ class TestPicard:
         assert slope == pytest.approx(1.0, abs=0.15)
 
     def test_tail_tolerance_enforced(self):
-        from cusplab.errors import ModeTailError
-
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 600)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field.from_modes(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, 8)
+        g = Field.from_modes(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, (8, 8))
         below = spectrum.modes_below(model, 5 * np.pi**2)
         with pytest.raises(ModeTailError):
             modes.assemble_representation(model, {}, g, below, tail_tol=1e-10)
@@ -326,11 +329,87 @@ class TestPicard:
                 model, {(0, 0): 40.0}, grid, torus_resolution=8, tol=1e-12, max_iter=8
             )
 
+    def test_non_contraction_names_iteration_and_change(self):
+        grid = RadialGrid.make(0.05, 12.0, 600)
+        with pytest.raises(NonContractionError, match=r"^Picard iteration \d+ stopped contracting: change \d\.\d{3}e-\d+ after \d\.\d{3}e-\d+"):
+            modes.picard_solve(square_model(), {(0, 0): 4.0}, grid, torus_resolution=8, tol=1e-12)
+
+    def test_no_convergence_names_iteration_and_change(self):
+        grid = RadialGrid.make(0.05, 12.0, 600)
+        with pytest.raises(
+            NonContractionError, match=r"within 2 iterations: Picard iteration 2 changed the iterate by \d\.\d{3}e[+-]\d+, tolerance 1\.0e-12"
+        ):
+            modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, tol=1e-12, max_iter=2)
+        with pytest.raises(ConfigError, match="max_iter"):
+            modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, max_iter=0)
+
+    def test_tail_error_names_iteration_tail_and_tolerance(self):
+        grid = RadialGrid.make(0.05, 34.0, 300)
+        with pytest.raises(ModeTailError, match=r"^Picard iteration 1: spectral tail \d\.\d{3}e-\d+ .* tolerance 1\.0e-30"):
+            modes.picard_solve(
+                square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, torus_resolution=16, tail_tol=1e-30
+            )
+
+
+def _collocation_shapes(monkeypatch) -> list:
+    """The torus shapes of the Collocations built from here on."""
+    shapes, build = [], geometry.Collocation
+
+    def spy(model, grid, shape):
+        shapes.append(tuple(shape))
+        return build(model, grid, shape)
+
+    monkeypatch.setattr(geometry, "Collocation", spy)
+    return shapes
+
+
+_N3_BETA = -4.0 * np.log1p(0.2 * 0.05)  # the picard_n3 boundary: tangent cone c = 0.2 at x0 = 0.05
+
+
+class TestTorusShape:
+    """picard_solve collocates m points along the lattice axes its boundary
+    modes span and one along the others."""
+
+    @pytest.mark.parametrize(
+        "model, boundary, m, expected",
+        [
+            (square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, 16, (16, 1)),
+            (n3_model(), {(0, 0, 0, 0): _N3_BETA}, 4, (1, 1, 1, 1)),
+            (square_model(), {(1, 0): 5e-5, (-1, 0): 5e-5, (0, 1): 5e-5, (0, -1): 5e-5}, 16, (16, 16)),
+        ],
+        ids=["A5-boundary", "n3-constant-boundary", "both-axes-spanned"],
+    )
+    def test_collocation_shape_follows_boundary(self, monkeypatch, model, boundary, m, expected):
+        shapes = _collocation_shapes(monkeypatch)
+        grid = RadialGrid.make(0.05, 34.0, 200)
+        u, state = modes.picard_solve(model, boundary, grid, torus_resolution=m, tol=1e-11)
+        assert shapes == [expected]
+        assert u.torus_shape == state.diagnostics["torus_shape"] == expected
+        assert u.torus_resolution == max(expected)
+
+    @pytest.mark.parametrize(
+        "model, boundary, m, nodes",
+        [
+            (square_model(), {(1, 0): 5e-5, (-1, 0): 5e-5}, 8, 400),
+            (n3_model(), {(0, 0, 0, 0): _N3_BETA}, 4, 200),
+        ],
+        ids=["n2-cosine", "n3-constant"],
+    )
+    def test_reduced_solve_equals_full_resolution(self, monkeypatch, model, boundary, m, nodes):
+        grid = RadialGrid.make(0.05, 34.0, nodes)
+        u, state = modes.picard_solve(model, boundary, grid, torus_resolution=m, tol=1e-12)
+        monkeypatch.setattr(modes, "boundary_torus_shape", lambda boundary, dims, res: (res,) * dims)
+        full, full_state = modes.picard_solve(model, boundary, grid, torus_resolution=m, tol=1e-12)
+        assert full.torus_shape == (m,) * (2 * model.d) != u.torus_shape
+        assert state.iteration == full_state.iteration
+        # the reduced values broadcast along the collapsed axes
+        assert np.max(np.abs(full.values() - u.values())) <= 1e-13 * full.sup_norm()
+
 
 class TestExtractTangentCone:
     def test_exact_member_of_family(self):
         grid = RadialGrid.make(0.1, 25.0, 2000)
-        u = Field.from_radial(grid, -3 * np.log1p(0.37 * grid.x), 2, 8)
+        u = Field.from_radial(grid, -3 * np.log1p(0.37 * grid.x), (8, 8))
         c, rms = modes.extract_tangent_cone(u, 2)
         assert c == pytest.approx(0.37, abs=1e-9)
         assert rms < 1e-12
@@ -346,7 +425,7 @@ class TestExtractTangentCone:
                 (1, 0): 0.5e-3 * h2.astype(complex),
                 (-1, 0): 0.5e-3 * h2.astype(complex),
             },
-            8,
+            (8, 8),
         )
         c, _ = modes.extract_tangent_cone(u, 2)
         assert c == pytest.approx(0.37, abs=1e-8)

@@ -91,7 +91,7 @@ class TestVolumeRatio:
         grid = RadialGrid.make(0.1, 8.0, 2000)
         psi = -3 * np.log1p(0.25 * grid.x)
         ratio = radial.volume_ratio_on_grid(n, grid, psi, order=2)
-        f = Field.from_radial(grid, psi, 2, 4)
+        f = Field.from_radial(grid, psi, (4, 4))
         mres = geometry.monge_ampere_residual(m, f).radial_mean()
         ratio_det = np.exp(mres + psi)
         it = grid.interior(2)
