@@ -14,10 +14,10 @@ class MetricDegenerateError(CuspLabError):
 
     def __init__(self, x, where, eigmin):
         self.x = x
-        self.where = where
+        self.where = tuple(int(i) for i in where)
         self.eigmin = eigmin
         super().__init__(
-            f"perturbed metric degenerate at x={x:.6g}, torus index {where}: "
+            f"perturbed metric degenerate at x={x:.6g}, torus index {self.where}: "
             f"smallest eigenvalue {eigmin:.3e}"
         )
 

@@ -16,13 +16,14 @@ The chart substitution for derivatives of circle-invariant fields is
     d/dz_n   -> (x^2 / z_n) d/dx        (theta terms drop),
 
 applied twice, keeping track of the z_n-dependence of first-derivative
-outputs.  The resulting Hessian entries, with the z_n factors scaled away,
-are assembled pointwise on the collocation grid.
+outputs (`holomorphic_hessian`); collocation works in the chart frame of
+(z', x) itself, before the substitution (`Collocation`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BoundaryStencilError,
@@ -116,10 +117,15 @@ def cross_section_metric(model: CuspModel, eps: float, p: CuspPoint) -> np.ndarr
 
 
 def _log1p_minus(w: np.ndarray) -> np.ndarray:
-    """log(1 + w) - w, accurate for small w."""
-    w = np.asarray(w, dtype=float)
-    series = w * w * (-0.5 + w * (1.0 / 3.0 + w * (-0.25 + 0.2 * w)))
-    return np.where(np.abs(w) < 1e-4, series, np.log1p(w) - w)
+    """log(1 + w) - w to a few ulp: for |w| < 0.1 from log(1 + w) =
+    2 atanh(u), u = w/(2 + w), as -w u + 2 u^3 (1/3 + u^2/5 + ... + u^8/11),
+    where -w u = 2u - w carries the cancellation exactly."""
+    u = w / (2.0 + w)
+    u2 = u * u
+    series = u2 / 11.0 + 1.0 / 9.0
+    for m in (7, 5, 3):
+        series = series * u2 + 1.0 / m
+    return np.where(np.abs(w) < 0.1, 2.0 * u * u2 * series - w * u, np.log1p(w) - w)
 
 
 def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order: int):
@@ -135,80 +141,96 @@ def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order
     return rows, k.reshape(-1, k.shape[-1])[rows], prof, px, pxx
 
 
-def _chart_values(model: CuspModel, f: Field, order: int):
-    """Collocation values of f and of the chart derivatives entering the
-    Hessian, each a real field: (f, f_x, f_xx, fax, fab) with fax the real
-    and imaginary parts of f_{a x}, shape (2, d) + values, and fab those of
-    f_{a bbar}, shape (2, d, d) + values (its imaginary part vanishes on the
-    diagonal, where it is left zero).
+def _hermitian(n: int, entry) -> dict:
+    """The n x n Hermitian matrix field with upper-triangle entries entry(j, k):
+    a dict over j <= k, real on the diagonal, broadcasting against torus + (N,)."""
+    return {(j, k): np.real(entry(j, k)) if j == k else entry(j, k) for j in range(n) for k in range(j, n)}
+
+
+def _at(m: dict, j: int, k: int):
+    return m[j, k] if j <= k else np.conj(m[k, j])
+
+
+def _cofactors(m: dict, n: int) -> tuple:
+    """(adj m, det m), n = 2 or 3: adj(m)_{jk} is (-1)^{j+k} times the minor
+    without row k and column j; det m is expanded along the first row."""
+    adj = {}
+    for j, k in m:  # every upper-triangle entry
+        (r, *r2), (c, *c2) = [i for i in range(n) if i != k], [i for i in range(n) if i != j]
+        minor = _at(m, r, c)
+        if r2:  # n = 3: a 2 x 2 minor
+            minor = minor * _at(m, r2[0], c2[0]) - _at(m, r, c2[0]) * _at(m, r2[0], c)
+        adj[j, k] = minor.real if j == k else (-1) ** (j + k) * minor
+    return adj, m[0, 0] * adj[0, 0] + sum((m[0, k] * np.conj(adj[0, k])).real for k in range(1, n))
+
+
+def _trace_product(a: dict, b: dict):
+    """tr(a b) of two Hermitian matrix fields."""
+    return sum(b[j, k] * a[j, k] if j == k else 2.0 * (b[j, k] * np.conj(a[j, k])).real for j, k in a)
+
+
+def _det_expansion(g: dict, adj_g: dict, h: dict, n: int) -> list:
+    """[c_1, ..., c_n], det(g + t h) = det g + c_1 t + ... + c_n t^n (n = 2, 3):
+    c_k is det g times the k-th elementary symmetric function of the
+    eigenvalues of g^{-1} h, c_1 = <adj g, h>, c_{n-1} = <g, adj h>, c_n = det h."""
+    adj_h, det_h = _cofactors(h, n)
+    middle = [_trace_product(g, adj_h)] if n == 3 else []
+    return [_trace_product(adj_g, h)] + middle + [det_h]
+
+
+def _chart_hessian(model: CuspModel, f: Field, order: int):
+    """(values of f, its Hessian in the chart frame of `Collocation`, with
+    entries f_{a bbar} + x^2 A_ab f_x, x^2 f_{a x}, 2 x^3 f_x + x^4 f_xx).
 
     A coefficient weight w(k) applied to a real field keeps it real when w
     is real and even in k or imaginary and odd; the mode covector c(k) is
-    odd, so the weights i pi Re c_a, i pi Im c_a and -pi^2 Re, Im of
-    c_a conj(c_b) all do.  Each field is then one `fields.real_values` call
-    on the weighted half spectrum.
+    odd, so the real and imaginary parts of the weights -pi^2 c_a conj(c_b)
+    and i pi c_a all do: each part of an entry is one `real_values` call.
     """
-    torus, nn, d = f.torus_shape, len(f.grid), model.d
+    torus, nn, d, x2 = f.torus_shape, len(f.grid), model.d, f.grid.x**2
     rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(torus), order)
     c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
-    shape = torus + (nn,)
 
-    def real_field(row_values, out=None):
-        """Values of the real field whose stored rows `rows` hold
-        row_values (all other coefficients zero)."""
+    def real_field(row_values):
+        """Values of the real field whose stored rows hold row_values, zero elsewhere."""
         hat = np.zeros_like(f.coeffs)
         hat.reshape(-1, nn)[rows] = row_values
-        return real_values(hat, torus, out=out)
+        return real_values(hat, torus)
 
-    fax = np.empty((2, d) + shape)
-    fab = np.zeros((2, d, d) + shape)
+    h = {(d, d): real_field(2.0 * x2 * f.grid.x * px + x2**2 * pxx)}
     for a in range(d):
-        real_field(1j * np.pi * c[a].real * px, out=fax[0, a])
-        real_field(1j * np.pi * c[a].imag * px, out=fax[1, a])
-        for b in range(d):
-            w = -np.pi**2 * c[a] * c[b].conj()
-            real_field(w.real * prof, out=fab[0, a, b])
-            if b != a:
-                real_field(w.imag * prof, out=fab[1, a, b])
-    return real_field(prof), real_field(px), real_field(pxx), fax, fab
+        h[a, d] = real_field(1j * np.pi * c[a].real * x2 * px) + 1j * real_field(1j * np.pi * c[a].imag * x2 * px)
+        for b in range(a, d):
+            w, xa = -np.pi**2 * c[a] * c[b].conj(), x2 * model.A[a, b]
+            h[a, b] = real_field(w.real * prof + xa.real * px)
+            if b > a:
+                h[a, b] = h[a, b] + 1j * real_field(w.imag * prof + xa.imag * px)
+    return real_field(prof), h
 
 
 class Collocation:
-    """What Monge-Ampere collocation on (model, grid, torus shape) needs
-    that does not depend on the field; `modes.picard_solve` builds one per
-    solve, on the torus shape its boundary data spans, and passes it to
-    `quadratic_remainder` and `monge_ampere_residual`.
+    """What Monge-Ampere collocation (n = 2, 3) on (model, grid, torus shape)
+    needs that does not depend on the field; `modes.picard_solve` builds one
+    per solve, on the torus shape its boundary data spans.
 
-    The scaled metric G at the collocation points: its n-th row and column
-    carry their z_n factors scaled away (positivity and determinant ratios
-    are invariant under that congruence), leading axes torus + (N,).  For
-    n = 2 it is kept as scalars: g00 = 3 (x A + x^2 |phi_a|^2), g11 = 3 x^2
-    and g01 = -3 x^2 phi_a, with det g = 9 A x^3 independent of z'.  For
-    n >= 3 it is kept as matrices G (matrix axes last) together with the
-    inverse L^{-1} of its Cholesky factor, G = L L^H.
+    A matrix m in the chart frame of (z', x) is C m C^H in the scaled frame
+    (z_n factors scaled away, which keeps positivity and determinant ratios),
+    C = [[I, -phi_a], [0, 1]].  Kept: the chart-frame metric g = (n+1)
+    diag(x A, x^2), adj g and det g = (n+1)^n det A x^{n+1}; and, at the
+    torus points, k = C^{-1} C^{-H}: det(k + t m) = det(I + t C m C^H).
     """
 
     def __init__(self, model: CuspModel, grid: RadialGrid, shape: tuple):
+        if model.n > 3:
+            raise ConfigError(f"Monge-Ampere collocation supports n = 2 and n = 3, got n = {model.n}")
         self.model, self.grid, self.shape = model, grid, tuple(shape)
-        n, d = model.n, model.d
-        pa = model.phi_grad(torus_points(model.lattice, self.shape))[..., None, :]  # torus + (1, d)
-        self.pa = pa
-        x = grid.x
-        if n == 2:
-            self.a = float(model.A[0, 0].real)  # the 1 x 1 weight A
-            self.pa2 = np.abs(pa[..., 0]) ** 2
-            self.g00 = 3.0 * (x * self.a + x**2 * self.pa2)
-            self.g11 = 3.0 * x**2
-            self.detg = 9.0 * self.a * x**3
-            return
-        x = x[:, None, None]
-        G = np.empty(pa.shape[:-2] + (len(grid), n, n), dtype=complex)
-        G[..., :d, :d] = (n + 1) * (x * model.A + x**2 * pa[..., :, None] * pa[..., None, :].conj())
-        G[..., :d, d] = -(n + 1) * x[..., 0] ** 2 * pa
-        G[..., d, :d] = G[..., :d, d].conj()
-        G[..., d, d] = (n + 1) * grid.x**2
-        self.G = G
-        self.linv = np.linalg.inv(np.linalg.cholesky(G))
+        n, d, x = model.n, model.d, grid.x
+        self.g = _hermitian(n, lambda i, j: (n + 1) * (x * model.A[i, j] if j < d else x**2 * (i == d)))
+        self.adj, self.detg = _cofactors(self.g, n)
+        pa = model.phi_grad(torus_points(model.lattice, self.shape))[..., None, :]
+        v = [pa[..., a] for a in range(d)] + [1.0]  # the last column of C^{-1}
+        self.k = _hermitian(n, lambda i, j: (i == j < d) + v[i] * np.conj(v[j]))
+        self.k_inv, _ = _cofactors(self.k, n)
 
     def check(self, model: CuspModel, f: Field):
         """Raise ConfigError unless f lives on this model, grid and torus
@@ -218,81 +240,41 @@ class Collocation:
             raise ConfigError("collocation geometry was built for another model, grid or torus shape")
 
 
-def _positivity_guard(grid: RadialGrid, eigmin: np.ndarray, tr: np.ndarray, n: int):
-    """Smallest eigenvalue of the perturbed metric must clear the relative
-    floor 1e-10 tr/n; reports the offending point otherwise."""
-    bad = eigmin <= 1e-10 * tr / n
-    if np.any(bad):
-        flat = np.argmax(bad)
-        idx = np.unravel_index(flat, bad.shape)
-        raise MetricDegenerateError(grid.x[idx[-1]], idx[:-1], float(eigmin[idx]))
+def _degenerate(h: dict, colloc: Collocation) -> np.ndarray:
+    """Where the metric g + h, in the chart frame, has its smallest eigenvalue at
+    or below f = 1e-10 tr/n: where m = g + h - f k, congruent to C (g + h) C^H - f I,
+    has a leading principal minor (m_00, adj(m)_{n-1,n-1}, det m) that is not positive."""
+    n = colloc.model.n
+    m = {jk: v + colloc.g[jk] for jk, v in h.items()}
+    floor = 1e-10 * _trace_product(colloc.k_inv, m) / n
+    for jk in m:
+        m[jk] = m[jk] - floor * colloc.k[jk]
+    adj, det = _cofactors(m, n)
+    return (m[0, 0] <= 0) | (adj[n - 1, n - 1] <= 0) | (det <= 0)
 
 
 def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | None = None):
-    """(M values, Q values) of the Monge-Ampere operator at collocation
-    points: M = log det(g + Hess f)/det g - f and its quadratic remainder
-    Q = M - L.  The Hessian H is assembled in the scaled frame of
-    `Collocation`; a missing `colloc` is built on the spot."""
+    """(M values, Q values) at the collocation points, from the chart-frame
+    metric g of `colloc` (built on the spot when omitted) and Hessian h:
+    M = log det(g + h)/det g - f and its quadratic remainder Q = M - L.  With
+    e_k the elementary symmetric functions of the eigenvalues of g^{-1} h and
+    w = e_1 + ... + e_n, M = log(1 + w) - f and Q = (log(1 + w) - w) + e_2 +
+    ... + e_n.  Raises MetricDegenerateError at the first degenerate point."""
     if colloc is None:
         colloc = Collocation(model, f.grid, f.torus_shape)
     colloc.check(model, f)
-    fv, fx, fxx, fax, fab = _chart_values(model, f, order)
-    x = f.grid.x
-    x2 = x**2
-    fiber = 2.0 * x**3 * fx + x**4 * fxx
-    if model.n == 2:
-        p_re, p_im = colloc.pa[..., 0].real, colloc.pa[..., 0].imag
-        g00, g11, detg = colloc.g00, colloc.g11, colloc.detg
-        h00 = fab[0, 0, 0] + x2 * colloc.a * fx - 2.0 * x2 * (p_re * fax[0, 0] + p_im * fax[1, 0])
-        h00 += fiber * colloc.pa2
-        h01_re = x2 * fax[0, 0] - p_re * fiber
-        h01_im = x2 * fax[1, 0] - p_im * fiber
-        h11 = fiber
-        deth = h00 * h11 - (h01_re**2 + h01_im**2)
-        # -2 Re(conj(g01) h01) with g01 = -3 x^2 phi_a
-        cross = g00 * h11 + g11 * h00 + 6.0 * x2 * (p_re * h01_re + p_im * h01_im)
-        del h01_re, h01_im
-        # trace and determinant of G + H give its smaller eigenvalue
-        tr = (g00 + h00) + (g11 + h11)
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * (detg + cross + deth), 0.0))
-        _positivity_guard(f.grid, 0.5 * (tr - disc), tr, 2)
-        del tr, disc
-        tr_a = cross / detg
-        det_a = deth / detg
-        w = tr_a + det_a
-        m_vals = np.log1p(w) - fv
-        q_vals = _log1p_minus(w) + det_a
-    else:
-        n, d = model.n, model.d
-        pa = colloc.pa
-        fax = fax[0] + 1j * fax[1]
-        fab = fab[0] + 1j * fab[1]
-        H = np.empty(fv.shape + (n, n), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                H[..., a, b] = (
-                    fab[a, b]
-                    + x2 * model.A[a, b] * fx
-                    - x2 * (pa[..., b].conj() * fax[a] + pa[..., a] * fax[b].conj())
-                    + fiber * pa[..., a] * pa[..., b].conj()
-                )
-            H[..., a, d] = x2 * fax[a] - pa[..., a] * fiber
-            H[..., d, a] = H[..., a, d].conj()
-        H[..., d, d] = fiber
-        del fax, fab
-        total = colloc.G + H
-        tr = np.real(np.trace(total, axis1=-2, axis2=-1))
-        _positivity_guard(f.grid, np.linalg.eigvalsh(total)[..., 0], tr, n)
-        del total  # released before the congruence, which sets the peak memory
-        # B = L^{-1} H L^{-H} = L^{-1} (L^{-1} H)^H, since H is Hermitian
-        B = np.matmul(colloc.linv, H)
-        del H
-        np.conjugate(B, out=B)
-        B = np.matmul(colloc.linv, B.swapaxes(-1, -2))
-        eig = np.linalg.eigvalsh(B)
-        m_vals = np.sum(np.log1p(eig), axis=-1) - fv
-        q_vals = np.sum(_log1p_minus(eig), axis=-1)
-    return m_vals, q_vals
+    n = model.n
+    fv, h = _chart_hessian(model, f, order)
+    bad = _degenerate(h, colloc)
+    if np.any(bad):
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        hp, gp, kp = (np.array([[np.broadcast_to(_at(m, i, j), bad.shape)[idx] for j in range(n)] for i in range(n)])
+                      for m in (h, colloc.g, colloc.k))
+        eigmin = scipy.linalg.eigh(gp + hp, kp, eigvals_only=True)[0]  # those of C (g + h) C^H
+        raise MetricDegenerateError(f.grid.x[idx[-1]], idx[:-1], float(eigmin))
+    e = [c / colloc.detg for c in _det_expansion(colloc.g, colloc.adj, h, n)]
+    w = sum(e)
+    return np.log1p(w) - fv, _log1p_minus(w) + sum(e[1:])
 
 
 # absolute Nyquist allowance for operator outputs: the log-determinant
@@ -307,11 +289,18 @@ def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2, colloc: Co
     return Field.from_values(f.grid, m_vals, nyquist_abs=_NYQUIST_ABS)
 
 
-def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None) -> Field:
+def quadratic_remainder(
+    model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None, with_residual: bool = False
+):
     """Q(f) = M(f) - L(f), the nonlinear part of the operator; `colloc` as
-    in `monge_ampere_residual`."""
-    _, q_vals = _ma_values(model, f, order, colloc)
-    return Field.from_values(f.grid, q_vals, nyquist_abs=_NYQUIST_ABS)
+    in `monge_ampere_residual`.  With `with_residual`, returns (Q, the sup
+    of |M(f)| over the collocation values at interior radial nodes), both
+    from one collocation."""
+    m_vals, q_vals = _ma_values(model, f, order, colloc)
+    q = Field.from_values(f.grid, q_vals, nyquist_abs=_NYQUIST_ABS)
+    if with_residual:
+        return q, float(np.max(np.abs(m_vals[..., f.grid.interior(order)])))
+    return q
 
 
 def linearized_apply(model: CuspModel, f: Field, order: int = 2) -> Field:

@@ -19,13 +19,14 @@ remainder of the Monge-Ampere operator.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .bessel import HPair, h_pair
-from .errors import ConfigError, ModeTailError, NonContractionError, NumericalError
+from .errors import ConfigError, MetricDegenerateError, ModeTailError, NonContractionError, NumericalError
 from .fields import Field, check_torus_shape
 from .grid import RadialGrid
 from .model import CuspModel
@@ -269,8 +270,8 @@ def assemble_representation(
 @dataclass
 class PicardState:
     """Outcome of `picard_solve`.  `trace` holds one record per iteration:
-    sup_change, tail_indicator, modes_solved, and the seconds spent in
-    collocation (`geometry.quadratic_remainder`) and in assembly.
+    sup_change, residual_sup (sup |M(u)| at interior collocation points),
+    tail_indicator, modes_solved, and the seconds of collocation and assembly.
     `diagnostics` holds the torus shape the solve collocated on, with the
     lattice axes the boundary data spans as its reason."""
 
@@ -308,6 +309,16 @@ def boundary_torus_shape(boundary: dict, dims: int, torus_resolution: int) -> tu
     return tuple(torus_resolution if i in spanned else 1 for i in range(dims))
 
 
+@contextmanager
+def _stage(name: str):
+    """Prefix a ModeTailError or MetricDegenerateError with the solve stage."""
+    try:
+        yield
+    except (ModeTailError, MetricDegenerateError) as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def picard_solve(
     model: CuspModel,
     boundary: dict,
@@ -328,7 +339,8 @@ def picard_solve(
     measured with the `final_order` radial stencils.  The solve collocates
     on `boundary_torus_shape`: torus_resolution points along the lattice
     axes the boundary data spans, one along the others.  The collocation
-    geometry is built once here and shared by every collocation call.
+    geometry is built once here, before any mode is enumerated (it refuses
+    n > 3), and shared by every collocation call.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
@@ -336,28 +348,24 @@ def picard_solve(
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
     shape = boundary_torus_shape(boundary, 2 * model.d, torus_resolution)
-    below = modes_below(model, cutoff * lam1)
-
-    def assemble(g, stage):
-        try:
-            return assemble_representation(model, boundary, g, below, tail_tol=tail_tol)
-        except ModeTailError as exc:
-            raise ModeTailError(f"{stage}: {exc}") from None
-
     colloc = geometry.Collocation(model, grid, shape)
+    below = modes_below(model, cutoff * lam1)
     u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
     history, trace = [], []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        g_field = -(model.n + 1) * geometry.quadratic_remainder(model, u, _ITERATION_ORDER, colloc)
-        t1 = time.perf_counter()
-        u_old = u
-        u, diag = assemble(g_field, f"Picard iteration {it}")
+        with _stage(f"Picard iteration {it}"):
+            g_field, res_sup = geometry.quadratic_remainder(model, u, _ITERATION_ORDER, colloc, with_residual=True)
+            g_field = -(model.n + 1) * g_field
+            t1 = time.perf_counter()
+            u_old = u
+            u, diag = assemble_representation(model, boundary, g_field, below, tail_tol=tail_tol)
         t2 = time.perf_counter()
         change = (u - u_old).sup_norm()
         del u_old
         history.append(change)
-        trace.append({"sup_change": change, **diag, "collocation_s": t1 - t0, "assembly_s": t2 - t1})
+        trace.append({"sup_change": change, "residual_sup": res_sup, **diag,
+                      "collocation_s": t1 - t0, "assembly_s": t2 - t1})
         if change < tol:
             break
         if it >= 3 and history[-1] > history[-2]:
@@ -375,10 +383,12 @@ def picard_solve(
     # exponential tails of each mode profile clean for rate analysis
     g_clean = truncate_mode_noise(g_field)
     del g_field
-    u, diag = assemble(g_clean, f"final pass after Picard iteration {it}")
+    with _stage(f"final pass after Picard iteration {it}"):
+        u, diag = assemble_representation(model, boundary, g_clean, below, tail_tol=tail_tol)
     del g_clean
 
-    residual = geometry.monge_ampere_residual(model, u, final_order, colloc)
+    with _stage("final residual"):
+        residual = geometry.monge_ampere_residual(model, u, final_order, colloc)
     res_sup = residual.sup_norm(grid.interior(final_order))
     state = PicardState(
         iterate=u,

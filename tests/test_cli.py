@@ -130,7 +130,7 @@ amplitude = 1e-4
     res = json.loads((out1 / "solve.json").read_text())["results"]
     assert len(res["trace"]) == res["iterations"] >= 2
     assert [r["sup_change"] for r in res["trace"]] == res["contraction_history"]
-    keys = {"sup_change", "tail_indicator", "modes_solved", "collocation_s", "assembly_s"}
+    keys = {"sup_change", "residual_sup", "tail_indicator", "modes_solved", "collocation_s", "assembly_s"}
     assert all(set(r) == keys for r in res["trace"])
     assert all(r["collocation_s"] > 0 and r["assembly_s"] > 0 for r in res["trace"])
 
@@ -335,6 +335,24 @@ def test_solve_sidecar_records_torus_shape(tmp_path):
     text = (out / "solve.csv").read_text()
     assert text.splitlines()[0] == "x,s,u_mode0"
     assert "torus" not in text
+
+
+def test_solve_refuses_dimension_four(tmp_path, capsys):
+    # collocation covers n = 2 and n = 3; the other commands keep every n
+    lattice = " ; ".join(" ".join(str(int(i == j)) for j in range(6)) for i in range(6))
+    model = f"[model]\nn = 4\nlattice = {lattice}\nA = 1 0 0 ; 0 1 0 ; 0 0 1\n"
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text(
+        model
+        + SQUARE_CFG[SQUARE_CFG.index("[spectrum]") :].replace("[expand]\nn = 2", "[expand]\nn = 4")
+        + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 200\n[boundary]\nkind = cosine\namplitude = 1e-3\n"
+    )
+    for command in ("solve", "rate-fit"):
+        assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n = 4" in err and "Traceback" not in err
+    for command in ("calabi", "expand", "spectrum"):
+        assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 0
 
 
 def test_model_dimension_has_one_default(tmp_path):

@@ -283,8 +283,8 @@ class TestMongeAmpere:
             geometry.monge_ampere_residual(m, huge)
 
     def test_generic_dimension_path(self):
-        # n = 3 exercises the stacked Cholesky/eigenvalue route with a
-        # complex Hermitian torus weight
+        # n = 3 exercises the 3 x 3 invariants (the e_2 term and the 2 x 2
+        # minors of the adjugate) with a complex Hermitian torus weight
         m = CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
         sups = []
         for num in (400, 800):
@@ -365,3 +365,63 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
     ref = np.array([_pointwise_residual(model, f, modes, node, idx) for node, idx in points])
     got = np.array([values[node + (idx,)] for node, idx in points])
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, torus", [(2, (8, 8)), (3, (4, 4, 4, 4))], ids=["n2", "n3"])
+def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
+    # Hermitian matrices whose smallest eigenvalue sits a factor 1 -+ 1e-3
+    # from the floor 1e-10 tr/n, handed to the guard in the chart frame of a
+    # Collocation: its decision is that of eigvalsh on the matrices
+    model = square_model(n)
+    grid = RadialGrid.make(0.2, 5.0, 16)
+    colloc = geometry.Collocation(model, grid, torus)
+    shape = torus + (len(grid),)
+    rng = np.random.default_rng(7)
+    unitary, _ = np.linalg.qr(rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n)))
+    rest = rng.uniform(0.5, 2.0, size=shape + (n - 1,))
+    factor = np.where(rng.random(shape) < 0.5, 1 - 1e-3, 1 + 1e-3)
+    factor[(0,) * len(torus)] = 1 + 1e-3  # the first degenerate point has phi_a != 0
+    low = factor * 1e-10 * rest.sum(-1) / (n - factor * 1e-10)  # low = factor 1e-10 tr/n
+    lam = np.concatenate([low[..., None], rest], axis=-1)
+    s = np.einsum("...ij,...j,...kj->...ik", unitary, lam, unitary.conj())
+    reference = np.linalg.eigvalsh(s)[..., 0] <= 1e-10 * np.trace(s, axis1=-2, axis2=-1).real / n
+    assert np.array_equal(reference, factor < 1)
+    # s = C sc C^H, where C^{-1} = [[I, phi_a], [0, 1]] has the last column of k
+    cinv = np.broadcast_to(np.eye(n, dtype=complex), s.shape).copy()
+    for a in range(n - 1):
+        cinv[..., a, n - 1] = colloc.k[a, n - 1]
+    sc = cinv @ s @ cinv.conj().swapaxes(-1, -2)
+    chart = {(j, k): sc[..., j, k].real if j == k else sc[..., j, k] for j in range(n) for k in range(j, n)}
+    hessian = {jk: v - colloc.g[jk] for jk, v in chart.items()}
+    assert np.array_equal(geometry._degenerate(hessian, colloc), reference)
+    # the error names the first degenerate point and its smallest eigenvalue
+    monkeypatch.setattr(geometry, "_chart_hessian", lambda *args: (np.zeros(shape), hessian))
+    with pytest.raises(MetricDegenerateError) as info:
+        geometry._ma_values(model, Field.zero(grid, torus), 2, colloc)
+    first = np.unravel_index(np.argmax(reference), reference.shape)
+    assert info.value.where == tuple(int(i) for i in first[:-1])
+    assert info.value.x == grid.x[first[-1]]
+    assert info.value.eigmin == pytest.approx(low[first], abs=1e-14)
+
+
+def test_n3_remainder_matches_extended_precision():
+    # Q = log det(I + g^{-1} h) - tr(g^{-1} h) at collocation points against
+    # 40 digits from the pointwise metric and Hessian; |g^{-1} h| reaches
+    # 1e-3 here, where log(1 + w) - w loses digits if taken directly
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    model = CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
+    grid = RadialGrid.make(0.2, 5.0, 24)
+    keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]
+    f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), (8,) * 4)
+    _, q = geometry._ma_values(model, f, 2)
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        node, idx = tuple(int(i) for i in rng.integers(0, 8, 4)), int(rng.integers(1, len(grid) - 1))
+        v = model.lattice @ (np.array(node) / 8)
+        p = CuspPoint(v[:2] + 1j * v[2:], x=grid.x[idx])
+        g = mpmath.matrix(geometry.metric_coefficients(model, p).entries.tolist())
+        h = mpmath.matrix(geometry.holomorphic_hessian(model, f, p).entries.tolist())
+        b = mpmath.inverse(g) * h
+        ref = mpmath.re(mpmath.log(mpmath.det(mpmath.eye(3) + b)) - (b[0, 0] + b[1, 1] + b[2, 2]))
+        assert abs(float((q[node + (idx,)] - ref) / ref)) < 1e-13

@@ -4,7 +4,13 @@ from scipy.interpolate import CubicSpline
 
 from cusplab import analysis, geometry, modes, spectrum
 from cusplab.bessel import h_pair
-from cusplab.errors import ConfigError, ModeTailError, NonContractionError
+from cusplab.errors import (
+    ConfigError,
+    DecayPreconditionError,
+    MetricDegenerateError,
+    ModeTailError,
+    NonContractionError,
+)
 from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel
@@ -324,10 +330,42 @@ class TestPicard:
     def test_large_boundary_fails_loudly(self):
         model = square_model()
         grid = RadialGrid.make(0.05, 12.0, 600)
-        with pytest.raises(Exception):
+        with pytest.raises(DecayPreconditionError, match=r"zero-mode inhomogeneity decays like x\^-4\.36"):
             modes.picard_solve(
                 model, {(0, 0): 40.0}, grid, torus_resolution=8, tol=1e-12, max_iter=8
             )
+
+    def test_degenerate_metric_names_stage(self):
+        # the iterate drifts (its changes shrink only like 1/k) until the
+        # perturbed metric loses positivity at the outermost interior node
+        grid = RadialGrid.make(0.05, 12.0, 600)
+        with pytest.raises(
+            MetricDegenerateError,
+            match=r"^Picard iteration \d+: perturbed metric degenerate at x=0\.048624, "
+            r"torus index \(0, 0\): smallest eigenvalue -\d\.\d{3}e-01$",
+        ):
+            modes.picard_solve(square_model(), {(0, 0): 16.0}, grid, torus_resolution=8)
+
+    def test_trace_records_residual(self):
+        # on the A5 boundary the residual of each iterate falls from the
+        # quadratic size of the linear solution to the stencil floor
+        grid = RadialGrid.make(0.05, 34.0, 1200)
+        _, state = modes.picard_solve(
+            square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, torus_resolution=16, cutoff=25.0, tol=1e-11
+        )
+        residuals = [record["residual_sup"] for record in state.trace]
+        assert len(residuals) == state.iteration >= 2
+        assert residuals[-1] < residuals[0]
+
+    def test_dimension_four_refused_before_mode_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("modes_below called for n = 4")
+
+        monkeypatch.setattr(modes, "modes_below", no_enumeration)
+        grid = RadialGrid.make(0.05, 12.0, 200)
+        model = CuspModel(4, np.eye(6), np.eye(3))
+        with pytest.raises(ConfigError, match="n = 2 and n = 3"):
+            modes.picard_solve(model, {(0,) * 6: 0.01}, grid, torus_resolution=4)
 
     def test_non_contraction_names_iteration_and_change(self):
         grid = RadialGrid.make(0.05, 12.0, 600)
