@@ -10,8 +10,11 @@ Downstream code combines exponents additively and only exponentiates
 differences that are guaranteed to be <= 0, so raw values like I_alpha(2000)
 are never materialized.
 
-The mantissas come straight from ``scipy.special.ive`` and ``kve`` (Amos's
-algorithm, ACM TOMS 644), which return exactly these scaled values.
+The scaled functions of any order come from ``scipy.special.ive`` and
+``kve`` (Amos's algorithm, ACM TOMS 644), which return exactly these scaled
+values.  The mode kernels need only order n + 2, and `h_pair` builds it from
+orders 0 and 1 (``i0e``/``i1e``/``k0e``/``k1e``, a few times cheaper than one
+``ive``/``kve`` call) by the order recurrences of DLMF 10.29.1.
 
 The homogeneous radial mode solutions are
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, kve
+from scipy.special import i0e, i1e, ive, k0e, k1e, kve
 
 from .errors import ConfigError
 
@@ -142,6 +145,16 @@ class HPair:
     n: int
 
 
+def _raise_order(alpha: int, s: np.ndarray, f0, f1, sign: float) -> np.ndarray:
+    """Order alpha from orders 0 and 1 by f_{a+1} = f_{a-1} + sign (2a/s) f_a
+    (DLMF 10.29.1): sign +1 for e^{s} K, -1 for e^{-s} I."""
+    c = sign * 2.0 / s
+    prev, cur = f0(s), f1(s)
+    for a in range(1, alpha):
+        prev, cur = cur, prev + (a * c) * cur
+    return cur
+
+
 def h_pair(n: int, lam: float, x) -> HPair:
     """Both homogeneous solutions of the mode equation at eigenvalue lam."""
     if not (lam > 0 and np.isfinite(lam)):
@@ -152,6 +165,15 @@ def h_pair(n: int, lam: float, x) -> HPair:
     s = 2.0 * np.sqrt(lam) / np.sqrt(xv)
     alpha = n + 2
     pref = xv ** (-0.5 * n)
-    m1 = pref * ive(alpha, s)
-    m2 = pref * kve(alpha, s)
+    # K's forward recurrence adds positive terms, so it is stable for all s.
+    # I's cancels as s falls under the order (relative error 2.4e-12 at
+    # s = 2 and 0.7 at s = 0.05 for alpha = 5); from s = 2 alpha on it stays
+    # within 3e-15 of 40-digit values for alpha = 3..6, and ive serves the
+    # nodes below.
+    far = s >= 2.0 * alpha
+    i = np.empty_like(s)
+    i[far] = _raise_order(alpha, s[far], i0e, i1e, -1.0)
+    i[~far] = ive(alpha, s[~far])
+    m1 = pref * i
+    m2 = pref * _raise_order(alpha, s, k0e, k1e, 1.0)
     return HPair(m1, m2, s, float(lam), n)

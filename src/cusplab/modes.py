@@ -7,9 +7,14 @@ For a positive torus eigenvalue lambda the bounded solution of
 
 is assembled from the kernel pair H1, H2 (Bessel-backed, carried as
 mantissa/exponent) by variation of parameters.  Every product of kernels
-pairs exponents of opposite sign before exponentiating, so each factor
-exp(...) evaluated here has a nonpositive argument; anything else is a
-programming error and raises.
+pairs exponents of opposite sign.  The exponent sigma = 2 sqrt(lambda) s is
+affine in s = 1/sqrt(x), and the grid is uniform in s, so every pairing
+exp(sigma_k - sigma_l) is rho^(l - k) for the one scalar
+rho = exp(-2 sqrt(lambda) h): the quadrature and the two scans of a mode
+solve are geometric, weighting nodes by powers of rho, and take no
+exponential per node.  Only the homogeneous term exp(sigma_0 - sigma) is
+exponentiated node by node, and a positive argument there is a programming
+error and raises.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -42,13 +47,6 @@ _MODE_FLOOR = 1e-14
 _ITERATION_ORDER = 4
 
 
-def _block_size(sigma: np.ndarray) -> int:
-    dmax = float(np.max(np.diff(sigma)))
-    if dmax <= 0:
-        raise ConfigError("exponent array must be strictly increasing")
-    return max(8, int(_BLOCK_RANGE / dmax))
-
-
 def _guarded_exp(arg: np.ndarray) -> np.ndarray:
     if np.any(arg > _EXP_GUARD):
         raise NumericalError(
@@ -57,33 +55,51 @@ def _guarded_exp(arg: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(arg, 0.0))
 
 
-def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for increasing sigma.
+def _step(sigma: np.ndarray) -> float:
+    """Step per node of an exponent array, read from its endpoints."""
+    return float((sigma[-1] - sigma[0]) / (len(sigma) - 1))
 
-    Processed in blocks so that no intermediate exponential exceeds the
-    block range; stable for arbitrarily large total exponent spans.
+
+def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for increasing sigma of
+    uniform step d (uniform to 1e-12 of max |sigma|; anything else raises).
+
+    With rho = exp(-d) this is the geometric scan R_i = q_i + rho R_{i+1},
+    run forward over q[::-1].  The nodes are cut into blocks of K with
+    K d <= 30, the first block starting on the last node; one reshape to
+    (blocks, K) and one cumsum along the block axis, weighted by the fixed
+    vector rho^-j, sum every block, and a scalar loop over the blocks
+    carries each block's last value into the block after.  Stable for
+    arbitrarily large total exponent spans, and no exponential is taken per
+    node.
     """
     nn = len(sigma)
-    out = np.empty(nn, dtype=np.result_type(q.dtype, float))
-    K = _block_size(sigma)
-    carry = 0.0  # R at the first index of the previously processed block
-    sigma_b = sigma[-1]
-    for a in range(((nn - 1) // K) * K, -1, -K):
-        b = min(a + K, nn)
-        ref = sigma[b - 1]
-        w = q[a:b] * np.exp(ref - sigma[a:b])  # exponents in [0, block range]
-        v = np.cumsum(w[::-1])[::-1]
-        if b < nn:
-            v = v + np.exp(ref - sigma_b) * carry
-        out[a:b] = np.exp(sigma[a:b] - ref) * v  # exponents in [-range, 0]
-        carry = out[a]
-        sigma_b = sigma[a]
-    return out
+    d = _step(sigma) if nn > 1 else 0.0
+    if not d > 0:
+        raise ConfigError("exponent array must be strictly increasing")
+    dsig = np.diff(sigma)
+    if not max(dsig.max() - d, d - dsig.min()) <= 1e-12 * max(abs(sigma[0]), abs(sigma[-1])):
+        raise ConfigError("exponent array must be uniform: the scans weight nodes by powers of one ratio")
+    K = max(1, min(nn, int(_BLOCK_RANGE / d)))
+    blocks = -(-nn // K)
+    w = np.exp(d * np.arange(K))  # rho^-j, in [1, e^30]; exactly 1 on each block's first node
+    w_inv = 1.0 / w  # complex q is multiplied, never divided, so real parts match a real q's
+    rho_head = np.exp(-d) * w_inv  # rho^(j + 1): from the previous block's last node to node j
+    out = np.zeros((blocks, K), dtype=np.result_type(q.dtype, float))
+    out.reshape(-1)[:nn] = q[::-1]  # zeros after the first node
+    out *= w
+    np.cumsum(out, axis=1, out=out)
+    out *= w_inv  # sums within each block
+    carry = np.zeros(blocks, dtype=out.dtype)  # scan value at the last node of block b - 1
+    for b in range(1, blocks):
+        carry[b] = out[b - 1, -1] + rho_head[-1] * carry[b - 1]
+    out[1:] += carry[1:, None] * rho_head
+    return out.reshape(-1)[nn - 1 :: -1]
 
 
 def exp_weighted_cumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for increasing sigma:
-    the reverse scan on the mirrored exponents -sigma[::-1]."""
+    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for increasing sigma of
+    uniform step: the reverse scan on the mirrored exponents -sigma[::-1]."""
     return exp_weighted_revcumsum(-sigma[::-1], q[::-1])[::-1]
 
 
@@ -91,10 +107,10 @@ def _cumulative_down(sigma: np.ndarray, y: np.ndarray, h: float, tail_mass) -> n
     """P_i = int_{s_i}^{s_end} y(s) exp(sigma_i - sigma(s)) ds + paired tail.
 
     The 4th-order interval rule of `radial.interval_integrals`, each interval
-    weighted from its first node, summed by one reverse scan; the tail mass
-    sits at the deepest node.
+    weighted from its first node by powers of rho = exp(-step of sigma),
+    summed by one reverse scan; the tail mass sits at the deepest node.
     """
-    seg = interval_integrals(h, y, sigma)
+    seg = interval_integrals(h, y, np.exp(-_step(sigma)))
     return exp_weighted_revcumsum(sigma, np.append(seg, tail_mass))
 
 
@@ -104,7 +120,7 @@ def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     The same rule on the mirrored grid weights each interval from its last
     node; one forward scan sums them.
     """
-    seg = interval_integrals(h, y[::-1], -sigma[::-1])[::-1]
+    seg = interval_integrals(h, y[::-1], np.exp(-_step(sigma)))[::-1]
     return exp_weighted_cumsum(sigma, np.append(0.0, seg))
 
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DecayPreconditionError, NumericalError
 from .grid import RadialGrid
@@ -100,6 +99,10 @@ def integrate_calabi(
         near_breakdown.terminal = True
         near_breakdown.direction = -1
         events = [near_breakdown]
+
+    # imported here: scipy.integrate pulls in scipy.optimize, and only this
+    # trajectory needs it, so no other command pays for the import
+    from scipy.integrate import solve_ivp
 
     t_nodes = np.linspace(t0, t_end, num_nodes)
     sol = solve_ivp(
@@ -280,30 +283,26 @@ def tangent_cone_coefficients(n: int, c: float, K: int) -> np.ndarray:
 # --- zero-mode kernel ---
 
 
-def interval_integrals(h: float, y: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
+def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0) -> np.ndarray:
     """Per-interval integrals of y ds on a uniform grid of step h, 4th order.
 
     Each interval integrates the cubic through its four nearest nodes, so
     the error varies smoothly from node to node (no odd/even sawtooth) and
-    stays harmless under second differences.  With an exponent array
-    `sigma`, interval k integrates y(s) exp(sigma_k - sigma(s)) instead: the
-    same weights act on y_l exp(sigma_k - sigma_l), each factor spanning at
-    most three steps, so the mode kernels' exponents never meet unpaired.
+    stays harmless under second differences.  With a ratio rho = exp(-d),
+    interval k integrates y(s) exp(sigma_k - sigma(s)) for an exponent
+    sigma of uniform step d per node instead: the same weights act on
+    y_l rho^(l - k), so the mode kernels' exponents never meet unpaired and
+    only the five scalars rho^(+-1), rho^(+-2), rho^3 are ever formed.  At
+    rho = 1 every factor is exactly 1 and the plain rule comes out bit for bit.
     """
     nn = len(y)
     if nn < 4:
         raise ConfigError("cumulative integral needs at least 4 nodes")
-
-    def at(k, l):  # y_l, relative to the exponent at node k when weighted
-        return y[l] if sigma is None else y[l] * np.exp(sigma[k] - sigma[l])
-
+    rho2, inv = rho * rho, 1.0 / rho
     seg = np.empty(nn - 1, dtype=y.dtype)
-    k = slice(1, -2)  # interior intervals
-    seg[1:-1] = (h / 24.0) * (
-        -at(k, slice(None, -3)) + 13.0 * y[1:-2] + 13.0 * at(k, slice(2, -1)) - at(k, slice(3, None))
-    )
-    seg[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * at(0, 1) - 5.0 * at(0, 2) + at(0, 3))
-    seg[-1] = (h / 24.0) * (at(-2, -4) - 5.0 * at(-2, -3) + 19.0 * y[-2] + 9.0 * at(-2, -1))
+    seg[1:-1] = (h / 24.0) * (-inv * y[:-3] + 13.0 * y[1:-2] + (13.0 * rho) * y[2:-1] - rho2 * y[3:])
+    seg[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * rho * y[1] - 5.0 * rho2 * y[2] + rho2 * rho * y[3])
+    seg[-1] = (h / 24.0) * (inv * inv * y[-4] - 5.0 * inv * y[-3] + 19.0 * y[-2] + 9.0 * rho * y[-1])
     return seg
 
 

@@ -168,3 +168,20 @@ def test_argument_validation():
     for lam in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             bessel.h_pair(2, lam, 0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_h_pair_matches_extended_precision_oracle(n):
+    # the mantissas divided by x^{-n/2} are e^{-s} I_{n+2}(s) and e^{s} K_{n+2}(s);
+    # nodes on both sides of s = 2(n+2), where I switches from ive to the recurrence
+    alpha = n + 2
+    s = np.concatenate([np.geomspace(0.05, 3000.0, 40), 2 * alpha * (1 + np.array([-1e-6, 1e-6]))])
+    x = 4.0 / s**2  # lambda = 1
+    pair = bessel.h_pair(n, 1.0, x)
+    sv = pair.exponent
+    assert np.any(sv < 2 * alpha) and np.any(sv >= 2 * alpha)
+    pref = x ** (-0.5 * n)
+    for j, sj in enumerate(sv):
+        oi, ok = _oracle_i_scaled(alpha, sj), _oracle_k_scaled(alpha, sj)
+        assert abs(pair.h1_mantissa[j] / pref[j] - oi) / oi < 1e-13
+        assert abs(pair.h2_mantissa[j] / pref[j] - ok) / ok < 1e-13

@@ -74,6 +74,55 @@ class TestScans:
         assert np.log2(errs_p[0] / errs_p[1]) > 3.3
         assert np.log2(errs_q[0] / errs_q[1]) > 3.3
 
+    def test_cumulative_integrals_match_long_double_recurrence(self):
+        # A4's grid at its largest eigenvalue: the exponent spans 334 over
+        # 120 000 nodes.  The reference sums the same interval rule by the recurrence
+        # R_i = q_i + rho R_{i+1} in long double, with rho from sigma's endpoints.
+        grid = RadialGrid.make(0.1, 20.0, 120_000)
+        sigma = h_pair(2, 10 * np.pi**2, grid.x).exponent
+        y = np.random.default_rng(11).normal(size=len(grid))
+        P = modes._cumulative_down(sigma, y, grid.h, 0.0)
+        Q = modes._cumulative_up(sigma, y, grid.h)
+
+        L = np.longdouble
+        nn = len(y)
+        rho = np.exp(-(L(sigma[-1]) - L(sigma[0])) / L(nn - 1))
+        hl = L(grid.h)
+
+        def segments(yl):  # interval k weighted from its first node
+            seg = np.empty(nn - 1, dtype=L)
+            seg[1:-1] = hl / 24 * (-yl[:-3] / rho + 13 * yl[1:-2] + 13 * rho * yl[2:-1] - rho**2 * yl[3:])
+            seg[0] = hl / 24 * (9 * yl[0] + 19 * rho * yl[1] - 5 * rho**2 * yl[2] + rho**3 * yl[3])
+            seg[-1] = hl / 24 * (yl[-4] / rho**2 - 5 * yl[-3] / rho + 19 * yl[-2] + 9 * rho * yl[-1])
+            return seg
+
+        def scan(seg):
+            out = np.zeros(nn, dtype=L)
+            acc = L(0)
+            for i, q in enumerate(seg):
+                acc = q + rho * acc
+                out[i + 1] = acc
+            return out
+
+        yl = y.astype(L)
+        P_ref = scan(segments(yl)[::-1])[::-1]  # P_{nn-1} = 0: no tail mass
+        Q_ref = scan(segments(yl[::-1])[::-1])  # mirrored interval k weighted from its last node
+        assert np.max(np.abs(P - P_ref)) < 3e-14 * np.max(np.abs(P_ref))
+        assert np.max(np.abs(Q - Q_ref)) < 3e-14 * np.max(np.abs(Q_ref))
+
+    @pytest.mark.parametrize("scan", [modes.exp_weighted_revcumsum, modes.exp_weighted_cumsum])
+    def test_scans_need_uniform_increasing_exponents(self, scan):
+        sigma = np.linspace(100.0, 140.0, 400)
+        q = np.ones(400)
+        ulps = sigma.copy()
+        ulps[200] = np.nextafter(np.nextafter(ulps[200], 200.0), 200.0)
+        assert np.all(np.isfinite(scan(ulps, q)))  # a few ulps of noise is uniform
+        bent = sigma.copy()
+        bent[200] += 1e-8
+        for bad in (bent, sigma[::-1], np.full(400, 100.0), sigma[:1]):
+            with pytest.raises(ConfigError):
+                scan(bad, q[: len(bad)])
+
 
 class TestModeSolve:
     def test_homogeneous_solution(self):

@@ -196,3 +196,20 @@ def test_cumulative_integral_order():
         exact = (np.cos(3.0) - np.cos(3 * s)) / 3.0
         errs.append(np.max(np.abs(got - exact)))
     assert np.log2(errs[0] / errs[1]) > 3.5
+
+
+def test_interval_rule_weights():
+    # unweighted: the plain cubic rule, bit for bit (the zero-mode kernel uses it);
+    # weighted by rho = exp(-d): node l of interval k carries exp(sigma_k - sigma_l)
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=50)
+    h, d = 0.1, 0.7
+    plain = radial.interval_integrals(h, y)
+    assert np.array_equal(plain[1:-1], (h / 24.0) * (-y[:-3] + 13.0 * y[1:-2] + 13.0 * y[2:-1] - y[3:]))
+    sigma = d * np.arange(50)
+    brute = np.empty(49)
+    for k in range(49):
+        lo, coef = {0: (0, [9, 19, -5, 1]), 48: (46, [1, -5, 19, 9])}.get(k, (k - 1, [-1, 13, 13, -1]))
+        brute[k] = (h / 24.0) * sum(c * y[lo + i] * np.exp(sigma[k] - sigma[lo + i]) for i, c in enumerate(coef))
+    got = radial.interval_integrals(h, y, np.exp(-d))
+    assert np.max(np.abs(got - brute)) < 1e-14 * np.max(np.abs(brute))
