@@ -1,20 +1,4 @@
-"""Overflow-safe modified Bessel functions and radial mode kernels.
-
-Everything is carried as (mantissa, exponent) pairs representing
-``mantissa * exp(exponent)``:
-
-* for I_alpha the stored pair is (e^{-s} I_alpha(s), +s),
-* for K_alpha it is (e^{+s} K_alpha(s), -s).
-
-Downstream code combines exponents additively and only exponentiates
-differences that are guaranteed to be <= 0, so raw values like I_alpha(2000)
-are never materialized.
-
-The scaled functions of any order come from ``scipy.special.ive`` and
-``kve`` (Amos's algorithm, ACM TOMS 644), which return exactly these scaled
-values.  The mode kernels need only order n + 2, and `h_pair` builds it from
-orders 0 and 1 (``i0e``/``i1e``/``k0e``/``k1e``, a few times cheaper than one
-``ive``/``kve`` call) by the order recurrences of DLMF 10.29.1.
+"""Radial mode kernels in overflow-safe scaled form.
 
 The homogeneous radial mode solutions are
 
@@ -22,8 +6,20 @@ The homogeneous radial mode solutions are
     H2(x) = x^{-n/2} K_{n+2}(2 sqrt(lambda)/sqrt(x)),
 
 increasing resp. decreasing in 1/x, with Wronskian H1 H2' - H1' H2 =
-1/(2 x^{n+1}).  Derivatives are always taken through the stable order
-recurrences I' = (I_{a-1} + I_{a+1})/2, K' = -(K_{a-1} + K_{a+1})/2.
+1/(2 x^{n+1}).  `HPair` is the one (mantissa, exponent) type: it stores
+H1 = h1_mantissa * exp(+s) and H2 = h2_mantissa * exp(-s) with
+s = 2 sqrt(lambda)/sqrt(x).  Downstream code combines exponents additively
+and only exponentiates differences that are guaranteed to be <= 0, so raw
+values like I_alpha(2000) are never materialized.
+
+The scaled values e^{-s} I_alpha(s) and e^{s} K_alpha(s) of any order are
+``scipy.special.ive`` and ``kve`` (Amos's algorithm, ACM TOMS 644); callers
+that want them call scipy directly.  `h_pair` builds order n + 2 from
+orders 0 and 1 (``i0e``/``i1e``/``k0e``/``k1e``, a few times cheaper than one
+``ive``/``kve`` call) by the order recurrences of DLMF 10.29.1.
+`wronskian_residuals` checks both kernel identities, with derivatives taken
+through the stable order recurrences I' = (I_{a-1} + I_{a+1})/2,
+K' = -(K_{a-1} + K_{a+1})/2.
 """
 
 from __future__ import annotations
@@ -36,14 +32,6 @@ from scipy.special import i0e, i1e, ive, k0e, k1e, kve
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class ScaledBessel:
-    """value = mantissa * exp(exponent); mantissa finite and positive."""
-
-    mantissa: np.ndarray
-    exponent: np.ndarray
-
-
 def _check_args(alpha: int, s) -> np.ndarray:
     if alpha < 3 or alpha != int(alpha):
         raise ConfigError(f"order must be an integer >= 3, got {alpha}")
@@ -51,18 +39,6 @@ def _check_args(alpha: int, s) -> np.ndarray:
     if np.any(s <= 0):
         raise ConfigError("argument s must be positive")
     return s
-
-
-def bessel_i_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{-s} I_alpha(s), +s), relative error <= 1e-13."""
-    sv = _check_args(alpha, s)
-    return ScaledBessel(ive(alpha, sv), sv.copy())
-
-
-def bessel_k_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{+s} K_alpha(s), -s), relative error <= 1e-13."""
-    sv = _check_args(alpha, s)
-    return ScaledBessel(kve(alpha, sv), -sv)
 
 
 def _i_prime(alpha: int, s: np.ndarray) -> np.ndarray:
@@ -73,31 +49,6 @@ def _i_prime(alpha: int, s: np.ndarray) -> np.ndarray:
 def _k_prime(alpha: int, s: np.ndarray) -> np.ndarray:
     """e^{+s} K_alpha'(s) by the order recurrence K' = -(K_{a-1} + K_{a+1}) / 2."""
     return -0.5 * (kve(alpha - 1, s) + kve(alpha + 1, s))
-
-
-def bessel_i_prime_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{-s} I_alpha'(s), +s)."""
-    sv = _check_args(alpha, s)
-    return ScaledBessel(_i_prime(alpha, sv), sv.copy())
-
-
-def bessel_k_prime_scaled(alpha: int, s) -> ScaledBessel:
-    """(e^{+s} K_alpha'(s), -s)."""
-    sv = _check_args(alpha, s)
-    return ScaledBessel(_k_prime(alpha, sv), -sv)
-
-
-def asymptotic_bracket(alpha: int, s):
-    """Measured bracketing factors (I and K) against the leading asymptotics.
-
-    Returns (scaled_I * sqrt(2 pi s), scaled_K / sqrt(pi/(2 s))); both tend
-    to 1 as s grows, and their distance from 1 is the diagnostic for where
-    the large-argument envelope becomes trustworthy.
-    """
-    sv = _check_args(alpha, s)
-    fi = ive(alpha, sv) * np.sqrt(2.0 * np.pi * sv)
-    fk = kve(alpha, sv) / np.sqrt(np.pi / (2.0 * sv))
-    return fi, fk
 
 
 def wronskian_residuals(alpha: int, s):

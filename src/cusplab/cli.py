@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ive, kve
 
 from . import acceptance, analysis, bessel, modes, radial, spectrum
 from .errors import ConfigError, CuspLabError, NumericalError
@@ -57,25 +58,11 @@ def write_csv(path: Path, header: list, rows: list):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
-
-
 def write_json(path: Path, payload: dict):
+    """The payload as sorted, indented JSON; numpy scalars and arrays go
+    through their own `tolist`."""
     with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -254,14 +241,11 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
     rows = []
     worst = 0.0
     for alpha in range(a_min, a_max + 1):
-        iv = bessel.bessel_i_scaled(alpha, s)
-        kv = bessel.bessel_k_scaled(alpha, s)
-        r_abel, r_mode = bessel.wronskian_residuals(alpha, s)
+        r_abel, r_mode = bessel.wronskian_residuals(alpha, s)  # refuses alpha < 3
         if not (np.all(np.isfinite(r_abel)) and np.all(np.isfinite(r_mode))):
             raise NumericalError(f"non-finite Wronskian residual at alpha = {alpha}")
         worst = max(worst, float(np.max(r_abel)), float(np.max(r_mode)))
-        for i, sv in enumerate(s):
-            rows.append([alpha, sv, iv.mantissa[i], kv.mantissa[i], r_abel[i], r_mode[i]])
+        rows.extend(zip([alpha] * len(s), s, ive(alpha, s), kve(alpha, s), r_abel, r_mode))
     header = ["alpha", "s", "i_scaled", "k_scaled", "abel_residual", "mode_wronskian_residual"]
     write_csv(out_dir / "bessel-sweep.csv", header, rows)
     return {"max_residual": worst}
@@ -306,8 +290,8 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
     write_csv(out_dir / "solve.csv", header, zip(*columns))
     return {
         "iterations": state.iteration,
-        "sup_change": state.sup_change,
-        "contraction_history": state.contraction_history,
+        "sup_change": state.trace[-1]["sup_change"],
+        "contraction_history": [record["sup_change"] for record in state.trace],
         "trace": state.trace,
         "tangent_cone_c": c_fit,
         "tangent_cone_rms": c_rms,

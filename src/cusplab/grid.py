@@ -93,6 +93,21 @@ def uniform_derivative(f: np.ndarray, h: float, deriv: int, order: int = 2) -> n
     return out
 
 
+# Uniformity tolerance of a step array, relative to its largest |node|: the
+# mode scans weight nodes by powers of one ratio and refuse an exponent array
+# whose steps deviate from its endpoint step by more than UNIFORM_TOL times
+# its largest |exponent|.  A grid allows half of that, so the exponent
+# 2 sqrt(lambda) s of every grid it builds passes the scans' check.
+UNIFORM_TOL = 1e-12
+
+
+def step_deviation(a: np.ndarray) -> float:
+    """Largest deviation of a's steps from its endpoint step."""
+    ds = np.diff(a)
+    d = (a[-1] - a[0]) / (len(a) - 1)
+    return float(max(ds.max() - d, d - ds.min()))
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly decreasing radial nodes in (0, x0], uniform in s = 1/sqrt(x)."""
@@ -106,7 +121,7 @@ class RadialGrid:
         ds = np.diff(s)
         if not np.all(ds > 0):
             raise ConfigError("s nodes must be strictly increasing")
-        if not np.allclose(ds, ds[0], rtol=1e-10):
+        if not step_deviation(s) <= 0.5 * UNIFORM_TOL * max(abs(s[0]), abs(s[-1])):
             raise ConfigError("s nodes must be uniform")
         object.__setattr__(self, "s", s)
 

@@ -23,6 +23,7 @@ remainder of the Monge-Ampere operator.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from . import geometry
 from .bessel import HPair, h_pair
 from .errors import ConfigError, MetricDegenerateError, ModeTailError, NonContractionError, NumericalError
 from .fields import Field, check_torus_shape
-from .grid import RadialGrid
+from .grid import UNIFORM_TOL, RadialGrid, step_deviation
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
 from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
@@ -62,7 +63,8 @@ def _step(sigma: np.ndarray) -> float:
 
 def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
     """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for increasing sigma of
-    uniform step d (uniform to 1e-12 of max |sigma|; anything else raises).
+    uniform step d (uniform to `grid.UNIFORM_TOL` of max |sigma|; anything
+    else raises).
 
     With rho = exp(-d) this is the geometric scan R_i = q_i + rho R_{i+1},
     run forward over q[::-1].  The nodes are cut into blocks of K with
@@ -77,8 +79,7 @@ def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = _step(sigma) if nn > 1 else 0.0
     if not d > 0:
         raise ConfigError("exponent array must be strictly increasing")
-    dsig = np.diff(sigma)
-    if not max(dsig.max() - d, d - dsig.min()) <= 1e-12 * max(abs(sigma[0]), abs(sigma[-1])):
+    if not step_deviation(sigma) <= UNIFORM_TOL * max(abs(sigma[0]), abs(sigma[-1])):
         raise ConfigError("exponent array must be uniform: the scans weight nodes by powers of one ratio")
     K = max(1, min(nn, int(_BLOCK_RANGE / d)))
     blocks = -(-nn // K)
@@ -291,10 +292,7 @@ class PicardState:
     `diagnostics` holds the torus shape the solve collocated on, with the
     lattice axes the boundary data spans as its reason."""
 
-    iterate: Field
     iteration: int
-    sup_change: float
-    contraction_history: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
@@ -325,6 +323,23 @@ def boundary_torus_shape(boundary: dict, dims: int, torus_resolution: int) -> tu
     return tuple(torus_resolution if i in spanned else 1 for i in range(dims))
 
 
+def _check_contraction(it: int, previous: float, change: float, tol: float, max_iter: int):
+    """Raise NonContractionError unless Picard iteration `it`, at ratio
+    q = change/previous, still contracts fast enough: q < 1, and the
+    geometric projection it + log(tol/change)/log q of the iteration that
+    reaches tol is at most 2 max_iter.  A drift whose changes shrink like
+    1/k has q -> 1 and is refused early instead of running on until the
+    metric degenerates."""
+    q = change / previous  # both at least tol > 0: neither broke the loop
+    projected = it + math.log(tol / change) / math.log(q) if q < 1 else math.inf
+    if q >= 1 or projected > 2 * max_iter:
+        raise NonContractionError(
+            f"Picard iteration {it} stopped contracting: change {change:.3e} after {previous:.3e} "
+            f"(ratio {q:.3f}, tolerance {tol:.1e} projected at iteration {projected:.0f}, "
+            f"past 2 max_iter = {2 * max_iter}); boundary data too large for the fixed point"
+        )
+
+
 @contextmanager
 def _stage(name: str):
     """Prefix a ModeTailError or MetricDegenerateError with the solve stage."""
@@ -350,16 +365,19 @@ def picard_solve(
     x0 given as torus mode coefficients.
 
     cutoff is the mode cutoff in multiples of the first eigenvalue.  Returns
-    (Field, PicardState); the state records the contraction history, a
-    per-iteration trace, the spectral tail indicator, and the final residual
-    measured with the `final_order` radial stencils.  The solve collocates
-    on `boundary_torus_shape`: torus_resolution points along the lattice
-    axes the boundary data spans, one along the others.  The collocation
+    (Field, PicardState); the state records a per-iteration trace, the
+    spectral tail indicator, and the final residual measured with the
+    `final_order` radial stencils.  From iteration 3 on, a solve that stops
+    contracting fast enough raises (`_check_contraction`).  The solve
+    collocates on `boundary_torus_shape`: torus_resolution points along the
+    lattice axes the boundary data spans, one along the others.  The collocation
     geometry is built once here, before any mode is enumerated (it refuses
     n > 3), and shared by every collocation call.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
     lam1 = first_eigenvalue(model)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)
@@ -367,7 +385,7 @@ def picard_solve(
     colloc = geometry.Collocation(model, grid, shape)
     below = modes_below(model, cutoff * lam1)
     u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
-    history, trace = [], []
+    trace = []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         with _stage(f"Picard iteration {it}"):
@@ -379,20 +397,16 @@ def picard_solve(
         t2 = time.perf_counter()
         change = (u - u_old).sup_norm()
         del u_old
-        history.append(change)
         trace.append({"sup_change": change, "residual_sup": res_sup, **diag,
                       "collocation_s": t1 - t0, "assembly_s": t2 - t1})
         if change < tol:
             break
-        if it >= 3 and history[-1] > history[-2]:
-            raise NonContractionError(
-                f"Picard iteration {it} stopped contracting: change {history[-1]:.3e} "
-                f"after {history[-2]:.3e}; boundary data too large for the fixed point"
-            )
+        if it >= 3:
+            _check_contraction(it, trace[-2]["sup_change"], change, tol, max_iter)
     else:
         raise NonContractionError(
             f"no convergence within {max_iter} iterations: Picard iteration {it} "
-            f"changed the iterate by {history[-1]:.3e}, tolerance {tol:.1e}"
+            f"changed the iterate by {change:.3e}, tolerance {tol:.1e}"
         )
 
     # one last pass with the noise-floored inhomogeneity keeps the deep
@@ -407,10 +421,7 @@ def picard_solve(
         residual = geometry.monge_ampere_residual(model, u, final_order, colloc)
     res_sup = residual.sup_norm(grid.interior(final_order))
     state = PicardState(
-        iterate=u,
         iteration=it,
-        sup_change=history[-1],
-        contraction_history=history,
         trace=trace,
         diagnostics={
             "tail_indicator": diag["tail_indicator"],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cusplab.errors import ConfigError
-from cusplab.grid import RadialGrid, fd_weights, uniform_derivative
+from cusplab import modes
+from cusplab.grid import UNIFORM_TOL, RadialGrid, fd_weights, uniform_derivative
 
 
 def test_fd_weights_polynomial_exactness():
@@ -51,6 +52,22 @@ def test_grid_validation():
     g = RadialGrid.make(0.25, 10.0, 50)
     assert g.x0 == pytest.approx(0.25)
     assert g.x[0] > g.x[-1] > 0
+
+
+def test_grid_uniform_to_the_scans_tolerance():
+    # a node moved by 1e-9 (step 1.4e-4) used to pass the grid's allclose
+    # check and fail only in the first mode solve
+    s = np.linspace(1 / np.sqrt(0.1), 20.0, 120000)
+    s[60000] += 1e-9
+    with pytest.raises(ConfigError, match="uniform"):
+        RadialGrid(s)
+    # the largest jitter the grid accepts passes the scans at any lambda
+    s = np.linspace(1 / np.sqrt(0.1), 20.0, 4000)
+    s[2000] += 0.45 * UNIFORM_TOL * s[-1]
+    grid = RadialGrid(s)
+    for lam in (np.pi**2, 1e4 * np.pi**2):
+        prob = modes.ModeProblem(n=2, lam=lam, f=np.zeros(len(grid)), v_x0=1.0, grid=grid)
+        assert np.all(np.isfinite(modes.mode_solve(prob)))
 
 
 def test_boundary_stencils_are_one_sided():

@@ -6,7 +6,6 @@ from cusplab import analysis, geometry, modes, spectrum
 from cusplab.bessel import h_pair
 from cusplab.errors import (
     ConfigError,
-    DecayPreconditionError,
     MetricDegenerateError,
     ModeTailError,
     NonContractionError,
@@ -342,7 +341,7 @@ class TestPicard:
         c_fit, rms = modes.extract_tangent_cone(u, 2)
         assert c_fit == pytest.approx(c, abs=1e-6)
         # contraction history nonincreasing after the first two sweeps
-        hist = state.contraction_history
+        hist = [record["sup_change"] for record in state.trace]
         assert all(hist[i + 1] <= hist[i] for i in range(1, len(hist) - 1))
 
     def test_contraction_scales_with_amplitude(self):
@@ -356,8 +355,7 @@ class TestPicard:
             _, state = modes.picard_solve(
                 model, {(0, 0): beta}, grid, torus_resolution=8, tol=1e-14, max_iter=25
             )
-            hist = state.contraction_history
-            rhos.append(hist[1] / hist[0])
+            rhos.append(state.trace[1]["sup_change"] / state.trace[0]["sup_change"])
         slope = np.polyfit(np.log([1e-4, 1e-3, 1e-2]), np.log(rhos), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
 
@@ -377,23 +375,41 @@ class TestPicard:
             modes.picard_solve(model, {(1, 0): 1e-3}, grid, torus_resolution=8)
 
     def test_large_boundary_fails_loudly(self):
+        # the drift is refused at iteration 3, before its zero-mode
+        # inhomogeneity stops decaying (DecayPreconditionError at iteration 5)
         model = square_model()
         grid = RadialGrid.make(0.05, 12.0, 600)
-        with pytest.raises(DecayPreconditionError, match=r"zero-mode inhomogeneity decays like x\^-4\.36"):
+        with pytest.raises(
+            NonContractionError,
+            match=r"^Picard iteration 3 stopped contracting: .* \(ratio 0\.\d{3}, tolerance 1\.0e-12 "
+            r"projected at iteration \d+, past 2 max_iter = 16\)",
+        ):
             modes.picard_solve(
                 model, {(0, 0): 40.0}, grid, torus_resolution=8, tol=1e-12, max_iter=8
             )
 
     def test_degenerate_metric_names_stage(self):
-        # the iterate drifts (its changes shrink only like 1/k) until the
-        # perturbed metric loses positivity at the outermost interior node
+        # the linear solution of a unit cosine boundary already makes the
+        # perturbed metric lose positivity at the boundary node
         grid = RadialGrid.make(0.05, 12.0, 600)
         with pytest.raises(
             MetricDegenerateError,
-            match=r"^Picard iteration \d+: perturbed metric degenerate at x=0\.048624, "
-            r"torus index \(0, 0\): smallest eigenvalue -\d\.\d{3}e-01$",
+            match=r"^Picard iteration 1: perturbed metric degenerate at x=0\.05, "
+            r"torus index \(0, 0\): smallest eigenvalue -\d\.\d{3}e\+00$",
         ):
-            modes.picard_solve(square_model(), {(0, 0): 16.0}, grid, torus_resolution=8)
+            modes.picard_solve(square_model(), {(1, 0): 0.5, (-1, 0): 0.5}, grid, torus_resolution=8)
+
+    def test_drift_refused_by_projected_iteration_count(self):
+        # the changes of this drift shrink only like 1/k (2.65, 1.32, 0.84,
+        # ...): the ratio q stays below 1 for 37 iterations, but the geometric
+        # projection of the iteration that reaches tol passes 2 max_iter early
+        grid = RadialGrid.make(0.05, 12.0, 600)
+        with pytest.raises(
+            NonContractionError,
+            match=r"^Picard iteration ([3-9]|10) stopped contracting: change \d\.\d{3}e-\d+ after \d\.\d{3}e-\d+ "
+            r"\(ratio 0\.\d{3}, tolerance 1\.0e-10 projected at iteration \d+, past 2 max_iter = 80\)",
+        ):
+            modes.picard_solve(square_model(), {(0, 0): 16.0}, grid, torus_resolution=8, max_iter=40)
 
     def test_trace_records_residual(self):
         # on the A5 boundary the residual of each iterate falls from the
@@ -418,7 +434,11 @@ class TestPicard:
 
     def test_non_contraction_names_iteration_and_change(self):
         grid = RadialGrid.make(0.05, 12.0, 600)
-        with pytest.raises(NonContractionError, match=r"^Picard iteration \d+ stopped contracting: change \d\.\d{3}e-\d+ after \d\.\d{3}e-\d+"):
+        with pytest.raises(
+            NonContractionError,
+            match=r"^Picard iteration \d+ stopped contracting: change \d\.\d{3}e-\d+ after \d\.\d{3}e-\d+ "
+            r"\(ratio \d\.\d{3}, tolerance 1\.0e-12 projected at iteration (\d+|inf), past 2 max_iter = 80\)",
+        ):
             modes.picard_solve(square_model(), {(0, 0): 4.0}, grid, torus_resolution=8, tol=1e-12)
 
     def test_no_convergence_names_iteration_and_change(self):
@@ -429,6 +449,8 @@ class TestPicard:
             modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, tol=1e-12, max_iter=2)
         with pytest.raises(ConfigError, match="max_iter"):
             modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, max_iter=0)
+        with pytest.raises(ConfigError, match="tol"):
+            modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, tol=0.0)
 
     def test_tail_error_names_iteration_tail_and_tolerance(self):
         grid = RadialGrid.make(0.05, 34.0, 300)

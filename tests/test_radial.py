@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,13 @@ class TestExpansion:
         k = np.arange(21.0)
         scale = np.max(np.abs((k - 1) * (k + 3) * series.coeffs))
         assert radial.series_equation_residual(series) / scale < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_unit_coefficients_exact(self, n):
+        # with D_1 = 1 the solution is -(n+1) log(1 + x/(n+1)) (tangent cone
+        # c = -1/(n+1)), whose coefficients are D_k = 1/(k (n+1)^(k-1)) exactly
+        D = radial._unit_coefficients(n, 40)
+        assert all(D[k] == Fraction(1, k * (n + 1) ** (k - 1)) for k in range(1, 41))
 
     def test_equation_residual_exact_at_order_cap(self):
         # C_k = 3(-1)^k/k are all at most 3, but the powers of u/(n+1) carry
