@@ -15,8 +15,9 @@ values like I_alpha(2000) are never materialized.
 The scaled values e^{-s} I_alpha(s) and e^{s} K_alpha(s) of any order are
 ``scipy.special.ive`` and ``kve`` (Amos's algorithm, ACM TOMS 644); callers
 that want them call scipy directly.  `h_pair` builds order n + 2 from
-orders 0 and 1 (``i0e``/``i1e``/``k0e``/``k1e``, a few times cheaper than one
-``ive``/``kve`` call) by the order recurrences of DLMF 10.29.1.
+orders 0 and 1 by the order recurrences of DLMF 10.29.1.  It takes three
+scaled calls, ``k0e``, ``k1e`` and ``i0e``, each a few times cheaper than one
+``ive``/``kve`` call; e^{-s} I_1 follows from the Wronskian of DLMF 10.28.2.
 `wronskian_residuals` checks both kernel identities, with derivatives taken
 through the stable order recurrences I' = (I_{a-1} + I_{a+1})/2,
 K' = -(K_{a-1} + K_{a+1})/2.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e, ive, k0e, k1e, kve
+from scipy.special import i0e, ive, k0e, k1e, kve
 
 from .errors import ConfigError
 
@@ -96,18 +97,31 @@ class HPair:
     n: int
 
 
-def _raise_order(alpha: int, s: np.ndarray, f0, f1, sign: float) -> np.ndarray:
-    """Order alpha from orders 0 and 1 by f_{a+1} = f_{a-1} + sign (2a/s) f_a
-    (DLMF 10.29.1): sign +1 for e^{s} K, -1 for e^{-s} I."""
+def _raise_order(alpha: int, s: np.ndarray, f0: np.ndarray, f1: np.ndarray, sign: float) -> np.ndarray:
+    """Order alpha from the order-0 and order-1 values f0, f1 by
+    f_{a+1} = f_{a-1} + sign (2a/s) f_a (DLMF 10.29.1): sign +1 for e^{s} K,
+    -1 for e^{-s} I."""
     c = sign * 2.0 / s
-    prev, cur = f0(s), f1(s)
+    prev, cur = f0, f1
     for a in range(1, alpha):
         prev, cur = cur, prev + (a * c) * cur
     return cur
 
 
+def _i_far(alpha: int, s: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """e^{-s} I_alpha(s) for alpha >= 1 and s >= 2 alpha, from e^{-s} I_0 and
+    the scaled K_0, K_1 already at hand.  e^{-s} I_1 comes from the
+    Wronskian I_0 K_1 + I_1 K_0 = 1/s (DLMF 10.28.2), whose scale factors
+    cancel; both products are about 1/(2s), so the difference loses at most
+    a bit."""
+    i0 = i0e(s)
+    return _raise_order(alpha, s, i0, (1.0 / s - i0 * k1) / k0, -1.0)
+
+
 def h_pair(n: int, lam: float, x) -> HPair:
-    """Both homogeneous solutions of the mode equation at eigenvalue lam."""
+    """Both homogeneous solutions of the mode equation at eigenvalue lam,
+    from three scaled Bessel calls (k0e, k1e, i0e), plus ive on the nodes
+    below the far branch s >= 2(n + 2)."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"need a finite lambda > 0, got {lam}")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -116,15 +130,20 @@ def h_pair(n: int, lam: float, x) -> HPair:
     s = 2.0 * np.sqrt(lam) / np.sqrt(xv)
     alpha = n + 2
     pref = xv ** (-0.5 * n)
+    k0, k1 = k0e(s), k1e(s)
     # K's forward recurrence adds positive terms, so it is stable for all s.
     # I's cancels as s falls under the order (relative error 2.4e-12 at
-    # s = 2 and 0.7 at s = 0.05 for alpha = 5); from s = 2 alpha on it stays
-    # within 3e-15 of 40-digit values for alpha = 3..6, and ive serves the
+    # s = 2 and 0.7 at s = 0.05 for alpha = 5); from s = 2 alpha on, started
+    # from the Wronskian's I_1, it stays within 2.2e-15 of 40-digit values
+    # for alpha = 3, 4 and 8.2e-15 for alpha = 5, 6, and ive serves the
     # nodes below.
     far = s >= 2.0 * alpha
-    i = np.empty_like(s)
-    i[far] = _raise_order(alpha, s[far], i0e, i1e, -1.0)
-    i[~far] = ive(alpha, s[~far])
+    if far.all():
+        i = _i_far(alpha, s, k0, k1)
+    else:
+        i = np.empty_like(s)
+        i[far] = _i_far(alpha, s[far], k0[far], k1[far])
+        i[~far] = ive(alpha, s[~far])
     m1 = pref * i
-    m2 = pref * _raise_order(alpha, s, k0e, k1e, 1.0)
+    m2 = pref * _raise_order(alpha, s, k0, k1, 1.0)
     return HPair(m1, m2, s, float(lam), n)

@@ -290,8 +290,6 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
     write_csv(out_dir / "solve.csv", header, zip(*columns))
     return {
         "iterations": state.iteration,
-        "sup_change": state.trace[-1]["sup_change"],
-        "contraction_history": [record["sup_change"] for record in state.trace],
         "trace": state.trace,
         "tangent_cone_c": c_fit,
         "tangent_cone_rms": c_rms,

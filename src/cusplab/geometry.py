@@ -23,7 +23,6 @@ outputs (`holomorphic_hessian`); collocation works in the chart frame of
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BoundaryStencilError,
@@ -270,6 +269,10 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
         idx = np.unravel_index(np.argmax(bad), bad.shape)
         hp, gp, kp = (np.array([[np.broadcast_to(_at(m, i, j), bad.shape)[idx] for j in range(n)] for i in range(n)])
                       for m in (h, colloc.g, colloc.k))
+        # imported here: only this failure report needs a generalized
+        # eigenvalue solver, so no solve pays for loading scipy.linalg
+        import scipy.linalg
+
         eigmin = scipy.linalg.eigh(gp + hp, kp, eigvals_only=True)[0]  # those of C (g + h) C^H
         raise MetricDegenerateError(f.grid.x[idx[-1]], idx[:-1], float(eigmin))
     e = [c / colloc.detg for c in _det_expansion(colloc.g, colloc.adj, h, n)]

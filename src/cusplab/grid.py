@@ -16,7 +16,7 @@ from residual norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,12 +110,16 @@ def step_deviation(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly decreasing radial nodes in (0, x0], uniform in s = 1/sqrt(x)."""
+    """Strictly decreasing radial nodes in (0, x0], uniform in s = 1/sqrt(x).
+
+    The grid owns a read-only, contiguous copy of the nodes it is given, so
+    editing the caller's array later cannot move a node past the uniformity
+    check or change `h`, `x` or a mode solve's cache key."""
 
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
+        s = np.array(self.s, dtype=float, order="C")
         if s.ndim != 1 or len(s) < 5:
             raise ConfigError("grid needs at least 5 nodes")
         ds = np.diff(s)
@@ -123,6 +127,7 @@ class RadialGrid:
             raise ConfigError("s nodes must be strictly increasing")
         if not step_deviation(s) <= 0.5 * UNIFORM_TOL * max(abs(s[0]), abs(s[-1])):
             raise ConfigError("s nodes must be uniform")
+        s.flags.writeable = False
         object.__setattr__(self, "s", s)
 
     @classmethod
@@ -137,10 +142,13 @@ class RadialGrid:
     def __len__(self) -> int:
         return len(self.s)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        """Node values of x, strictly decreasing, x[0] = x0."""
-        return 1.0 / self.s**2
+        """Node values of x, strictly decreasing, x[0] = x0; computed once,
+        read-only."""
+        x = 1.0 / self.s**2
+        x.flags.writeable = False
+        return x
 
     @property
     def x0(self) -> float:

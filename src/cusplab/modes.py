@@ -12,9 +12,12 @@ affine in s = 1/sqrt(x), and the grid is uniform in s, so every pairing
 exp(sigma_k - sigma_l) is rho^(l - k) for the one scalar
 rho = exp(-2 sqrt(lambda) h): the quadrature and the two scans of a mode
 solve are geometric, weighting nodes by powers of rho, and take no
-exponential per node.  Only the homogeneous term exp(sigma_0 - sigma) is
-exponentiated node by node, and a positive argument there is a programming
-error and raises.
+exponential per node.  Everything a solve needs apart from f depends only
+on (n, lambda, grid) and is built once per eigenvalue as a `SolvePlan`;
+there the homogeneous term exp(sigma_0 - sigma) is the one array
+exponentiated node by node, and a positive argument to it is a programming
+error and raises.  A solve on a held plan does only the work that depends
+on f.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .bessel import HPair, h_pair
+from .bessel import h_pair
 from .errors import ConfigError, MetricDegenerateError, ModeTailError, NonContractionError, NumericalError
 from .fields import Field, check_torus_shape
 from .grid import UNIFORM_TOL, RadialGrid, step_deviation
@@ -104,52 +107,106 @@ def exp_weighted_cumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
     return exp_weighted_revcumsum(-sigma[::-1], q[::-1])[::-1]
 
 
-def _cumulative_down(sigma: np.ndarray, y: np.ndarray, h: float, tail_mass) -> np.ndarray:
+def _cumulative_down(sigma: np.ndarray, y: np.ndarray, h: float, rho: float, tail_mass) -> np.ndarray:
     """P_i = int_{s_i}^{s_end} y(s) exp(sigma_i - sigma(s)) ds + paired tail.
 
     The 4th-order interval rule of `radial.interval_integrals`, each interval
     weighted from its first node by powers of rho = exp(-step of sigma),
     summed by one reverse scan; the tail mass sits at the deepest node.
     """
-    seg = interval_integrals(h, y, np.exp(-_step(sigma)))
+    seg = interval_integrals(h, y, rho)
     return exp_weighted_revcumsum(sigma, np.append(seg, tail_mass))
 
 
-def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float, rho: float) -> np.ndarray:
     """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds.
 
     The same rule on the mirrored grid weights each interval from its last
     node; one forward scan sums them.
     """
-    seg = interval_integrals(h, y[::-1], np.exp(-_step(sigma)))[::-1]
+    seg = interval_integrals(h, y[::-1], rho)[::-1]
     return exp_weighted_cumsum(sigma, np.append(0.0, seg))
 
 
-_PAIR_CACHE_SIZE = 8
-_pair_cache: dict = {}  # (n, lam, len(s), s[0], s[-1]) -> (s, HPair), oldest first
+@dataclass(frozen=True)
+class SolvePlan:
+    """Everything a mode solve needs apart from f, at one (n, lam, grid).
+
+    m1, m2 and sigma are the kernel pair's mantissas and exponent on the
+    grid's nodes s (held by reference: the grid's nodes are read-only).
+    weight = x^(n-1) |dt/ds| = x^(n-1) 2/s^3 takes f to the integrand
+    density in s; it depends on n and the grid only, and plans of one n and
+    grid share one array.  hom = (m2/m2[0]) exp(sigma_0 - sigma) is the
+    homogeneous solution with value 1 at x0, the one per-node exponential
+    of the plan.  rho = exp(-step of sigma) is the scans' ratio and h the
+    grid step; two_m1_0 = 2 m1[0], and tail times f at the deepest node is
+    the below-grid tail of int_0^x t^(n-1) H2 f dt.
+    """
+
+    n: int
+    s: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    sigma: np.ndarray
+    weight: np.ndarray
+    hom: np.ndarray
+    rho: float
+    h: float
+    two_m1_0: float
+    tail: float
 
 
-def _kernel_pair(n: int, lam: float, grid: RadialGrid) -> HPair:
-    """The kernel pair at eigenvalue lam on the grid's nodes, computed once.
+_PLAN_CACHE_SIZE = 8
+_plan_cache: dict = {}  # (n, lam, len(s), s[0], s[-1]) -> SolvePlan, oldest first
 
-    The pair depends on the mode only through lam, and on the square torus
-    4 or 8 characters share each lam, so the last `_PAIR_CACHE_SIZE` pairs
+
+def _same_nodes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
+def _build_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
+    s, x = grid.s, grid.x
+    pair = h_pair(n, lam, x)
+    # the four node arrays of a plan are the rows of one block, allocated
+    # after h_pair's temporaries are freed: held as four separate arrays they
+    # left holes in the heap between solves (green_sweep's peak RSS rose 4.8 MB)
+    block = np.empty((4, len(s)))
+    block[0], block[1], block[2] = pair.h1_mantissa, pair.h2_mantissa, pair.exponent
+    del pair
+    np.multiply(block[1] / block[1, 0], _guarded_exp(block[2, 0] - block[2]), out=block[3])
+    block.flags.writeable = False
+    m1, m2, sigma, hom = block
+    weight = next((p.weight for p in _plan_cache.values() if p.n == n and _same_nodes(p.s, s)), None)
+    if weight is None:
+        weight = x ** (n - 1) * (2.0 / s**3)
+        weight.flags.writeable = False
+    # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
+    # node, bounded by the decay of exp(-2 sqrt(lam)/sqrt(t)):
+    # tail < x^{3/2} integrand(x) / sqrt(lam)
+    tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * x[-1] ** (n - 1) * m2[-1]
+    return SolvePlan(n, s, m1, m2, sigma, weight, hom, float(np.exp(-_step(sigma))),
+                     grid.h, float(2.0 * m1[0]), float(tail))
+
+
+def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
+    """The solve plan at eigenvalue lam on the grid's nodes, built once.
+
+    The plan depends on the mode only through lam, and on the square torus
+    4 or 8 characters share each lam, so the last `_PLAN_CACHE_SIZE` plans
     are held (oldest dropped first) with read-only arrays.  A hit needs n,
     lam to 12 decimals and the grid's s nodes equal bit for bit.
     """
     s = grid.s
     key = (n, round(float(lam), 12), len(s), s[0], s[-1])
-    hit = _pair_cache.get(key)
-    if hit is not None and np.array_equal(hit[0], s):
-        return hit[1]
-    pair = h_pair(n, lam, grid.x)
-    for a in (pair.h1_mantissa, pair.h2_mantissa, pair.exponent):
-        a.flags.writeable = False
-    _pair_cache.pop(key, None)
-    if len(_pair_cache) >= _PAIR_CACHE_SIZE:
-        del _pair_cache[next(iter(_pair_cache))]
-    _pair_cache[key] = (s.copy(), pair)
-    return pair
+    hit = _plan_cache.get(key)
+    if hit is not None and _same_nodes(hit.s, s):
+        return hit
+    plan = _build_plan(n, lam, grid)
+    _plan_cache.pop(key, None)
+    if len(_plan_cache) >= _PLAN_CACHE_SIZE:
+        del _plan_cache[next(iter(_plan_cache))]
+    _plan_cache[key] = plan
+    return plan
 
 
 @dataclass(frozen=True)
@@ -176,32 +233,28 @@ class ModeProblem:
         object.__setattr__(self, "f", f)
 
 
-def _solve_with_pair(pair: HPair, grid: RadialGrid, f: np.ndarray, v_x0: complex) -> np.ndarray:
-    x = grid.x
-    s = grid.s
-    sigma = pair.exponent
-    m1 = pair.h1_mantissa
-    m2 = pair.h2_mantissa
-    n = pair.n
-    jac = 2.0 / s**3  # |dt/ds|
-    y2 = x ** (n - 1) * m2 * f * jac
-    y1 = x ** (n - 1) * m1 * f * jac
-    # below-grid tail of int_0^x t^{n-1} H2 f dt, bounded by the decay of
-    # exp(-2 sqrt(lam)/sqrt(t)): tail < (2/c_rate) x^{3/2} * integrand(x)
-    c_rate = 2.0 * np.sqrt(pair.lam)
-    tail = (2.0 / c_rate) * x[-1] ** 1.5 * (x[-1] ** (n - 1) * m2[-1] * f[-1])
-    P = _cumulative_down(sigma, y2, grid.h, tail)
-    Q = _cumulative_up(sigma, y1, grid.h)
-    coef = v_x0 + 2.0 * m1[0] * P[0]
-    hom = (m2 / m2[0]) * _guarded_exp(sigma[0] - sigma)
-    return coef * hom - 2.0 * m1 * P - 2.0 * m2 * Q
+def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarray:
+    """Variation of parameters on a plan: the only work that depends on f."""
+    y2 = f * plan.weight
+    y1 = y2 * plan.m1
+    y2 *= plan.m2
+    P = _cumulative_down(plan.sigma, y2, plan.h, plan.rho, plan.tail * f[-1])
+    Q = _cumulative_up(plan.sigma, y1, plan.h, plan.rho)
+    coef = v_x0 + plan.two_m1_0 * P[0]
+    P *= plan.m1
+    Q *= plan.m2
+    P += Q
+    P *= 2.0
+    out = coef * plan.hom
+    out -= P
+    return out
 
 
 def mode_solve(problem: ModeProblem) -> np.ndarray:
     """Bounded solution of the mode equation with prescribed boundary value;
     real when f and v(x0) are real."""
-    pair = _kernel_pair(problem.n, problem.lam, problem.grid)
-    return _solve_with_pair(pair, problem.grid, problem.f, problem.v_x0)
+    plan = _solve_plan(problem.n, problem.lam, problem.grid)
+    return _solve_with_plan(plan, problem.f, problem.v_x0)
 
 
 def mode_ode_residual(problem: ModeProblem, v: np.ndarray, order: int = 2) -> np.ndarray:
@@ -271,8 +324,7 @@ def assemble_representation(
         beta = complex(boundary.get(k, 0.0))
         if beta == 0.0 and sup[slot] <= _MODE_FLOOR * scale:
             continue
-        pair = _kernel_pair(n, lam, grid)
-        out.coeffs[slot] = _solve_with_pair(pair, grid, g.coeffs[slot], beta)
+        out.coeffs[slot] = _solve_with_plan(_solve_plan(n, lam, grid), g.coeffs[slot], beta)
         modes_solved += 1
 
     tail = float(np.max(sup[unsolved], initial=0.0))

@@ -14,8 +14,6 @@ certified to lie strictly inside the box.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError
 from .model import CuspModel
@@ -109,6 +107,11 @@ def fd_eigenvalues(model: CuspModel, resolution: int, count: int = 6) -> np.ndar
     """
     if model.d != 1:
         raise ConfigError("finite-difference oracle only supports n = 2")
+    # imported here: only this oracle uses sparse matrices, so no solve pays
+    # for loading scipy.sparse
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     a = float(np.real(model.A[0, 0]))
     B = model.lattice
     M = np.linalg.inv(B) @ np.linalg.inv(B).T

@@ -1,7 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ive, kve
+from scipy.special import ive, k0e, k1e, kve
 
 from cusplab import bessel
 from cusplab.errors import ConfigError
@@ -183,6 +183,30 @@ def test_h_pair_matches_extended_precision_oracle(n):
     assert np.any(sv < 2 * alpha) and np.any(sv >= 2 * alpha)
     pref = x ** (-0.5 * n)
     for j, sj in enumerate(sv):
+        oi, ok = _oracle_i_scaled(alpha, sj), _oracle_k_scaled(alpha, sj)
+        assert abs(pair.h1_mantissa[j] / pref[j] - oi) / oi < 1e-13
+        assert abs(pair.h2_mantissa[j] / pref[j] - ok) / ok < 1e-13
+
+
+def test_far_branch_i1_from_wronskian():
+    # e^{-s} I_1 from I_0 K_1 + I_1 K_0 = 1/s (DLMF 10.28.2) on the far branch
+    # s >= 2(n + 2) >= 8, against 40-digit values
+    s = np.concatenate([np.linspace(8.0, 60.0, 120), np.geomspace(60.0, 3000.0, 120)])
+    got = bessel._i_far(1, s, k0e(s), k1e(s))
+    for j, sj in enumerate(s):
+        ref = _oracle_i_scaled(1, sj)
+        assert abs(got[j] - ref) / ref < 2e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h_pair_all_far_nodes_match_oracle(n):
+    # every node on the far branch: the path that skips the mask copies
+    alpha = n + 2
+    s = np.geomspace(2 * alpha, 3000.0, 30)
+    x = 4.0 / s**2
+    pair = bessel.h_pair(n, 1.0, x)
+    pref = x ** (-0.5 * n)
+    for j, sj in enumerate(pair.exponent):
         oi, ok = _oracle_i_scaled(alpha, sj), _oracle_k_scaled(alpha, sj)
         assert abs(pair.h1_mantissa[j] / pref[j] - oi) / oi < 1e-13
         assert abs(pair.h2_mantissa[j] / pref[j] - ok) / ok < 1e-13

@@ -76,3 +76,17 @@ def test_boundary_stencils_are_one_sided():
     d = uniform_derivative(f, g.h, 1, order=2)
     assert d[0] == pytest.approx(2 * g.s[0], rel=1e-10)
     assert d[-1] == pytest.approx(2 * g.s[-1], rel=1e-10)
+
+
+def test_grid_owns_read_only_nodes():
+    a = np.linspace(3.2, 20.0, 400)
+    g = RadialGrid(a)
+    h, x, s = g.h, g.x.copy(), g.s.copy()
+    assert g.s is not a and g.s.flags.c_contiguous
+    a[200] += 1e-3  # would break uniformity if the grid shared the caller's array
+    assert np.array_equal(g.s, s) and g.h == h and np.array_equal(g.x, x)
+    for arr in (g.s, g.x):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # a strided view becomes a contiguous copy
+    assert RadialGrid(np.linspace(3.2, 20.0, 801)[::2]).s.flags.c_contiguous

@@ -51,7 +51,7 @@ class TestScans:
     @pytest.mark.parametrize("tail", [1e-3, 1e-20])
     def test_tail_mass_survives_at_deepest_node(self, tail):
         s = np.linspace(1.0, 5.0, 200)
-        P = modes._cumulative_down(3.0 * s, np.sin(s), s[1] - s[0], tail)
+        P = modes._cumulative_down(3.0 * s, np.sin(s), s[1] - s[0], np.exp(-3.0 * (s[1] - s[0])), tail)
         assert P[-1] == tail
 
     def test_cumulative_rules_fourth_order(self):
@@ -63,8 +63,9 @@ class TestScans:
             s = np.linspace(1.0, 5.0, nn)
             sigma = rate * s
             y = np.cos(s)
-            P = modes._cumulative_down(sigma, y, s[1] - s[0], 0.0)
-            Q = modes._cumulative_up(sigma, y, s[1] - s[0])
+            rho = np.exp(-modes._step(sigma))
+            P = modes._cumulative_down(sigma, y, s[1] - s[0], rho, 0.0)
+            Q = modes._cumulative_up(sigma, y, s[1] - s[0], rho)
             i = nn // 3
             pe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (s[i] - u)), [s[i], s[-1]]))
             qe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (u - s[i])), [s[0], s[i]]))
@@ -80,8 +81,8 @@ class TestScans:
         grid = RadialGrid.make(0.1, 20.0, 120_000)
         sigma = h_pair(2, 10 * np.pi**2, grid.x).exponent
         y = np.random.default_rng(11).normal(size=len(grid))
-        P = modes._cumulative_down(sigma, y, grid.h, 0.0)
-        Q = modes._cumulative_up(sigma, y, grid.h)
+        P = modes._cumulative_down(sigma, y, grid.h, np.exp(-modes._step(sigma)), 0.0)
+        Q = modes._cumulative_up(sigma, y, grid.h, np.exp(-modes._step(sigma)))
 
         L = np.longdouble
         nn = len(y)
@@ -193,11 +194,29 @@ class TestModeSolve:
         assert np.array_equal(real, cplx.real)
 
 
+def _parent_solve(n, lam, grid, f, v_x0):
+    """The mode solve written out from the kernel pair, node arrays rebuilt
+    on every call: the formula a solve plan must reproduce."""
+    pair = h_pair(n, lam, grid.x)
+    x, s, sigma = grid.x, grid.s, pair.exponent
+    m1, m2 = pair.h1_mantissa, pair.h2_mantissa
+    jac = 2.0 / s**3
+    y2 = x ** (n - 1) * m2 * f * jac
+    y1 = x ** (n - 1) * m1 * f * jac
+    tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * (x[-1] ** (n - 1) * m2[-1] * f[-1])
+    rho = np.exp(-modes._step(sigma))
+    P = modes._cumulative_down(sigma, y2, grid.h, rho, tail)
+    Q = modes._cumulative_up(sigma, y1, grid.h, rho)
+    coef = v_x0 + 2.0 * m1[0] * P[0]
+    hom = (m2 / m2[0]) * np.exp(sigma[0] - sigma)
+    return coef * hom - 2.0 * m1 * P - 2.0 * m2 * Q
+
+
 class TestKernelPairReuse:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Empty pair cache; counts the kernel pairs actually computed."""
-        monkeypatch.setattr(modes, "_pair_cache", {})
+        """Empty plan cache; counts the kernel pairs actually computed."""
+        monkeypatch.setattr(modes, "_plan_cache", {})
         computed = []
 
         def counting(*args):
@@ -222,12 +241,14 @@ class TestKernelPairReuse:
         for lam in lams:
             modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=rng.normal(size=400), v_x0=0.0, grid=grid))
         assert len(calls) == 7
+        # one grid weight for the grid and n, shared by all seven plans
+        assert len({id(p.weight) for p in modes._plan_cache.values()}) == 1
 
     def test_equal_grid_built_apart_hits(self, calls):
         g1 = RadialGrid.make(0.1, 20.0, 400)
         g2 = RadialGrid(np.linspace(g1.s[0], g1.s[-1], 400))
         assert g1 is not g2 and np.array_equal(g1.s, g2.s)
-        assert modes._kernel_pair(2, np.pi**2, g1) is modes._kernel_pair(2, np.pi**2, g2)
+        assert modes._solve_plan(2, np.pi**2, g1) is modes._solve_plan(2, np.pi**2, g2)
         assert len(calls) == 1
 
     def test_moved_interior_node_misses(self, calls):
@@ -236,28 +257,55 @@ class TestKernelPairReuse:
         s[200] = np.nextafter(s[200], np.inf)  # within the grid's uniformity tolerance
         g2 = RadialGrid(s)
         assert (len(g2), g2.s[0], g2.s[-1]) == (len(g1), g1.s[0], g1.s[-1])
-        modes._kernel_pair(2, np.pi**2, g1)
-        pair = modes._kernel_pair(2, np.pi**2, g2)
+        modes._solve_plan(2, np.pi**2, g1)
+        plan = modes._solve_plan(2, np.pi**2, g2)
         assert len(calls) == 2
-        assert np.array_equal(pair.exponent, h_pair(2, np.pi**2, g2.x).exponent)
+        assert plan.s is g2.s
+        assert np.array_equal(plan.sigma, h_pair(2, np.pi**2, g2.x).exponent)
 
     def test_cached_arrays_read_only(self, calls):
-        pair = modes._kernel_pair(2, np.pi**2, RadialGrid.make(0.1, 20.0, 400))
-        for a in (pair.h1_mantissa, pair.h2_mantissa, pair.exponent):
+        plan = modes._solve_plan(2, np.pi**2, RadialGrid.make(0.1, 20.0, 400))
+        held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 6  # s, m1, m2, sigma, weight, hom
+        for a in held:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_cache_bounded(self, calls):
         grid = RadialGrid.make(0.1, 20.0, 200)
-        bound = modes._PAIR_CACHE_SIZE
+        bound = modes._PLAN_CACHE_SIZE
         for j in range(1, bound + 4):
-            modes._kernel_pair(2, j * np.pi**2, grid)
-            assert len(modes._pair_cache) <= bound
-        # the newest pair is held, the oldest was dropped
-        modes._kernel_pair(2, (bound + 3) * np.pi**2, grid)
+            modes._solve_plan(2, j * np.pi**2, grid)
+            assert len(modes._plan_cache) <= bound
+        # the newest plan is held, the oldest was dropped
+        modes._solve_plan(2, (bound + 3) * np.pi**2, grid)
         assert len(calls) == bound + 3
-        modes._kernel_pair(2, np.pi**2, grid)
+        modes._solve_plan(2, np.pi**2, grid)
         assert len(calls) == bound + 4
+
+    @pytest.mark.parametrize("complex_f", [False, True])
+    def test_hit_equals_fresh_plan_and_parent_formula(self, calls, complex_f):
+        grid = RadialGrid.make(0.1, 20.0, 3000)
+        lam = 5 * np.pi**2
+        rng = np.random.default_rng(7)
+        f = np.sin(2.0 * grid.s) + rng.normal(size=len(grid))
+        if complex_f:
+            f = f + 1j * np.cos(grid.s)
+        v_x0 = 0.3 - 0.2j if complex_f else 0.3
+        modes._solve_plan(2, lam, grid)
+        hit = modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=f, v_x0=v_x0, grid=grid))
+        assert len(calls) == 1  # the solve reused the held plan
+        fresh = modes._solve_with_plan(modes._build_plan(2, lam, grid), f, v_x0)
+        assert np.array_equal(hit, fresh)
+        assert hit.dtype == (np.complex128 if complex_f else np.float64)
+        ref = _parent_solve(2, lam, grid, f, v_x0)
+        assert np.max(np.abs(hit - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_real_f_gives_float64_from_plan(self, calls):
+        grid = RadialGrid.make(0.1, 20.0, 400)
+        plan = modes._solve_plan(2, 2 * np.pi**2, grid)
+        v = modes._solve_with_plan(plan, np.cos(grid.s), 0.5)
+        assert v.dtype == np.float64
 
 
 class TestAssemble:
