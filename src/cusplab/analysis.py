@@ -6,7 +6,8 @@ The sharp envelope for a remainder governed by the first torus eigenvalue is
 
 decay_fit estimates (amplitude, power p, exponential coefficient delta) in
 the model A x^p exp(-delta/sqrt(x)) by linear least squares of log|v|
-against {1, log x, 1/sqrt(x)}.
+against {1, log x, 1/sqrt(x)}; rate_fit solves with cosine boundary data
+and fits the profile of its (1, 0, ...) mode.
 
 lemma43_check validates the two calculus inequalities
 
@@ -31,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import modes, spectrum
 from .errors import ConfigError
 
 
@@ -44,12 +46,21 @@ def barrier_sign(n: int, p: float) -> float:
 
 
 def window_from_s(lam1: float, s_lo: float, s_hi: float):
-    """Convert a window in s = 2 sqrt(lambda_1)/sqrt(x) units to x bounds."""
+    """Convert a window in s = 2 sqrt(lam1)/sqrt(x) units to x bounds."""
     return (2.0 * np.sqrt(lam1) / s_hi) ** 2, (2.0 * np.sqrt(lam1) / s_lo) ** 2
 
 
 # decay_fit's least-squares fit of three parameters needs this many window nodes
 MIN_FIT_NODES = 8
+
+
+def window_mask(x, window) -> np.ndarray:
+    """The nodes of x in the window (x_lo, x_hi); refuses fewer than MIN_FIT_NODES."""
+    x_lo, x_hi = window
+    mask = (x >= x_lo) & (x <= x_hi)
+    if mask.sum() < MIN_FIT_NODES:
+        raise ConfigError(f"window x in [{x_lo:.6g}, {x_hi:.6g}] holds {mask.sum()} grid nodes; need {MIN_FIT_NODES}")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -71,9 +82,7 @@ def decay_fit(x, profile, window) -> DecayFit:
     x = np.asarray(x, dtype=float)
     v = np.asarray(profile, dtype=float)
     x_lo, x_hi = window
-    mask = (x >= x_lo) & (x <= x_hi)
-    if mask.sum() < MIN_FIT_NODES:
-        raise ConfigError(f"window ({x_lo:.6g}, {x_hi:.6g}) contains {mask.sum()} nodes; need >= {MIN_FIT_NODES}")
+    mask = window_mask(x, window)
     xv = x[mask]
     vv = v[mask]
     if np.any(vv == 0) or (np.any(vv > 0) and np.any(vv < 0)):
@@ -91,6 +100,25 @@ def decay_fit(x, profile, window) -> DecayFit:
         rms=float(np.sqrt(np.mean(resid**2))),
         nodes=int(mask.sum()),
     )
+
+
+def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):
+    """Solve with `boundary` (`solver` goes to modes.picard_solve) and fit the
+    profile of its (1, 0, ...) mode on the window s = 2 sqrt(lam)/sqrt(x) in
+    [s_lo, s_hi], lam that mode's eigenvalue.  Boundary data without the mode,
+    s_lo >= s_hi and a window of too few nodes are refused before the solve.
+    Returns (fit, lam, |profile| on the grid, u, state)."""
+    key = (1,) + (0,) * (2 * model.d - 1)
+    if not boundary.get(key):
+        raise ConfigError("the rate fit needs boundary data with a nonzero (1, 0, ...) mode")
+    if not s_lo < s_hi:
+        raise ConfigError(f"the fit window needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
+    lam = spectrum.mode_eigenvalue(model, key)
+    window = window_from_s(lam, s_lo, s_hi)
+    window_mask(grid.x, window)
+    u, state = modes.picard_solve(model, boundary, grid, **solver)
+    profile = np.abs(u.mode(key))
+    return decay_fit(grid.x, profile, window), lam, profile, u, state
 
 
 # --- calculus inequality checks ---
@@ -152,8 +180,8 @@ class CalculusReport:
     eps: float
     sup_r1: float
     limit_r1: float
-    sup_r2: float | None
-    x0_admissible: float | None
+    sup_r2: float
+    x0_admissible: float
     passed: bool
 
 
@@ -162,19 +190,15 @@ def lemma43_check(c: float, k: float, x_max: float, eps: float = 1.0, num: int =
     the admissible window for the second inequality."""
     if c <= 0 or k <= -1.5:
         raise ConfigError("need c > 0 and k > -3/2")
+    root = eps / (2.0 + eps) * c / (2.0 * k + 3.0)
+    if not 1e-150 < root < 1e150:  # keeps x0 and the nodes down to 1e-6 x0 normal floats
+        raise ConfigError(f"admissible x0 = ({root:.3g})^2 leaves float range (c = {c:g}, k = {k:g}, eps = {eps:g})")
+    x0_adm = root**2
     xs = np.geomspace(1e-6, x_max, num)
     r1 = ratio_lower(c, k, xs)
     sup_r1 = float(np.max(r1))
     limit_r1 = float(r1[0])
-    sup_r2 = None
-    x0_adm = None
-    if 2.0 * k + 3.0 > 0:
-        x0_adm = (eps / (2.0 + eps) * c / (2.0 * k + 3.0)) ** 2
-        xs2 = np.geomspace(x0_adm * 1e-6, x0_adm * 0.999, num // 2)
-        r2 = ratio_upper(c, k, xs2, x0_adm)
-        sup_r2 = float(np.max(r2))
-        r2_ok = sup_r2 < 2.0 + eps
-    else:
-        r2_ok = True  # admissible window empty: nothing to check
-    passed = (sup_r1 < 2.0) and (abs(limit_r1 - 2.0) <= 0.02) and r2_ok
+    xs2 = np.geomspace(x0_adm * 1e-6, x0_adm * 0.999, num // 2)
+    sup_r2 = float(np.max(ratio_upper(c, k, xs2, x0_adm)))
+    passed = (sup_r1 < 2.0) and (abs(limit_r1 - 2.0) <= 0.02) and sup_r2 < 2.0 + eps
     return CalculusReport(c, k, eps, sup_r1, limit_r1, sup_r2, x0_adm, passed)

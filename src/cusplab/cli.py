@@ -3,8 +3,9 @@
 Subcommands read an INI-style config, run one experiment, and write a CSV
 table plus a JSON sidecar (parameters and derived scalars) into the output
 directory.  Runs are deterministic: identical configs produce byte-identical
-CSV output.  The sidecars of `solve` and `rate-fit` also hold the Picard
-solve's per-iteration trace, whose stage timings vary between runs, and the
+CSV output.  The sidecars of `solve` and `rate-fit` also hold one solve
+record (`_solve_record`): the iteration count, the per-iteration trace, whose
+stage timings vary between runs, and the solve's diagnostics, among them the
 torus shape the solve collocated on: `[solver] torus_resolution` points
 along each lattice axis the boundary modes vary along, one along the others
 (a constant boundary collocates one torus point per radial node, the cosine
@@ -194,6 +195,17 @@ def _boundary(cfg, n: int) -> dict:
     return {k: amp / 2.0, tuple(-i for i in k): amp / 2.0}
 
 
+def _check_table(result: acceptance.CriterionResult, path: Path) -> dict:
+    """A criterion's details as a (check, value) table; its sidecar fields."""
+    write_csv(path, ["check", "value"], sorted(result.details.items()))
+    return {"passed": result.passed, **result.details}
+
+
+def _solve_record(state: modes.PicardState) -> dict:
+    """The sidecar fields of a Picard solve, the same for every command that solves."""
+    return {"iterations": state.iteration, "trace": state.trace, **state.diagnostics}
+
+
 # --- subcommand implementations ---
 
 
@@ -207,10 +219,7 @@ def cmd_spectrum(cfg, out_dir: Path) -> dict:
 
 
 def cmd_geometry_check(cfg, out_dir: Path) -> dict:
-    result = acceptance.criterion_a9()
-    rows = [[k, v] for k, v in sorted(result.details.items())]
-    write_csv(out_dir / "geometry-check.csv", ["check", "value"], rows)
-    return {"passed": result.passed, **result.details}
+    return _check_table(acceptance.criterion_a9(), out_dir / "geometry-check.csv")
 
 
 def cmd_calabi(cfg, out_dir: Path) -> dict:
@@ -225,6 +234,8 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
         "ode_residual": traj.ode_residual(),
         "breakdown_t": traj.breakdown_t,
     }
+    if not np.isfinite([payload["first_integral_drift"], payload["ode_residual"]]).all():
+        raise NumericalError(f"non-finite trajectory figures: {payload}")
     if sec["b"] > 0:
         angle, empirical = radial.cone_angle(n, sec["b"])
         payload["cone_angle"] = angle
@@ -258,21 +269,17 @@ def cmd_expand(cfg, out_dir: Path) -> dict:
         raise ConfigError("[expand] c = 0 makes every closed-form coefficient zero")
     series = radial.expand_formal(n, -(n + 1) * c, order)
     target = radial.tangent_cone_coefficients(n, c, order)
-    rows = []
-    worst = 0.0
-    for k in range(1, order + 1):
-        rel = abs(series.coeffs[k] - target[k]) / abs(target[k])
-        worst = max(worst, rel)
-        rows.append([k, series.coeffs[k], target[k], rel])
+    rel = np.abs(series.coeffs[1:] - target[1:]) / np.abs(target[1:])
+    worst = float(np.max(rel))
+    if not np.isfinite(worst):  # np.max keeps a NaN that a running max() drops
+        raise NumericalError(f"[expand] c = {c}: c^k under- or overflows by order {order}, rel_err = {worst}")
+    rows = zip(range(1, order + 1), series.coeffs[1:], target[1:], rel)
     write_csv(out_dir / "expand.csv", ["k", "coefficient", "closed_form", "rel_err"], rows)
     return {"max_rel_err": worst, "equation_residual": radial.series_equation_residual(series)}
 
 
 def cmd_green_test(cfg, out_dir: Path) -> dict:
-    result = acceptance.criterion_a4()
-    rows = [[k, v] for k, v in sorted(result.details.items())]
-    write_csv(out_dir / "green-test.csv", ["check", "value"], rows)
-    return {"passed": result.passed, **result.details}
+    return _check_table(acceptance.criterion_a4(), out_dir / "green-test.csv")
 
 
 def cmd_solve(cfg, out_dir: Path) -> dict:
@@ -288,50 +295,27 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
         header.append("u_mode1_cos")
         columns.append(2.0 * prof1.real)
     write_csv(out_dir / "solve.csv", header, zip(*columns))
-    return {
-        "iterations": state.iteration,
-        "trace": state.trace,
-        "tangent_cone_c": c_fit,
-        "tangent_cone_rms": c_rms,
-        **state.diagnostics,
-    }
+    return {**_solve_record(state), "tangent_cone_c": c_fit, "tangent_cone_rms": c_rms}
 
 
 def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    boundary = _boundary(cfg, model.n)
-    mode1_key = tuple([1] + [0] * (2 * model.d - 1))
-    if not boundary.get(mode1_key):
-        raise ConfigError("rate-fit needs a cosine boundary with nonzero amplitude")
     options = section(cfg, "solver", cutoff=25.0, tol=1e-11)
-    window_s = section(cfg, "ratefit")
-    s_lo, s_hi = window_s["s_lo"], window_s["s_hi"]
-    if s_lo >= s_hi:
-        raise ConfigError(f"[ratefit] needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
-    lam = spectrum.mode_eigenvalue(model, mode1_key)  # the fitted profile decays at 2 sqrt(lam)
-    window = analysis.window_from_s(lam, s_lo, s_hi)
-    mask = (grid.x >= window[0]) & (grid.x <= window[1])
-    if mask.sum() < analysis.MIN_FIT_NODES:
-        raise ConfigError(f"[ratefit] window s in [{s_lo}, {s_hi}] (x in [{window[0]:.6g}, {window[1]:.6g}]) "
-                          f"holds {mask.sum()} grid nodes; the fit needs {analysis.MIN_FIT_NODES}")
-    u, state = modes.picard_solve(model, boundary, grid, **options)
-    prof = np.abs(u.mode(mode1_key))
-    fit = analysis.decay_fit(grid.x, prof, window)
-    env = fit.amplitude * grid.x[mask] ** fit.p * np.exp(-fit.delta / np.sqrt(grid.x[mask]))
-    rows = [[xv, pv, ev] for xv, pv, ev in zip(grid.x[mask], prof[mask], env)]
-    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], rows)
+    window = section(cfg, "ratefit")
+    fit, lam, prof, _, state = analysis.rate_fit(model, grid, _boundary(cfg, model.n), **window, **options)
+    mask = analysis.window_mask(grid.x, fit.window)
+    x = grid.x[mask]
+    env = fit.amplitude * x**fit.p * np.exp(-fit.delta / np.sqrt(x))
+    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], zip(x, prof[mask], env))
     return {
+        **_solve_record(state),
         "delta": fit.delta,
         "delta_target": 2.0 * np.sqrt(lam),
         "p": fit.p,
         "p_target": -model.n / 2.0 + 0.25,
         "amplitude": fit.amplitude,
         "rms": fit.rms,
-        "residual_sup": state.diagnostics["residual_sup"],
-        "torus_shape": state.diagnostics["torus_shape"],
-        "torus_shape_reason": state.diagnostics["torus_shape_reason"],
-        "trace": state.trace,
     }
 
 

@@ -11,8 +11,10 @@ and that of -k is its complex conjugate.  The characters are
 chi_k(t) = exp(2*pi*i k.t) in fractional lattice coordinates t, so the
 coefficients and the collocation values on the uniform torus grid of that
 shape are one real FFT apart (`real_values`, `Field.from_values`).  The
-Nyquist planes (some 2|k_i| = m_i) stay zero.  No other module knows this
-layout.
+Nyquist planes (some 2|k_i| = m_i) stay zero.  No other module maps modes
+to slots, but two rely on the k_last >= 0 half: `geometry.holomorphic_hessian`
+counts a k_last > 0 row for k and -k, `modes.assemble_representation` skips
+k_last < 0.
 """
 
 from __future__ import annotations

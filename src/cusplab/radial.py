@@ -80,6 +80,8 @@ def integrate_calabi(
     """
     if t_end >= t0:
         raise ConfigError("t_end must be below t0 (integration runs toward the cusp)")
+    if not np.isfinite(t0 - t_end):
+        raise ConfigError(f"t0 - t_end overflows at t0 = {t0:g}, t_end = {t_end:g}")
     if np.exp(psi0 + a) + b <= 0:
         raise ConfigError("initial value violates positivity of the conserved level")
 
@@ -234,8 +236,11 @@ def expand_formal(n: int, c1: float, K: int) -> PowerSeries:
         raise ConfigError(f"need 1 <= K <= {_MAX_ORDER}, got {K}")
     D = _unit_coefficients(n, K)
     C = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        C[k] = float(D[k]) * c1**k
+    try:
+        for k in range(1, K + 1):
+            C[k] = float(D[k]) * c1**k
+    except OverflowError:
+        raise NumericalError(f"c1^k overflows at c1 = {c1:g}, k = {k}") from None
     return PowerSeries(n, C)
 
 

@@ -69,6 +69,26 @@ class TestDecayFit:
             analysis.decay_fit(grid.x, grid.x, (0.049, 0.05))
 
 
+class TestRateFit:
+    def test_refuses_bad_inputs_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("picard_solve reached on a refused input")
+
+        monkeypatch.setattr(analysis.modes, "picard_solve", no_solve)
+        model = CuspModel(2, np.eye(2), np.array([[1.0]]))
+        grid = RadialGrid.make(0.05, 16.0, 400)
+        cosine = {(1, 0): 5e-4, (-1, 0): 5e-4}
+        for boundary, s_lo, s_hi in [
+            ({(0, 0): -0.03}, 40.0, 200.0),  # no (1, 0) mode
+            ({(1, 0): 0.0, (-1, 0): 0.0}, 40.0, 200.0),  # a zero (1, 0) mode
+            (cosine, 200.0, 40.0),  # s_lo >= s_hi
+            (cosine, 40.0, 40.0),
+            (cosine, 1e9, 2e9),  # a window that holds no grid node
+        ]:
+            with pytest.raises(ConfigError):
+                analysis.rate_fit(model, grid, boundary, s_lo, s_hi, torus_resolution=8)
+
+
 class TestCalculusBounds:
     def test_frozen_ratio_value(self):
         # independent series oracle: R1(1e-4; c=2, k=0) = 2 sum_j C(-3,j)
@@ -92,6 +112,10 @@ class TestCalculusBounds:
     def test_parameter_guard(self):
         with pytest.raises(ConfigError):
             analysis.lemma43_check(2.0, -1.6, x_max=1.0)
+        # an admissible x0 outside the float range is refused, not squared
+        for c, k in [(1e-300, 0.0), (2.0, 1e300), (1e300, 0.0)]:
+            with pytest.raises(ConfigError, match="admissible x0"):
+                analysis.lemma43_check(c, k, x_max=1.0)
 
 
 def test_indicial_agreement_with_linearized_operator():

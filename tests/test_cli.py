@@ -261,6 +261,66 @@ def test_numerical_failure_exit_code(tmp_path):
         assert cli.main(["bessel-sweep", str(path), "-o", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, old, new, code",
+    [
+        # closed-form coefficients that underflow to 0 give NaN relative
+        # errors, which a running max() used to drop, reporting 0
+        ("expand", "c = 1\norder = 20", "c = 1e-200\norder = 40", 3),
+        ("expand", "c = 1\n", "c = 1e30\n", 3),
+        ("lemma43", "c = 2\n", "c = 1e-300\n", 2),
+        ("lemma43", "k = 0\n", "k = 1e300\n", 2),
+        ("lemma43", "c = 2\n", "c = 1e300\n", 2),
+        ("calabi", "t0 = -1\nt_end = -30", "t0 = 1e308\nt_end = -1e308", 2),
+        ("calabi", "a = 0\nb = 0.5", "a = 0\nb = 1\npsi0 = -1e308", 3),
+    ],
+)
+def test_extreme_finite_configs_exit_cleanly(command, old, new, code, tmp_path, capsys):
+    # finite values whose powers, squares or differences leave the float
+    # range, and NaN figures, end in exit 2 or 3, never in a traceback
+    path = tmp_path / "extreme.cfg"
+    assert old in SQUARE_CFG
+    path.write_text(SQUARE_CFG.replace(old, new, 1))
+    with np.errstate(all="ignore"):
+        assert cli.main([command, str(path), "-o", str(tmp_path / "o")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_rate_fit_command_matches_criterion_a5(tmp_path):
+    # the command on A5's config and the criterion run one solve-and-fit
+    # path, so they report the same figures to the last bit
+    cfg = tmp_path / "a5.cfg"
+    cfg.write_text(
+        SQUARE_CFG
+        + """
+[grid]
+x0 = 0.05
+s_max = 34
+nodes = 4800
+
+[solver]
+cutoff = 25
+tol = 1e-11
+max_iter = 30
+torus_resolution = 16
+
+[boundary]
+kind = cosine
+amplitude = 1e-3
+
+[ratefit]
+s_lo = 40
+s_hi = 200
+"""
+    )
+    out = tmp_path / "out"
+    assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
+    res = json.loads((out / "rate-fit.json").read_text())["results"]
+    a5 = acceptance.criterion_a5()
+    figures = (res["delta"], res["p"], res["residual_sup"], res["iterations"])
+    assert figures == tuple(a5.details[key] for key in ("delta", "p", "residual", "iterations"))
+
+
 def test_rate_fit_targets_the_fitted_mode(tmp_path):
     # on lattice diag(1, 2) lambda_1 = pi^2/4 sits on mode (0, 1), while the
     # fitted (1, 0) profile has lambda = pi^2 and decays at 2 pi
@@ -288,7 +348,10 @@ s_hi = 120
     out = tmp_path / "out"
     assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
     res = json.loads((out / "rate-fit.json").read_text())["results"]
-    assert len(res["trace"]) >= 2 and res["trace"][-1]["modes_solved"] >= 2
+    assert len(res["trace"]) == res["iterations"] >= 2 and res["trace"][-1]["modes_solved"] >= 2
+    # the sidecar of every solve command carries the solve's diagnostics
+    assert res["lambda1"] == pytest.approx(np.pi**2 / 4, rel=1e-14)
+    assert {"tail_indicator", "modes_solved", "ell0_decay_power"} <= set(res)
     assert res["delta_target"] == pytest.approx(2 * np.pi, rel=1e-14)
     assert abs(res["delta"] / res["delta_target"] - 1) < 0.01
     # the cosine boundary (1, 0) spans lattice axis 0 only

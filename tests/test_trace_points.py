@@ -5,12 +5,13 @@ must fail here rather than in a traced run."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cusplab import bessel, modes
+from cusplab import bessel, cli, modes
 from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel
@@ -68,3 +69,24 @@ def test_counters_read_real_objects():
     counts = spans._picard_counts((), {}, (u, state))
     assert counts == {"iterations": state.iteration, "modes_solved": state.diagnostics["modes_solved"]}
     assert counts["iterations"] >= 2
+
+
+def test_traced_rate_fit_records_one_picard_solve(tmp_path):
+    # rate-fit reaches picard_solve through the module attribute, so the
+    # tracer's wrapper sees the one solve and counts its iterations
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        "[model]\nlattice = 1 0 ; 0 1\nA = 1\n"
+        "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 600\n"
+        "[solver]\ncutoff = 5\n"
+        "[boundary]\nkind = cosine\namplitude = 1e-3\n"
+        "[ratefit]\ns_lo = 40\ns_hi = 120\n"
+    )
+    spans = _spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.main(["rate-fit", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    summary = spans.round_summary(tracer.spans)
+    res = json.loads((tmp_path / "out" / "rate-fit.json").read_text())["results"]
+    assert summary["modes.picard_solve"]["calls"] == 1
+    assert summary["modes.picard_solve"]["counts"]["iterations"] == res["iterations"]
