@@ -40,9 +40,9 @@ def _timed(fn):
     return wrapper
 
 
-def square_torus_model(n: int = 2, a: float = 1.0) -> CuspModel:
-    d = n - 1
-    return CuspModel(n=n, lattice=np.eye(2 * d), A=a * np.eye(d))
+def square_torus_model() -> CuspModel:
+    """n = 2 on the square unit torus with A = 1: lambda_1 = pi^2."""
+    return CuspModel(n=2, lattice=np.eye(2), A=np.eye(1))
 
 
 @_timed
@@ -144,7 +144,7 @@ def criterion_a5() -> CriterionResult:
     grid = RadialGrid.make(x0=0.05, s_max=34.0, num=4800)
     boundary = {(1, 0): 5e-4, (-1, 0): 5e-4}  # amplitude 1e-3
     fit, lam1, _, u, state = analysis.rate_fit(
-        model, grid, boundary, 40.0, 200.0, torus_resolution=16, cutoff=25.0, tol=1e-11, max_iter=30, final_order=4
+        model, grid, boundary, 40.0, 200.0, torus_resolution=16, cutoff=25.0, tol=1e-11, max_iter=30
     )
     residual = state.diagnostics["residual_sup"]
     c_fit, _ = modes.extract_tangent_cone(u, model.n)
@@ -182,7 +182,6 @@ def criterion_a6() -> CriterionResult:
         cutoff=9.0,
         tol=1e-12,
         max_iter=40,
-        final_order=4,
     )
     exact = -(model.n + 1) * np.log1p(c * grid.x)
     sup_err = float(np.max(np.abs(u.radial_mean() - exact)))

@@ -142,35 +142,32 @@ def _panelled_exp_integral(fn, c: float, upper: float) -> float:
     return total
 
 
+def _ratio(c: float, k: float, x, sign: float, tau1: float) -> np.ndarray:
+    """2c int_0^upper (1 + sign w/tau0)^{-(2k+3)} e^{-cw} dw at each x, with
+    tau0 = 1/sqrt(x) and upper = min(tau0 - tau1, 45/c): the integrand is
+    ~ e^{-c w}, so past ~45/c the contribution is below 1e-18."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    for i, xi in enumerate(x):
+        tau0 = 1.0 / np.sqrt(xi)
+        upper = min(tau0 - tau1, 45.0 / c)
+        out[i] = 2.0 * c * _panelled_exp_integral(
+            lambda w: (1.0 + sign * w / tau0) ** (-(2.0 * k + 3.0)), c, upper
+        )
+    return out
+
+
 def ratio_lower(c: float, k: float, x) -> np.ndarray:
     """R1(x) = c int_0^x t^k e^{-c/sqrt(t)} dt / (x^{k+3/2} e^{-c/sqrt(x)}).
 
     With tau0 = 1/sqrt(x) this is 2c int_0^inf (1+w/tau0)^{-(2k+3)} e^{-cw} dw,
     manifestly approaching 2 as x -> 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        tau0 = 1.0 / np.sqrt(xi)
-        upper = 45.0 / c
-        out[i] = 2.0 * c * _panelled_exp_integral(
-            lambda w: (1.0 + w / tau0) ** (-(2.0 * k + 3.0)), c, upper
-        )
-    return out
+    return _ratio(c, k, x, 1.0, -np.inf)
 
 
 def ratio_upper(c: float, k: float, x, x0: float) -> np.ndarray:
     """R2(x) = c int_x^{x0} t^k e^{+c/sqrt(t)} dt / (x^{k+3/2} e^{+c/sqrt(x)})."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    tau1 = 1.0 / np.sqrt(x0)
-    for i, xi in enumerate(x):
-        tau0 = 1.0 / np.sqrt(xi)
-        # integrand ~ e^{-c w}: past ~45/c the contribution is below 1e-18
-        upper = min(tau0 - tau1, 45.0 / c)
-        out[i] = 2.0 * c * _panelled_exp_integral(
-            lambda w: (1.0 - w / tau0) ** (-(2.0 * k + 3.0)), c, upper
-        )
-    return out
+    return _ratio(c, k, x, -1.0, 1.0 / np.sqrt(x0))
 
 
 @dataclass(frozen=True)
@@ -185,20 +182,20 @@ class CalculusReport:
     passed: bool
 
 
-def lemma43_check(c: float, k: float, x_max: float, eps: float = 1.0, num: int = 200) -> CalculusReport:
+def lemma43_check(c: float, k: float, x_max: float, eps: float = 1.0) -> CalculusReport:
     """Check sup R1 < 2, R1 -> 2 as x -> 0 (within 1%), and sup R2 < 2+eps on
-    the admissible window for the second inequality."""
+    the admissible window for the second inequality (200 and 100 nodes)."""
     if c <= 0 or k <= -1.5:
         raise ConfigError("need c > 0 and k > -3/2")
     root = eps / (2.0 + eps) * c / (2.0 * k + 3.0)
     if not 1e-150 < root < 1e150:  # keeps x0 and the nodes down to 1e-6 x0 normal floats
         raise ConfigError(f"admissible x0 = ({root:.3g})^2 leaves float range (c = {c:g}, k = {k:g}, eps = {eps:g})")
     x0_adm = root**2
-    xs = np.geomspace(1e-6, x_max, num)
+    xs = np.geomspace(1e-6, x_max, 200)
     r1 = ratio_lower(c, k, xs)
     sup_r1 = float(np.max(r1))
     limit_r1 = float(r1[0])
-    xs2 = np.geomspace(x0_adm * 1e-6, x0_adm * 0.999, num // 2)
+    xs2 = np.geomspace(x0_adm * 1e-6, x0_adm * 0.999, 100)
     sup_r2 = float(np.max(ratio_upper(c, k, xs2, x0_adm)))
     passed = (sup_r1 < 2.0) and (abs(limit_r1 - 2.0) <= 0.02) and sup_r2 < 2.0 + eps
     return CalculusReport(c, k, eps, sup_r1, limit_r1, sup_r2, x0_adm, passed)

@@ -93,8 +93,6 @@ class HPair:
     h1_mantissa: np.ndarray
     h2_mantissa: np.ndarray
     exponent: np.ndarray
-    lam: float
-    n: int
 
 
 def _raise_order(alpha: int, s: np.ndarray, f0: np.ndarray, f1: np.ndarray, sign: float) -> np.ndarray:
@@ -146,4 +144,4 @@ def h_pair(n: int, lam: float, x) -> HPair:
         i[~far] = ive(alpha, s[~far])
     m1 = pref * i
     m2 = pref * _raise_order(alpha, s, k0, k1, 1.0)
-    return HPair(m1, m2, s, float(lam), n)
+    return HPair(m1, m2, s)

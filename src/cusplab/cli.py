@@ -77,6 +77,8 @@ def matrix(text: str) -> np.ndarray:
 # section -> key -> (type, default, check).  A default of None marks a key
 # that the config must give, or whose default the reading command passes.
 # A check is "positive", a closed interval (lo, hi) or a set of choices.
+# The counts [grid] nodes and [bessel] points are capped before anything is
+# allocated; a solve's torus grid is capped by picard_solve's point budget.
 TABLE = {
     "model": {
         "n": (int, 2, (2, math.inf)),  # complex dimension
@@ -84,10 +86,10 @@ TABLE = {
         "A": (matrix, None, None),  # Hermitian positive definite
         "scale": (float, 1.0, None),
     },
-    "grid": {"x0": (float, None, None), "s_max": (float, None, None), "nodes": (int, None, "positive")},
+    "grid": {"x0": (float, None, None), "s_max": (float, None, None), "nodes": (int, None, (1, 2**20))},
     "solver": {  # cutoff is in multiples of lambda_1
         "cutoff": (float, None, "positive"), "tol": (float, None, "positive"), "max_iter": (int, 40, "positive"),
-        "torus_resolution": (int, 16, "positive"), "final_order": (int, 4, {2, 4}),
+        "torus_resolution": (int, 16, "positive"),
     },
     "boundary": {"kind": (str, "constant", {"constant", "cosine"}), "amplitude": (float, 0.0, None)},
     "spectrum": {"count": (int, 12, "positive")},
@@ -97,7 +99,7 @@ TABLE = {
     },
     "bessel": {
         "alpha_min": (int, 4, None), "alpha_max": (int, 8, None), "s_min": (float, 0.5, "positive"),
-        "s_max": (float, 500.0, "positive"), "points": (int, 120, "positive"),
+        "s_max": (float, 500.0, "positive"), "points": (int, 120, (1, 2**16)),
     },
     "expand": {"n": (int, 2, (2, math.inf)), "c": (float, 1.0, None), "order": (int, 20, (1, radial._MAX_ORDER))},
     "ratefit": {"s_lo": (float, 40.0, "positive"), "s_hi": (float, 200.0, None)},  # s = 2 sqrt(lam)/sqrt(x)
@@ -243,11 +245,19 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
     return payload
 
 
+# rows of a Bessel sweep, all held at once as Python objects of about 0.3 kB
+_SWEEP_ROWS = 2**18
+
+
 def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
     sec = section(cfg, "bessel")
     a_min, a_max = sec["alpha_min"], sec["alpha_max"]
     if a_min > a_max:
         raise ConfigError(f"[bessel] alpha_min = {a_min} exceeds alpha_max = {a_max}")
+    count = (a_max - a_min + 1) * sec["points"]
+    if count > _SWEEP_ROWS:
+        raise ConfigError(f"[bessel] orders {a_min}..{a_max} at {sec['points']} points make {count} rows, "
+                          f"over the cap of {_SWEEP_ROWS}")
     s = np.geomspace(sec["s_min"], sec["s_max"], sec["points"])
     rows = []
     worst = 0.0

@@ -30,10 +30,6 @@ class NonContractionError(CuspLabError):
     """Fixed-point iteration stopped contracting (boundary data too large)."""
 
 
-class ModeTailError(CuspLabError):
-    """Spectral content beyond the mode cutoff exceeds the requested tolerance."""
-
-
 class BoundaryStencilError(CuspLabError):
     """Radial derivative requested at an outermost grid node."""
 

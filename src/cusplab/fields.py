@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import RadialGrid
+from .grid import RadialGrid, same_nodes
 
 _CONJ_RTOL = 1e-12
 # largest Nyquist content, relative to the largest coefficient, that
@@ -48,11 +48,11 @@ def mode_indices(shape: tuple) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def real_values(coeffs: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+def real_values(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
     """Collocation values, shape + (N,), of the real field whose half
     spectrum on a torus grid of that shape is `coeffs` (torus axes first,
     last axis radial)."""
-    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(len(shape))), norm="forward", out=out)
+    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(len(shape))), norm="forward")
 
 
 def _half_shape(shape: tuple) -> tuple:
@@ -197,7 +197,7 @@ class Field:
     # --- algebra ---
 
     def _same_layout(self, other: "Field") -> np.ndarray:
-        if other.grid is not self.grid and not np.array_equal(other.grid.s, self.grid.s):
+        if not same_nodes(other.grid.s, self.grid.s):
             raise ConfigError("fields live on different grids")
         if other.coeffs.shape != self.coeffs.shape:
             raise ConfigError(

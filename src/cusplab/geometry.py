@@ -30,7 +30,7 @@ from .errors import (
     MetricDegenerateError,
 )
 from .fields import Field, mode_indices, real_values, torus_points
-from .grid import RadialGrid
+from .grid import RadialGrid, same_nodes
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
 
@@ -234,8 +234,7 @@ class Collocation:
     def check(self, model: CuspModel, f: Field):
         """Raise ConfigError unless f lives on this model, grid and torus
         shape."""
-        same_grid = f.grid is self.grid or np.array_equal(f.grid.s, self.grid.s)
-        if model is not self.model or not same_grid or f.torus_shape != self.shape:
+        if model is not self.model or not same_nodes(f.grid.s, self.grid.s) or f.torus_shape != self.shape:
             raise ConfigError("collocation geometry was built for another model, grid or torus shape")
 
 

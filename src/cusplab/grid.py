@@ -108,6 +108,12 @@ def step_deviation(a: np.ndarray) -> float:
     return float(max(ds.max() - d, d - ds.min()))
 
 
+def same_nodes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two node arrays are one grid's: the same array, or equal bit
+    for bit."""
+    return a is b or np.array_equal(a, b)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly decreasing radial nodes in (0, x0], uniform in s = 1/sqrt(x).

@@ -71,9 +71,9 @@ def integrate_calabi(
     t_end: float,
     tol: float = 1e-12,
     psi0: float = 0.0,
-    num_nodes: int = 800,
 ) -> CalabiTrajectory:
-    """Integrate psi' = ((n+1)(e^{psi+a} + b))^{1/(n+1)} from t0 down to t_end.
+    """Integrate psi' = ((n+1)(e^{psi+a} + b))^{1/(n+1)} from t0 down to t_end,
+    sampled on 800 uniform nodes.
 
     For b < 0 the admissible interval has a finite lower bound; integration
     stops there and records the breakdown t-value.
@@ -106,7 +106,7 @@ def integrate_calabi(
     # trajectory needs it, so no other command pays for the import
     from scipy.integrate import solve_ivp
 
-    t_nodes = np.linspace(t0, t_end, num_nodes)
+    t_nodes = np.linspace(t0, t_end, 800)
     sol = solve_ivp(
         rhs,
         (t0, t_end),
@@ -326,18 +326,14 @@ def _power_fit(x_tail: np.ndarray, g_tail: np.ndarray) -> float:
     return float(slope)
 
 
-def radial_rep_l0(
-    n: int,
-    grid: RadialGrid,
-    g0: np.ndarray,
-    u_x0: float,
-):
+def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.ndarray:
     """Solution of x^2 u'' + (n+1) x u' - (n+1) u = g0 with value u_x0 at the
     boundary node and decay at x -> 0, by variation of parameters on the
     homogeneous solutions x and x^{-n-1}.
 
-    g0 must decay at least like x^{1+eps}; the below-grid tails of the two
-    kernel integrals are estimated from a fitted power of the deepest nodes.
+    g0 must decay at least like x^{1+eps}, so that the t^{-2} kernel
+    integral stays bounded as x -> 0; the below-grid tail of the t^n kernel
+    integral is estimated from a fitted power of the deepest nodes.
     """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (len(grid),):
@@ -348,7 +344,6 @@ def radial_rep_l0(
     gmax = float(np.max(np.abs(g0)))
 
     tail_P = 0.0
-    tail_Q = 0.0
     if gmax > 0 and abs(g0[-1]) > 1e-13 * gmax:
         tail_p = _power_fit(x[-6:], g0[-6:])
         if tail_p < 1.02:
@@ -358,7 +353,6 @@ def radial_rep_l0(
             )
         xm = x[-1]
         tail_P = g0[-1] * xm ** (n + 1) / (n + 1 + tail_p)
-        tail_Q = g0[-1] / (xm * (tail_p - 1.0))
 
     # integrals in s: dt = -2 s^{-3} ds
     w = 2.0 / s**3
@@ -367,6 +361,4 @@ def radial_rep_l0(
     P = tail_P + reverse_cumulative_integral(s, yP)  # int_0^{x_i} t^n g0 dt
     Q = cumulative_integral(s, yQ)  # int_{x_i}^{x0} t^{-2} g0 dt
     coeff = u_x0 / x0 + x0 ** (-(n + 2)) / (n + 2) * P[0]
-    u = coeff * x - x ** (-(n + 1)) / (n + 2) * P - x / (n + 2) * Q
-    split_coeff = coeff - (Q[-1] + tail_Q) / (n + 2)
-    return u, split_coeff
+    return coeff * x - x ** (-(n + 1)) / (n + 2) * P - x / (n + 2) * Q

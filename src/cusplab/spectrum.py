@@ -98,8 +98,8 @@ def first_eigenvalue(model: CuspModel) -> float:
 # --- independent finite-difference oracle (2-real-dimensional torus) ---
 
 
-def fd_eigenvalues(model: CuspModel, resolution: int, count: int = 6) -> np.ndarray:
-    """Low eigenvalues of the torus operator by a 2nd-order finite-difference
+def fd_eigenvalues(model: CuspModel, resolution: int) -> np.ndarray:
+    """The six lowest eigenvalues of the torus operator by a 2nd-order finite-difference
     discretization in fractional lattice coordinates.
 
     Only implemented for a one-complex-dimensional cross-section (n = 2);
@@ -135,13 +135,13 @@ def fd_eigenvalues(model: CuspModel, resolution: int, count: int = 6) -> np.ndar
     op = (-(1.0 / (4.0 * a)) * lap).tocsc()
     sigma = -0.1 * np.pi**2 / a
     v0 = np.ones(m * m) / m  # fixed start vector keeps runs bit-reproducible
-    vals = spla.eigsh(op, k=count, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
+    vals = spla.eigsh(op, k=6, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
     return np.sort(vals)
 
 
 def fd_first_eigenvalue(model: CuspModel, resolution: int) -> float:
     """Smallest positive finite-difference eigenvalue."""
-    vals = fd_eigenvalues(model, resolution, count=6)
+    vals = fd_eigenvalues(model, resolution)
     scale = max(abs(vals[0]), abs(vals[-1]), 1e-12)
     positive = vals[vals > 1e-8 * scale]
     if len(positive) == 0:

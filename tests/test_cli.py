@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -177,6 +178,37 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     bad.write_text(N3_SOLVE_CFG + "[solver]\ncutoff = 1e6\ntorus_resolution = 4\n")
     assert cli.main(["solve", str(bad), "-o", str(tmp_path / "o")]) == 2
 
+    # sizes that would exhaust memory are refused before they are allocated;
+    # the patches make an allocation of one of them fail at once
+    def small(fn):
+        def call(start, stop, num=50, **kwargs):
+            assert num <= 2**24, f"{fn.__name__} asked for {num} points"
+            return fn(start, stop, num, **kwargs)
+
+        return call
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} past the cap")
+
+        return call
+
+    huge_cfg = SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 400\n[boundary]\nkind = cosine\namplitude = 1e-3\n"
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "linspace", small(np.linspace))
+        patch.setattr(np, "geomspace", small(np.geomspace))
+        patch.setattr(cli.modes.geometry, "Collocation", refuse("collocation built"))
+        patch.setattr(cli.bessel, "wronskian_residuals", refuse("Bessel sweep started"))
+        for command, text in [
+            ("bessel-sweep", SQUARE_CFG + "[bessel]\npoints = 2147483648\n"),
+            # within the point cap, but the rows of all orders are held at once
+            ("bessel-sweep", SQUARE_CFG + "[bessel]\nalpha_max = 1000\npoints = 65536\n"),
+            ("solve", huge_cfg.replace("nodes = 400", "nodes = 2147483648")),
+            ("solve", huge_cfg + "[solver]\ntorus_resolution = 1073741824\n"),
+        ]:
+            bad.write_text(text)
+            assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
+
     # solver-bound configs must be rejected before any solve starts
     def no_solve(*args, **kwargs):
         raise AssertionError("picard_solve called on an invalid config")
@@ -211,6 +243,7 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("lemma43", SQUARE_CFG.replace("x_max = 10", "x_max = 0")),
         ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 200\ns_hi = 40\n"),
         ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 40\ns_hi = 40\n"),
+        # the radial stencil order is not a key, so setting it is refused
         ("solve", solve_cfg + "[solver]\nfinal_order = 3\n"),
         ("rate-fit", solve_cfg + cosine + "[solver]\nfinal_order = 6\n"),
         ("bessel-sweep", SQUARE_CFG + "[bessel]\ns_min = 0\n"),
@@ -440,8 +473,14 @@ def test_readme_example_uses_only_table_keys(tmp_path):
     path.write_text(example)
     cfg = cli.load_config(str(path))  # refuses a key or section the table does not list
     assert set(cfg.sections()) == set(cli.TABLE)
-    for name in cfg.sections():
-        assert set(cfg[name]) <= {key.lower() for key in cli.TABLE[name]}
+    for name in cfg.sections():  # the example sets every key
+        assert set(cfg[name]) == {key.lower() for key in cli.TABLE[name]}
+
+
+def test_solver_section_is_picard_solve_options():
+    # every option of the solve is a config key, and every key an option
+    params = set(inspect.signature(cli.modes.picard_solve).parameters) - {"model", "boundary", "grid"}
+    assert params == set(cli.TABLE["solver"])
 
 
 # sections each command reads; the fuzz test draws keys from these alone, so

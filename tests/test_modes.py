@@ -7,7 +7,6 @@ from cusplab.bessel import h_pair
 from cusplab.errors import (
     ConfigError,
     MetricDegenerateError,
-    ModeTailError,
     NonContractionError,
 )
 from cusplab.fields import Field
@@ -363,7 +362,7 @@ class TestAssemble:
         grid = RadialGrid.make(0.1, 14.0, 100)
         prof = np.exp(-np.arange(100.0)).astype(complex)
         f = Field.from_modes(grid, {(0, 0): prof}, (8, 8))
-        cleaned = modes.truncate_mode_noise(f, floor=1e-14)
+        cleaned = modes.truncate_mode_noise(f)
         assert cleaned.mode((0, 0))[-1] == 0.0
         assert cleaned.mode((0, 0))[0] == prof[0]
 
@@ -406,15 +405,6 @@ class TestPicard:
             rhos.append(state.trace[1]["sup_change"] / state.trace[0]["sup_change"])
         slope = np.polyfit(np.log([1e-4, 1e-3, 1e-2]), np.log(rhos), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
-
-    def test_tail_tolerance_enforced(self):
-        model = square_model()
-        grid = RadialGrid.make(0.1, 14.0, 600)
-        prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
-        g = Field.from_modes(grid, {(0, 0): prof, (3, 3): prof, (-3, -3): prof}, (8, 8))
-        below = spectrum.modes_below(model, 5 * np.pi**2)
-        with pytest.raises(ModeTailError):
-            modes.assemble_representation(model, {}, g, below, tail_tol=1e-10)
 
     def test_boundary_symmetry_required(self):
         model = square_model()
@@ -499,13 +489,6 @@ class TestPicard:
             modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, max_iter=0)
         with pytest.raises(ConfigError, match="tol"):
             modes.picard_solve(square_model(), {(0, 0): 40.0}, grid, torus_resolution=8, tol=0.0)
-
-    def test_tail_error_names_iteration_tail_and_tolerance(self):
-        grid = RadialGrid.make(0.05, 34.0, 300)
-        with pytest.raises(ModeTailError, match=r"^Picard iteration 1: spectral tail \d\.\d{3}e-\d+ .* tolerance 1\.0e-30"):
-            modes.picard_solve(
-                square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, torus_resolution=16, tail_tol=1e-30
-            )
 
 
 def _collocation_shapes(monkeypatch) -> list:
