@@ -51,12 +51,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list, rows: list):
+def _fmt_column(column) -> list:
+    """The cells of one column: a float array in one pass, anything else by `_fmt`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+def write_csv(path: Path, header: list, columns):
+    """A CSV file with the given header over equal-length columns."""
+    cells = [_fmt_column(col) for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells))
 
 
 def write_json(path: Path, payload: dict):
@@ -199,7 +207,7 @@ def _boundary(cfg, n: int) -> dict:
 
 def _check_table(result: acceptance.CriterionResult, path: Path) -> dict:
     """A criterion's details as a (check, value) table; its sidecar fields."""
-    write_csv(path, ["check", "value"], sorted(result.details.items()))
+    write_csv(path, ["check", "value"], zip(*sorted(result.details.items())))
     return {"passed": result.passed, **result.details}
 
 
@@ -215,8 +223,8 @@ def cmd_spectrum(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     count = section(cfg, "spectrum")["count"]
     keys, lams = spectrum.eigenvalues_up_to(model, count)
-    rows = [[i, " ".join(map(str, k)), lam] for i, (k, lam) in enumerate(zip(keys.tolist(), lams))]
-    write_csv(out_dir / "spectrum.csv", ["index", "mode", "lambda"], rows)
+    columns = [range(len(lams)), [" ".join(map(str, k)) for k in keys.tolist()], lams]
+    write_csv(out_dir / "spectrum.csv", ["index", "mode", "lambda"], columns)
     return {"lambda1": spectrum.first_eigenvalue(model), "count": count}
 
 
@@ -229,8 +237,8 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
     sec = section(cfg, "calabi")
     traj = radial.integrate_calabi(n, **sec)
     fi = traj.first_integral()
-    rows = [[t, p, pp, f] for t, p, pp, f in zip(traj.t_nodes, traj.psi, traj.psi_prime, fi)]
-    write_csv(out_dir / "calabi.csv", ["t", "psi", "psi_prime", "first_integral"], rows)
+    columns = [traj.t_nodes, traj.psi, traj.psi_prime, fi]
+    write_csv(out_dir / "calabi.csv", ["t", "psi", "psi_prime", "first_integral"], columns)
     payload = {
         "first_integral_drift": traj.first_integral_drift(),
         "ode_residual": traj.ode_residual(),
@@ -245,7 +253,7 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
     return payload
 
 
-# rows of a Bessel sweep, all held at once as Python objects of about 0.3 kB
+# rows of a Bessel sweep; their formatted cells, about 0.3 kB a row, are all held at once
 _SWEEP_ROWS = 2**18
 
 
@@ -259,16 +267,16 @@ def cmd_bessel_sweep(cfg, out_dir: Path) -> dict:
         raise ConfigError(f"[bessel] orders {a_min}..{a_max} at {sec['points']} points make {count} rows, "
                           f"over the cap of {_SWEEP_ROWS}")
     s = np.geomspace(sec["s_min"], sec["s_max"], sec["points"])
-    rows = []
+    blocks = []
     worst = 0.0
     for alpha in range(a_min, a_max + 1):
         r_abel, r_mode = bessel.wronskian_residuals(alpha, s)  # refuses alpha < 3
         if not (np.all(np.isfinite(r_abel)) and np.all(np.isfinite(r_mode))):
             raise NumericalError(f"non-finite Wronskian residual at alpha = {alpha}")
         worst = max(worst, float(np.max(r_abel)), float(np.max(r_mode)))
-        rows.extend(zip([alpha] * len(s), s, ive(alpha, s), kve(alpha, s), r_abel, r_mode))
+        blocks.append([np.full(len(s), alpha), s, ive(alpha, s), kve(alpha, s), r_abel, r_mode])
     header = ["alpha", "s", "i_scaled", "k_scaled", "abel_residual", "mode_wronskian_residual"]
-    write_csv(out_dir / "bessel-sweep.csv", header, rows)
+    write_csv(out_dir / "bessel-sweep.csv", header, [np.concatenate(col) for col in zip(*blocks)])
     return {"max_residual": worst}
 
 
@@ -283,8 +291,8 @@ def cmd_expand(cfg, out_dir: Path) -> dict:
     worst = float(np.max(rel))
     if not np.isfinite(worst):  # np.max keeps a NaN that a running max() drops
         raise NumericalError(f"[expand] c = {c}: c^k under- or overflows by order {order}, rel_err = {worst}")
-    rows = zip(range(1, order + 1), series.coeffs[1:], target[1:], rel)
-    write_csv(out_dir / "expand.csv", ["k", "coefficient", "closed_form", "rel_err"], rows)
+    columns = [range(1, order + 1), series.coeffs[1:], target[1:], rel]
+    write_csv(out_dir / "expand.csv", ["k", "coefficient", "closed_form", "rel_err"], columns)
     return {"max_rel_err": worst, "equation_residual": radial.series_equation_residual(series)}
 
 
@@ -304,7 +312,7 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
     if np.any(prof1):  # the (1, 0, ...) mode was solved
         header.append("u_mode1_cos")
         columns.append(2.0 * prof1.real)
-    write_csv(out_dir / "solve.csv", header, zip(*columns))
+    write_csv(out_dir / "solve.csv", header, columns)
     return {**_solve_record(state), "tangent_cone_c": c_fit, "tangent_cone_rms": c_rms}
 
 
@@ -317,7 +325,7 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     mask = analysis.window_mask(grid.x, fit.window)
     x = grid.x[mask]
     env = fit.amplitude * x**fit.p * np.exp(-fit.delta / np.sqrt(x))
-    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], zip(x, prof[mask], env))
+    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], [x, prof[mask], env])
     return {
         **_solve_record(state),
         "delta": fit.delta,
@@ -334,16 +342,14 @@ def cmd_lemma43(cfg, out_dir: Path) -> dict:
     report = analysis.lemma43_check(**sec)
     xs = np.geomspace(1e-6, sec["x_max"], 60)
     r1 = analysis.ratio_lower(sec["c"], sec["k"], xs)
-    rows = [[xv, rv] for xv, rv in zip(xs, r1)]
-    write_csv(out_dir / "lemma43.csv", ["x", "r1"], rows)
+    write_csv(out_dir / "lemma43.csv", ["x", "r1"], [xs, r1])
     return {key: getattr(report, key) for key in ("sup_r1", "limit_r1", "sup_r2", "x0_admissible", "passed")}
 
 
 def cmd_report(cfg, out_dir: Path) -> dict:
     results = acceptance.run_all()
     # no timings in the CSV: outputs must be byte-identical across reruns
-    rows = [[r.name, r.passed] for r in results]
-    write_csv(out_dir / "report.csv", ["criterion", "passed"], rows)
+    write_csv(out_dir / "report.csv", ["criterion", "passed"], [[r.name for r in results], [r.passed for r in results]])
     criteria = {r.name: {"passed": r.passed, "seconds": r.seconds, **r.details} for r in results}
     payload = {"criteria": criteria, "all_passed": all(r.passed for r in results)}
     for r in results:

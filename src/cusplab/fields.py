@@ -4,17 +4,19 @@ A Field is real valued.  Its torus grid has a per-axis shape
 (m_1, ..., m_dims), each m_i either 1 or a power of two >= 4; an axis of
 size 1 carries only the mode k_i = 0, so the field is constant along it.
 The field stores its torus Fourier coefficients over a shared radial grid
-as the `rfftn` half spectrum, one dense complex array of shape
-(m_1, ..., m_{dims-1}, m_dims//2+1, len(grid)): the radial profile of the
-integer dual-lattice index k with k_last >= 0 sits at index k_i mod m_i,
-and that of -k is its complex conjugate.  The characters are
-chi_k(t) = exp(2*pi*i k.t) in fractional lattice coordinates t, so the
-coefficients and the collocation values on the uniform torus grid of that
-shape are one real FFT apart (`real_values`, `Field.from_values`).  The
-Nyquist planes (some 2|k_i| = m_i) stay zero.  No other module maps modes
-to slots, but two rely on the k_last >= 0 half: `geometry.holomorphic_hessian`
-counts a k_last > 0 row for k and -k, `modes.assemble_representation` skips
-k_last < 0.
+as a real-FFT half spectrum, one dense complex array of the torus shape
+with the halved axis j cut to m_j//2+1, then len(grid): j is the last axis
+of size > 1 (the last axis when all have size 1, where halving changes
+nothing).  The radial profile of the integer dual-lattice index k with
+k_j >= 0 sits at index k_i mod m_i, and that of -k is its complex
+conjugate.  The characters are chi_k(t) = exp(2*pi*i k.t) in fractional
+lattice coordinates t, so the coefficients and the collocation values on
+the uniform torus grid of that shape are one real FFT over the axes of
+size > 1 apart (`real_values`, `Field.from_values`); with no such axis
+they coincide.  The Nyquist planes (some 2|k_i| = m_i) stay zero.  No
+other module maps modes to slots, but two rely on the k_j >= 0 half
+(`halved_axis`): `geometry.holomorphic_hessian` counts a k_j > 0 row for
+k and -k, `modes.assemble_representation` skips k_j < 0.
 """
 
 from __future__ import annotations
@@ -32,31 +34,52 @@ _CONJ_RTOL = 1e-12
 _NYQUIST_RTOL = 1e-8
 
 
+def _axis_size_ok(m: int) -> bool:
+    return m == 1 or (m >= 4 and (m & (m - 1)) == 0)
+
+
 def check_torus_shape(shape: tuple):
     """Raise ConfigError unless every axis size is 1 or a power of two >= 4."""
     for m in shape:
-        if m != 1 and (m < 4 or (m & (m - 1)) != 0):
+        if not _axis_size_ok(m):
             raise ConfigError(f"torus_resolution must be a power of two >= 4, got {m}")
+
+
+def halved_axis(shape: tuple) -> int:
+    """The torus axis on which only k_j >= 0 is stored: the last axis whose
+    size is not 1, or the last axis when every size is 1.  Reads a torus
+    shape and a stored half shape alike (a halved axis of size m >= 4 keeps
+    m//2+1 >= 3 entries)."""
+    return max((i for i, m in enumerate(shape) if m != 1), default=len(shape) - 1)
 
 
 def mode_indices(shape: tuple) -> np.ndarray:
     """Integer mode index k at each stored position of the half spectrum of
-    a torus grid of the given shape, shape[:-1] + (shape[-1]//2+1, dims);
-    the Nyquist positions read 2|k_i| = m_i."""
-    axes = [(np.arange(m) + m // 2) % m - m // 2 for m in shape[:-1]]
-    axes.append(np.arange(shape[-1] // 2 + 1))
+    a torus grid of the given shape, `_half_shape(shape)` + (dims,); the
+    Nyquist positions read 2|k_i| = m_i."""
+    j = halved_axis(shape)
+    axes = [np.arange(m // 2 + 1) if i == j else (np.arange(m) + m // 2) % m - m // 2 for i, m in enumerate(shape)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _fft_axes(shape: tuple) -> tuple:
+    """The torus axes of size > 1, the only ones a transform has work on."""
+    return tuple(i for i, m in enumerate(shape) if m > 1)
 
 
 def real_values(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
     """Collocation values, shape + (N,), of the real field whose half
     spectrum on a torus grid of that shape is `coeffs` (torus axes first,
     last axis radial)."""
-    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(len(shape))), norm="forward")
+    axes = _fft_axes(shape)
+    if not axes:
+        return coeffs.real.copy()
+    return np.fft.irfftn(coeffs, s=[shape[i] for i in axes], axes=axes, norm="forward")
 
 
 def _half_shape(shape: tuple) -> tuple:
-    return tuple(shape[:-1]) + (shape[-1] // 2 + 1,)
+    j = halved_axis(shape)
+    return shape[:j] + (shape[j] // 2 + 1,) + shape[j + 1 :]
 
 
 @dataclass
@@ -66,12 +89,13 @@ class Field:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim < 2 or self.coeffs.shape != _half_shape(self.torus_shape) + (len(self.grid),):
+        shape = self.torus_shape if self.coeffs.ndim >= 2 else ()
+        valid = shape and all(map(_axis_size_ok, shape))
+        if not (valid and self.coeffs.shape == _half_shape(shape) + (len(self.grid),)):
             raise ConfigError(
-                f"coefficients must have shape (m_1, ..., m_dims//2+1, {len(self.grid)}), "
-                f"got {self.coeffs.shape}"
+                f"coefficients must be a half spectrum: the torus shape with its last axis of "
+                f"size > 1 cut to m//2+1, then {len(self.grid)}; got {self.coeffs.shape}"
             )
-        check_torus_shape(self.torus_shape)
 
     # --- constructors ---
 
@@ -104,7 +128,7 @@ class Field:
             defect = np.max(np.abs(partner - prof.conj())) if partner.shape == prof.shape else np.inf
             if defect > _CONJ_RTOL * np.max(np.abs(prof)):
                 raise ConfigError(f"profile of mode {mk} is not the conjugate of that of mode {k}")
-            if k[-1] >= 0:
+            if k[halved_axis(shape)] >= 0:
                 f.coeffs[slot] = prof
         return f
 
@@ -126,7 +150,8 @@ class Field:
         values = np.asarray(values)
         shape = values.shape[:-1]
         check_torus_shape(shape)
-        coeffs = np.fft.rfftn(values, axes=tuple(range(len(shape))), norm="forward")
+        axes = _fft_axes(shape)
+        coeffs = np.fft.rfftn(values, axes=axes, norm="forward") if axes else values.astype(complex)
         scale = np.max(np.abs(coeffs)) + 1e-300
         nyquist = np.any(2 * np.abs(mode_indices(shape)) == shape, axis=-1)
         nyq_max = float(np.max(np.abs(coeffs[nyquist]), initial=0.0))
@@ -143,8 +168,9 @@ class Field:
     @property
     def torus_shape(self) -> tuple:
         """Per-axis size (m_1, ..., m_dims) of the torus grid."""
-        half = self.coeffs.shape[-2]
-        return self.coeffs.shape[:-2] + (2 * (half - 1) if half > 1 else half,)
+        half = self.coeffs.shape[:-1]
+        j = halved_axis(half)
+        return half[:j] + (2 * (half[j] - 1) if half[j] > 1 else 1,) + half[j + 1 :]
 
     @property
     def torus_resolution(self) -> int:
@@ -156,7 +182,8 @@ class Field:
         return self.coeffs.ndim - 1
 
     def index(self, k) -> tuple:
-        """Array index of the integer mode k, or of -k when k_last < 0;
+        """Array index of the integer mode k, or of -k when k_j < 0 on the
+        halved axis j (`halved_axis`);
         rejects keys that alias (some 2|k_i| >= m_i, so on an axis of size 1
         every k_i != 0)."""
         shape = self.torus_shape
@@ -165,7 +192,7 @@ class Field:
             raise ConfigError(f"mode {k} needs {len(shape)} entries")
         if any(2 * abs(ki) >= m for ki, m in zip(k, shape)):
             raise ConfigError(f"mode {k} aliases on a torus grid of shape {shape}")
-        sign = -1 if k[-1] < 0 else 1
+        sign = -1 if k[halved_axis(shape)] < 0 else 1
         return tuple(sign * ki % m for ki, m in zip(k, shape))
 
     def mode(self, k) -> np.ndarray:
@@ -178,7 +205,7 @@ class Field:
             self.index([0 if m == 1 else ki for ki, m in zip(k, shape)])  # refuses the other axes' aliases
             return np.zeros(len(self.grid), dtype=complex)
         prof = self.coeffs[self.index(k)]
-        return prof.conj() if k[-1] < 0 else prof.copy()
+        return prof.conj() if k[halved_axis(shape)] < 0 else prof.copy()
 
     def radial_mean(self) -> np.ndarray:
         """Profile of the torus-constant mode (real part)."""

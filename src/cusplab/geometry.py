@@ -29,7 +29,7 @@ from .errors import (
     ConfigError,
     MetricDegenerateError,
 )
-from .fields import Field, mode_indices, real_values, torus_points
+from .fields import Field, halved_axis, mode_indices, real_values, torus_points
 from .grid import RadialGrid, same_nodes
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
@@ -338,9 +338,9 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     _, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(f.torus_shape), 2)
     c = mode_covector(model, k)
     chi = np.exp(2j * np.pi * (k @ t))
-    # a stored row with k_last > 0 stands for k and -k as well; their terms
-    # are complex conjugates, and c(-k) = -c(k)
-    w = np.where(k[:, -1] > 0, 2.0, 1.0)
+    # a stored row with k_j > 0 on the halved axis stands for k and -k as
+    # well; their terms are complex conjugates, and c(-k) = -c(k)
+    w = np.where(k[:, halved_axis(f.torus_shape)] > 0, 2.0, 1.0)
     fx = float(np.sum(w * (px[:, idx] * chi).real))
     fxx = float(np.sum(w * (pxx[:, idx] * chi).real))
     fax = -np.pi * (w * (px[:, idx] * chi).imag) @ c

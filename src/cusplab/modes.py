@@ -36,7 +36,7 @@ import numpy as np
 from . import geometry
 from .bessel import h_pair
 from .errors import ConfigError, MetricDegenerateError, NonContractionError, NumericalError
-from .fields import Field, check_torus_shape
+from .fields import Field, check_torus_shape, halved_axis
 from .grid import UNIFORM_TOL, RadialGrid, same_nodes, step_deviation
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
@@ -288,8 +288,9 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     torus grid of g cannot resolve (some 2|k_i| >= m_i, so every k_i != 0 on
     an axis of size 1) carry no coefficient and are skipped unless nonzero
     boundary data forces them.
-    Keys with k_last < 0 are skipped too: the field stores those modes as
-    the conjugates of the modes -k.
+    Keys with k_j < 0 on the halved axis j (`fields.halved_axis`) are
+    skipped too: the field stores those modes as the conjugates of the
+    modes -k, so each +/- pair off the k_j = 0 plane is solved once.
     """
     grid = g.grid
     n = model.n
@@ -312,8 +313,9 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     unsolved = np.ones(sup.shape, dtype=bool)
     unsolved[zero] = False
     modes_solved = 0
+    j = halved_axis(g.torus_shape)
     for k, lam in keys.items():
-        if k[-1] < 0:
+        if k[j] < 0:
             continue
         slot = out.index(k)
         unsolved[slot] = False

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -381,7 +382,10 @@ s_hi = 120
     out = tmp_path / "out"
     assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
     res = json.loads((out / "rate-fit.json").read_text())["results"]
-    assert len(res["trace"]) == res["iterations"] >= 2 and res["trace"][-1]["modes_solved"] >= 2
+    assert len(res["trace"]) == res["iterations"] >= 2
+    # the solve collocates on (16, 1), whose halved axis is axis 0: the pair
+    # (1, 0), (-1, 0) is one stored mode and one solve in every iteration
+    assert [t["modes_solved"] for t in res["trace"]] == [1] * res["iterations"]
     # the sidecar of every solve command carries the solve's diagnostics
     assert res["lambda1"] == pytest.approx(np.pi**2 / 4, rel=1e-14)
     assert {"tail_indicator", "modes_solved", "ell0_decay_power"} <= set(res)
@@ -572,6 +576,64 @@ def test_fuzzed_configs_exit_cleanly(command, tmp_path, monkeypatch):
         assert "Traceback" not in err.getvalue(), text
 
     run()
+
+
+CSV_CFG = SQUARE_CFG + """
+[bessel]
+alpha_max = 5
+points = 7
+
+[grid]
+x0 = 0.05
+s_max = 20
+nodes = 600
+
+[solver]
+cutoff = 5
+
+[boundary]
+kind = cosine
+amplitude = 1e-3
+
+[ratefit]
+s_lo = 40
+s_hi = 120
+"""
+
+
+def _write_csv_rowwise(path, header, columns):
+    """The row-by-row reference: every cell through `cli._fmt`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([cli._fmt(v) for v in row])
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_csv_columns_format_like_rows(command, tmp_path, monkeypatch):
+    # the criteria are stubbed with details of every type a table holds
+    details = {"float": 0.1, "numpy_float": np.float64(1 / 3), "int": 7, "flag": False, "text": "a b"}
+    stub = acceptance.CriterionResult("A0", True, details)
+    for name in ("criterion_a4", "criterion_a9"):
+        monkeypatch.setattr(cli.acceptance, name, lambda: stub)
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: [stub, acceptance.CriterionResult("A1", True)])
+    written = []
+    write_csv = cli.write_csv
+
+    def write_both(path, header, columns):
+        columns = [col if isinstance(col, np.ndarray) else list(col) for col in columns]
+        write_csv(path, header, columns)
+        _write_csv_rowwise(tmp_path / "rowwise.csv", header, columns)
+        written.append((path.read_bytes(), (tmp_path / "rowwise.csv").read_bytes()))
+
+    monkeypatch.setattr(cli, "write_csv", write_both)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(CSV_CFG)
+    assert cli.main([command, str(cfg), "-o", str(tmp_path / "out")]) == 0
+    [(columnwise, rowwise)] = written
+    assert columnwise.count(b"\n") > 1
+    assert columnwise == rowwise
 
 
 def test_cli_import_leaves_linalg_and_sparse_unloaded():

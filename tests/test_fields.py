@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cusplab.errors import ConfigError
-from cusplab.fields import Field, mode_indices, torus_points
+from cusplab.fields import Field, halved_axis, mode_indices, torus_points
 from cusplab.grid import RadialGrid
 
 
@@ -122,3 +124,61 @@ def test_mode_on_collapsed_axis():
 def test_torus_shape_axes_are_one_or_powers_of_two(shape):
     with pytest.raises(ConfigError):
         Field.zero(_grid(), shape)
+
+
+_LAYOUTS = {  # torus shape: stored half shape, halved along the last axis of size > 1
+    (16, 1): (9, 1),
+    (1, 16): (1, 9),
+    (8, 1, 1, 1): (5, 1, 1, 1),
+    (1, 1, 8, 1): (1, 1, 5, 1),
+    (4, 1, 8, 1): (4, 1, 5, 1),
+    (1, 1, 1, 1): (1, 1, 1, 1),
+}
+
+
+def _all_held_modes(shape, rng):
+    """A profile for every mode the grid holds off the Nyquist planes, with
+    b_{-k} = conj(b_k) and a real b_0."""
+    ranges = [range(-((m - 1) // 2), (m - 1) // 2 + 1) for m in shape]
+    modes = {}
+    for k in itertools.product(*ranges):
+        mk = tuple(-ki for ki in k)
+        if k not in modes:
+            p = rng.normal(size=32) + (1j * rng.normal(size=32) if k != mk else 0.0)
+            modes[k], modes[mk] = p.astype(complex), p.conj().astype(complex)
+    return modes
+
+
+@pytest.mark.parametrize("shape", list(_LAYOUTS), ids=lambda s: "x".join(map(str, s)))
+def test_half_spectrum_layout(shape):
+    grid = _grid()
+    modes = _all_held_modes(shape, np.random.default_rng(7))
+    f = Field.from_modes(grid, modes, shape)
+    assert f.coeffs.shape == _LAYOUTS[shape] + (32,)
+    assert f.torus_shape == shape
+    # values: the character sum sum_k b_k chi_k(t) on the uniform grid
+    t = np.stack(np.meshgrid(*(np.arange(m) / m for m in shape), indexing="ij"), axis=-1)
+    brute = sum(np.exp(2j * np.pi * (t @ np.array(k)))[..., None] * p for k, p in modes.items())
+    vals = f.values()
+    assert np.max(np.abs(vals - brute)) <= 1e-14 * np.max(np.abs(brute))
+    assert np.max(np.abs(Field.from_values(grid, vals).coeffs - f.coeffs)) <= 1e-14 * np.max(np.abs(f.coeffs))
+    # the conjugate rule on the halved axis j: off the k_j = 0 plane, -k
+    # shares the slot of k and reads its conjugate
+    j = halved_axis(shape)
+    for k, p in modes.items():
+        mk = tuple(-ki for ki in k)
+        assert f.index(k) == tuple(ki % m for ki, m in zip(k if k[j] >= 0 else mk, shape))
+        assert (f.index(k) == f.index(mk)) == (k[j] != 0 or k == mk)
+        assert np.array_equal(f.mode(k), p if k[j] >= 0 else modes[mk].conj())
+    # a coefficient array halved along the last axis, where that axis has size 1, is refused
+    old = shape[:-1] + (shape[-1] // 2 + 1,)
+    if old != _LAYOUTS[shape]:
+        with pytest.raises(ConfigError, match="half spectrum"):
+            Field(grid, np.zeros(old + (32,), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (1, 16)])
+def test_last_axis_spanned_values_match_full_irfftn(shape):
+    grid = _grid()
+    f = Field.from_modes(grid, _all_held_modes(shape, np.random.default_rng(3)), shape)
+    assert np.array_equal(f.values(), np.fft.irfftn(f.coeffs, s=shape, axes=(0, 1), norm="forward"))

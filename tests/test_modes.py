@@ -343,7 +343,7 @@ class TestAssemble:
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, (8, 8))
         out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2))
-        # both modes sit on the stored k_last = 0 plane and are solved apart
+        # on (8, 8) the halved axis is the last: both modes sit on its k_2 = 0 plane and are solved apart
         assert np.max(np.abs(out.mode((-1, 0)) - out.mode((1, 0)).conj())) < 1e-14 * np.max(np.abs(prof))
 
     def test_modes_the_torus_grid_cannot_hold(self):
@@ -526,6 +526,44 @@ class TestTorusShape:
         assert shapes == [expected]
         assert u.torus_shape == state.diagnostics["torus_shape"] == expected
         assert u.torus_resolution == max(expected)
+
+    def test_pm_pair_is_one_solve_on_collapsed_axis(self):
+        # on (16, 1) the halved axis is axis 0, so (-1, 0) is stored as the
+        # conjugate of (1, 0) instead of being solved apart
+        grid = RadialGrid.make(0.05, 34.0, 200)
+        u, state = modes.picard_solve(square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, torus_resolution=16)
+        assert u.torus_shape == (16, 1)
+        assert [t["modes_solved"] for t in state.trace] == [3] * state.iteration  # (1, 0), (2, 0), (3, 0)
+        assert np.array_equal(u.mode((-1, 0)), np.conj(u.mode((1, 0))))
+
+    @pytest.mark.parametrize(
+        "model, boundary, m, transforms",
+        [
+            (square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, 16, True),
+            (n3_model(), {(0, 0, 0, 0): _N3_BETA}, 4, False),
+        ],
+        ids=["A5-boundary", "n3-constant-boundary"],
+    )
+    def test_ffts_skip_axes_of_size_one(self, monkeypatch, model, boundary, m, transforms):
+        # every transformed axis has size > 1; an all-ones shape runs no FFT
+        sizes = []
+        irfftn, rfftn = np.fft.irfftn, np.fft.rfftn
+
+        def spy_irfftn(a, s=None, axes=None, norm=None):
+            out = irfftn(a, s=s, axes=axes, norm=norm)
+            sizes.append([out.shape[i] for i in (range(out.ndim) if axes is None else axes)])
+            return out
+
+        def spy_rfftn(a, s=None, axes=None, norm=None):
+            sizes.append([np.shape(a)[i] for i in (range(np.ndim(a)) if axes is None else axes)])
+            return rfftn(a, s=s, axes=axes, norm=norm)
+
+        monkeypatch.setattr(np.fft, "irfftn", spy_irfftn)
+        monkeypatch.setattr(np.fft, "rfftn", spy_rfftn)
+        grid = RadialGrid.make(0.05, 34.0, 200)
+        modes.picard_solve(model, boundary, grid, torus_resolution=m, tol=1e-11)
+        assert bool(sizes) == transforms
+        assert all(size > 1 for call in sizes for size in call)
 
     @pytest.mark.parametrize(
         "model, boundary, m, nodes",
