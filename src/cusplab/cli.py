@@ -186,7 +186,7 @@ def load_config(path: str) -> configparser.ConfigParser:
 
 def build_model(cfg: configparser.ConfigParser) -> CuspModel:
     sec = section(cfg, "model")
-    lattice = np.real(sec["lattice"]).T  # rows are basis vectors
+    lattice = sec["lattice"].T  # rows are basis vectors
     return CuspModel(n=sec["n"], lattice=lattice, A=sec["A"], scale=sec["scale"])
 
 

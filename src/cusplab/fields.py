@@ -14,9 +14,10 @@ lattice coordinates t, so the coefficients and the collocation values on
 the uniform torus grid of that shape are one real FFT over the axes of
 size > 1 apart (`real_values`, `Field.from_values`); with no such axis
 they coincide.  The Nyquist planes (some 2|k_i| = m_i) stay zero.  No
-other module maps modes to slots, but two rely on the k_j >= 0 half
-(`halved_axis`): `geometry.holomorphic_hessian` counts a k_j > 0 row for
-k and -k, `modes.assemble_representation` skips k_j < 0.
+other module maps modes to slots (`Field.set_mode` itself writes the
+conjugate of a profile to the slot of -k); only
+`geometry.holomorphic_hessian` relies on the k_j >= 0 half (`halved_axis`),
+counting a k_j > 0 row for k and -k.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import RadialGrid, same_nodes
+from .grid import RadialGrid
 
 _CONJ_RTOL = 1e-12
 # largest Nyquist content, relative to the largest coefficient, that
@@ -207,6 +208,15 @@ class Field:
         prof = self.coeffs[self.index(k)]
         return prof.conj() if k[halved_axis(shape)] < 0 else prof.copy()
 
+    def set_mode(self, k, profile: np.ndarray):
+        """Store the radial profile of the integer mode k, and its conjugate
+        as that of -k where the layout stores -k apart (k != 0 with k_j = 0
+        on the halved axis j)."""
+        slot, other = self.index(k), self.index([-ki for ki in k])
+        self.coeffs[slot] = np.conj(profile) if k[halved_axis(self.torus_shape)] < 0 else profile
+        if other != slot:
+            self.coeffs[other] = np.conj(profile)
+
     def radial_mean(self) -> np.ndarray:
         """Profile of the torus-constant mode (real part)."""
         return self.coeffs[(0,) * self.torus_dims].real.copy()
@@ -224,7 +234,7 @@ class Field:
     # --- algebra ---
 
     def _same_layout(self, other: "Field") -> np.ndarray:
-        if not same_nodes(other.grid.s, self.grid.s):
+        if other.grid != self.grid:
             raise ConfigError("fields live on different grids")
         if other.coeffs.shape != self.coeffs.shape:
             raise ConfigError(

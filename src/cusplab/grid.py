@@ -108,19 +108,15 @@ def step_deviation(a: np.ndarray) -> float:
     return float(max(ds.max() - d, d - ds.min()))
 
 
-def same_nodes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two node arrays are one grid's: the same array, or equal bit
-    for bit."""
-    return a is b or np.array_equal(a, b)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly decreasing radial nodes in (0, x0], uniform in s = 1/sqrt(x).
 
     The grid owns a read-only, contiguous copy of the nodes it is given, so
     editing the caller's array later cannot move a node past the uniformity
-    check or change `h`, `x` or a mode solve's cache key."""
+    check or change `h`, `x` or a memoized solve plan.  Two grids are equal
+    when their nodes are equal bit for bit, and hash by the node count and
+    end nodes, so a grid keys `functools.lru_cache`."""
 
     s: np.ndarray
 
@@ -144,6 +140,12 @@ class RadialGrid:
         if s_max <= s0:
             raise ConfigError(f"s_max={s_max} must exceed 1/sqrt(x0)={s0:.4g}")
         return cls(np.linspace(s0, s_max, num))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RadialGrid) and (self.s is other.s or np.array_equal(self.s, other.s))
+
+    def __hash__(self) -> int:
+        return hash((len(self.s), self.s[0], self.s[-1]))
 
     def __len__(self) -> int:
         return len(self.s)

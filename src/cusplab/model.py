@@ -46,7 +46,10 @@ class CuspModel:
         eigs = np.linalg.eigvalsh(A)
         if eigs.min() <= 0:
             raise ConfigError(f"A must be positive definite (eigenvalues {eigs})")
-        B = np.atleast_2d(np.asarray(self.lattice, dtype=float))
+        B = np.atleast_2d(np.asarray(self.lattice))
+        if np.any(np.imag(B) != 0):
+            raise ConfigError("lattice must be real")
+        B = np.real(B).astype(float)
         if B.shape != (2 * d, 2 * d):
             raise ConfigError(f"lattice must be {2*d}x{2*d}, got {B.shape}")
         if abs(np.linalg.det(B)) < 1e-14:

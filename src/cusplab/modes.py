@@ -13,7 +13,7 @@ exp(sigma_k - sigma_l) is rho^(l - k) for the one scalar
 rho = exp(-2 sqrt(lambda) h): the quadrature and the two scans of a mode
 solve are geometric, weighting nodes by powers of rho, and take no
 exponential per node.  Everything a solve needs apart from f depends only
-on (n, lambda, grid) and is built once per eigenvalue as a `SolvePlan`;
+on (n, lambda, grid) and is memoized as a `SolvePlan` (`_solve_plan`);
 there the homogeneous term exp(sigma_0 - sigma) is the one array
 exponentiated node by node, and a positive argument to it is a programming
 error and raises.  A solve on a held plan does only the work that depends
@@ -26,6 +26,7 @@ remainder of the Monge-Ampere operator.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import contextmanager
@@ -36,8 +37,8 @@ import numpy as np
 from . import geometry
 from .bessel import h_pair
 from .errors import ConfigError, MetricDegenerateError, NonContractionError, NumericalError
-from .fields import Field, check_torus_shape, halved_axis
-from .grid import UNIFORM_TOL, RadialGrid, same_nodes, step_deviation
+from .fields import Field, check_torus_shape
+from .grid import UNIFORM_TOL, RadialGrid, step_deviation
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
 from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
@@ -138,18 +139,16 @@ class SolvePlan:
     """Everything a mode solve needs apart from f, at one (n, lam, grid).
 
     m1, m2 and sigma are the kernel pair's mantissas and exponent on the
-    grid's nodes s (held by reference: the grid's nodes are read-only).
-    weight = x^(n-1) |dt/ds| = x^(n-1) 2/s^3 takes f to the integrand
-    density in s; it depends on n and the grid only, and plans of one n and
-    grid share one array.  hom = (m2/m2[0]) exp(sigma_0 - sigma) is the
-    homogeneous solution with value 1 at x0, the one per-node exponential
-    of the plan.  rho = exp(-step of sigma) is the scans' ratio and h the
-    grid step; two_m1_0 = 2 m1[0], and tail times f at the deepest node is
-    the below-grid tail of int_0^x t^(n-1) H2 f dt.
+    grid's nodes.  weight = x^(n-1) |dt/ds| = x^(n-1) 2/s^3 takes f to the
+    integrand density in s; it depends on n and the grid only, and plans of
+    one n and grid share one array (`_grid_weight`).  hom =
+    (m2/m2[0]) exp(sigma_0 - sigma) is the homogeneous solution with value 1
+    at x0, the one per-node exponential of the plan.  rho = exp(-step of
+    sigma) is the scans' ratio and h the grid step; two_m1_0 = 2 m1[0], and
+    tail times f at the deepest node is the below-grid tail of
+    int_0^x t^(n-1) H2 f dt.  Every array is read-only.
     """
 
-    n: int
-    s: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
     sigma: np.ndarray
@@ -161,11 +160,22 @@ class SolvePlan:
     tail: float
 
 
-_PLAN_CACHE_SIZE = 8
-_plan_cache: dict = {}  # (n, lam, len(s), s[0], s[-1]) -> SolvePlan, oldest first
+@functools.lru_cache(maxsize=8)
+def _grid_weight(n: int, grid: RadialGrid) -> np.ndarray:
+    weight = grid.x ** (n - 1) * (2.0 / grid.s**3)
+    weight.flags.writeable = False
+    return weight
 
 
-def _build_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
+@functools.lru_cache(maxsize=8)
+def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
+    """The solve plan at eigenvalue lam on the grid, built once.
+
+    The plan depends on the mode only through lam, and on the square torus
+    4 or 8 characters share each lam bit for bit, so the last 8 plans are
+    held.  The key is the exact lam, and grids are equal when their nodes
+    are equal bit for bit (`RadialGrid.__eq__`).
+    """
     s, x = grid.s, grid.x
     pair = h_pair(n, lam, x)
     # the four node arrays of a plan are the rows of one block, allocated
@@ -177,37 +187,12 @@ def _build_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     np.multiply(block[1] / block[1, 0], _guarded_exp(block[2, 0] - block[2]), out=block[3])
     block.flags.writeable = False
     m1, m2, sigma, hom = block
-    weight = next((p.weight for p in _plan_cache.values() if p.n == n and same_nodes(p.s, s)), None)
-    if weight is None:
-        weight = x ** (n - 1) * (2.0 / s**3)
-        weight.flags.writeable = False
     # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
     # node, bounded by the decay of exp(-2 sqrt(lam)/sqrt(t)):
     # tail < x^{3/2} integrand(x) / sqrt(lam)
     tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * x[-1] ** (n - 1) * m2[-1]
-    return SolvePlan(n, s, m1, m2, sigma, weight, hom, float(np.exp(-_step(sigma))),
+    return SolvePlan(m1, m2, sigma, _grid_weight(n, grid), hom, float(np.exp(-_step(sigma))),
                      grid.h, float(2.0 * m1[0]), float(tail))
-
-
-def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
-    """The solve plan at eigenvalue lam on the grid's nodes, built once.
-
-    The plan depends on the mode only through lam, and on the square torus
-    4 or 8 characters share each lam, so the last `_PLAN_CACHE_SIZE` plans
-    are held (oldest dropped first) with read-only arrays.  A hit needs n,
-    lam to 12 decimals and the grid's s nodes equal bit for bit.
-    """
-    s = grid.s
-    key = (n, round(float(lam), 12), len(s), s[0], s[-1])
-    hit = _plan_cache.get(key)
-    if hit is not None and same_nodes(hit.s, s):
-        return hit
-    plan = _build_plan(n, lam, grid)
-    _plan_cache.pop(key, None)
-    if len(_plan_cache) >= _PLAN_CACHE_SIZE:
-        del _plan_cache[next(iter(_plan_cache))]
-    _plan_cache[key] = plan
-    return plan
 
 
 @dataclass(frozen=True)
@@ -288,9 +273,8 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     torus grid of g cannot resolve (some 2|k_i| >= m_i, so every k_i != 0 on
     an axis of size 1) carry no coefficient and are skipped unless nonzero
     boundary data forces them.
-    Keys with k_j < 0 on the halved axis j (`fields.halved_axis`) are
-    skipped too: the field stores those modes as the conjugates of the
-    modes -k, so each +/- pair off the k_j = 0 plane is solved once.
+    Each +/- pair is solved once: `Field.set_mode` stores a solution with
+    its conjugate as that of -k, and a key whose slot is filled is skipped.
     """
     grid = g.grid
     n = model.n
@@ -313,16 +297,15 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     unsolved = np.ones(sup.shape, dtype=bool)
     unsolved[zero] = False
     modes_solved = 0
-    j = halved_axis(g.torus_shape)
     for k, lam in keys.items():
-        if k[j] < 0:
-            continue
         slot = out.index(k)
-        unsolved[slot] = False
+        if not unsolved[slot]:
+            continue  # filled with the conjugate of mode -k's solution
+        unsolved[slot] = unsolved[out.index([-i for i in k])] = False
         beta = complex(boundary.get(k, 0.0))
         if beta == 0.0 and sup[slot] <= _MODE_FLOOR * scale:
             continue
-        out.coeffs[slot] = _solve_with_plan(_solve_plan(n, lam, grid), g.coeffs[slot], beta)
+        out.set_mode(k, _solve_with_plan(_solve_plan(n, lam, grid), g.mode(k), beta))
         modes_solved += 1
 
     tail = float(np.max(sup[unsolved], initial=0.0))

@@ -173,6 +173,8 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     bad.write_text("[model]\nn = 1\nlattice = 1\nA = 1\n")
     rc = cli.main(["spectrum", str(bad), "-o", str(tmp_path / "o")])
     assert rc == 2
+    bad.write_text("[model]\nn = 2\nlattice = 1+0.5j 0 ; 0 1\nA = 1\n")
+    assert cli.main(["spectrum", str(bad), "-o", str(tmp_path / "o")]) == 2
     rc = cli.main(["spectrum", str(tmp_path / "missing.cfg"), "-o", str(tmp_path / "o")])
     assert rc == 2
     # a cutoff whose mode box exceeds the point budget is refused at once

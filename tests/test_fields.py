@@ -59,6 +59,17 @@ def test_aliasing_guards():
         Field.from_values(grid, vals)
 
 
+@pytest.mark.parametrize("shape, k", [((16, 16), (1, 0)), ((16, 16), (2, -1)), ((16, 16), (-2, 1)), ((16, 1), (-3, 0))])
+def test_set_mode_stores_the_conjugate_pair(shape, k):
+    grid = RadialGrid.make(0.1, 14.0, 40)
+    prof = np.exp(-0.1 * np.arange(40)) * (0.3 + 0.2j)
+    f = Field.zero(grid, shape)
+    f.set_mode(k, prof)
+    mk = tuple(-ki for ki in k)
+    assert np.array_equal(f.mode(k), prof) and np.array_equal(f.mode(mk), prof.conj())
+    assert np.array_equal(f.coeffs, Field.from_modes(grid, {k: prof, mk: prof.conj()}, shape).coeffs)
+
+
 def test_algebra_and_norms():
     grid = _grid()
     a = Field.from_radial(grid, grid.x, (8, 8))

@@ -90,3 +90,16 @@ def test_grid_owns_read_only_nodes():
             arr[0] = 1.0
     # a strided view becomes a contiguous copy
     assert RadialGrid(np.linspace(3.2, 20.0, 801)[::2]).s.flags.c_contiguous
+
+
+def test_grid_equality_and_hash():
+    # equal nodes built apart: one grid; one interior node one ulp away: another
+    g1 = RadialGrid.make(0.1, 20.0, 400)
+    g2 = RadialGrid(np.linspace(g1.s[0], g1.s[-1], 400))
+    assert g1.s is not g2.s and g1 == g2 and hash(g1) == hash(g2)
+    s = g1.s.copy()
+    s[200] = np.nextafter(s[200], np.inf)
+    g3 = RadialGrid(s)
+    assert g3 != g1 and hash(g3) == hash(g1)  # the hash reads only the count and end nodes
+    assert RadialGrid.make(0.1, 20.0, 401) != g1
+    assert len({g1, g2, g3}) == 2

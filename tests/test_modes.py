@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -214,8 +216,10 @@ def _parent_solve(n, lam, grid, f, v_x0):
 class TestKernelPairReuse:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Empty plan cache; counts the kernel pairs actually computed."""
-        monkeypatch.setattr(modes, "_plan_cache", {})
+        """Empty plan and weight memos; counts the kernel pairs actually
+        computed."""
+        modes._solve_plan.cache_clear()
+        modes._grid_weight.cache_clear()
         computed = []
 
         def counting(*args):
@@ -223,7 +227,9 @@ class TestKernelPairReuse:
             return h_pair(*args)
 
         monkeypatch.setattr(modes, "h_pair", counting)
-        return computed
+        yield computed
+        modes._solve_plan.cache_clear()
+        modes._grid_weight.cache_clear()
 
     def test_one_pair_per_eigenvalue(self, calls):
         # every square-torus character k != 0 with lambda <= 10 pi^2: 36
@@ -241,7 +247,10 @@ class TestKernelPairReuse:
             modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=rng.normal(size=400), v_x0=0.0, grid=grid))
         assert len(calls) == 7
         # one grid weight for the grid and n, shared by all seven plans
-        assert len({id(p.weight) for p in modes._plan_cache.values()}) == 1
+        plans = [modes._solve_plan(2, lam, grid) for lam in set(lams)]
+        assert len({id(p) for p in plans}) == 7 and len(calls) == 7
+        assert len({id(p.weight) for p in plans}) == 1
+        assert modes._grid_weight.cache_info().currsize == 1
 
     def test_equal_grid_built_apart_hits(self, calls):
         g1 = RadialGrid.make(0.1, 20.0, 400)
@@ -256,26 +265,36 @@ class TestKernelPairReuse:
         s[200] = np.nextafter(s[200], np.inf)  # within the grid's uniformity tolerance
         g2 = RadialGrid(s)
         assert (len(g2), g2.s[0], g2.s[-1]) == (len(g1), g1.s[0], g1.s[-1])
-        modes._solve_plan(2, np.pi**2, g1)
-        plan = modes._solve_plan(2, np.pi**2, g2)
+        p1 = modes._solve_plan(2, np.pi**2, g1)
+        p2 = modes._solve_plan(2, np.pi**2, g2)
         assert len(calls) == 2
-        assert plan.s is g2.s
-        assert np.array_equal(plan.sigma, h_pair(2, np.pi**2, g2.x).exponent)
+        assert p2 is not p1 and p2.weight is not p1.weight
+        assert np.array_equal(p2.sigma, h_pair(2, np.pi**2, g2.x).exponent)
+
+    def test_exact_eigenvalue_key(self, calls):
+        # lambda keys the plan exactly: one ulp apart is another plan
+        grid = RadialGrid.make(0.1, 20.0, 400)
+        lam = 2 * np.pi**2
+        p1 = modes._solve_plan(2, lam, grid)
+        p2 = modes._solve_plan(2, np.nextafter(lam, np.inf), grid)
+        assert calls == [lam, np.nextafter(lam, np.inf)]
+        assert p2 is not p1 and p2.weight is p1.weight
 
     def test_cached_arrays_read_only(self, calls):
         plan = modes._solve_plan(2, np.pi**2, RadialGrid.make(0.1, 20.0, 400))
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 6  # s, m1, m2, sigma, weight, hom
+        assert len(held) == 5  # m1, m2, sigma, weight, hom
         for a in held:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_cache_bounded(self, calls):
         grid = RadialGrid.make(0.1, 20.0, 200)
-        bound = modes._PLAN_CACHE_SIZE
+        bound = 8
+        assert modes._solve_plan.cache_info().maxsize == bound
         for j in range(1, bound + 4):
             modes._solve_plan(2, j * np.pi**2, grid)
-            assert len(modes._plan_cache) <= bound
+            assert modes._solve_plan.cache_info().currsize <= bound
         # the newest plan is held, the oldest was dropped
         modes._solve_plan(2, (bound + 3) * np.pi**2, grid)
         assert len(calls) == bound + 3
@@ -294,7 +313,8 @@ class TestKernelPairReuse:
         modes._solve_plan(2, lam, grid)
         hit = modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=f, v_x0=v_x0, grid=grid))
         assert len(calls) == 1  # the solve reused the held plan
-        fresh = modes._solve_with_plan(modes._build_plan(2, lam, grid), f, v_x0)
+        fresh = modes._solve_with_plan(modes._solve_plan.__wrapped__(2, lam, grid), f, v_x0)
+        assert len(calls) == 2
         assert np.array_equal(hit, fresh)
         assert hit.dtype == (np.complex128 if complex_f else np.float64)
         ref = _parent_solve(2, lam, grid, f, v_x0)
@@ -343,8 +363,9 @@ class TestAssemble:
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, (8, 8))
         out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2))
-        # on (8, 8) the halved axis is the last: both modes sit on its k_2 = 0 plane and are solved apart
-        assert np.max(np.abs(out.mode((-1, 0)) - out.mode((1, 0)).conj())) < 1e-14 * np.max(np.abs(prof))
+        # on (8, 8) the halved axis is the last: both modes sit on its k_2 = 0
+        # plane in slots of their own, and one solve fills both
+        assert np.array_equal(out.mode((-1, 0)), out.mode((1, 0)).conj())
 
     def test_modes_the_torus_grid_cannot_hold(self):
         # on an m = 4 grid the below-cutoff mode (2, 0) would alias onto
@@ -354,7 +375,7 @@ class TestAssemble:
         g = Field.zero(grid, (4, 4))
         below = spectrum.modes_below(model, 10 * np.pi**2)
         _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, below)
-        assert diag["modes_solved"] == 2
+        assert diag["modes_solved"] == 1  # (1, 0) and its conjugate (-1, 0)
         with pytest.raises(ConfigError):
             modes.assemble_representation(model, {(2, 0): 1e-3, (-2, 0): 1e-3}, g, below)
 
@@ -535,6 +556,17 @@ class TestTorusShape:
         assert u.torus_shape == (16, 1)
         assert [t["modes_solved"] for t in state.trace] == [3] * state.iteration  # (1, 0), (2, 0), (3, 0)
         assert np.array_equal(u.mode((-1, 0)), np.conj(u.mode((1, 0))))
+
+    def test_pm_pair_is_one_solve_on_the_plane_of_the_halved_axis(self):
+        # on (16, 16) the halved axis is axis 1: (1, 0) and (-1, 0) have slots
+        # of their own, and one solve fills both with conjugate profiles
+        grid = RadialGrid.make(0.05, 34.0, 300)
+        boundary = {(1, 0): 2.5e-4, (-1, 0): 2.5e-4, (0, 1): 2.5e-4, (0, -1): 2.5e-4}
+        u, state = modes.picard_solve(square_model(), boundary, grid, torus_resolution=16)
+        assert u.torus_shape == (16, 16)
+        assert [t["modes_solved"] for t in state.trace] == [14] * state.iteration
+        for k in itertools.product(range(-7, 8), repeat=2):
+            assert np.array_equal(u.mode(k), u.mode((-k[0], -k[1])).conj()), k
 
     @pytest.mark.parametrize(
         "model, boundary, m, transforms",

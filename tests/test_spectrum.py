@@ -30,6 +30,14 @@ def test_dual_lattice_sheared_basis():
     assert np.allclose(xi @ B, k)  # rows: B^T xi = k
 
 
+def test_complex_lattice_refused():
+    # a nonzero imaginary part is refused, not cast away
+    with pytest.raises(ConfigError, match="lattice must be real"):
+        CuspModel(2, np.array([[1 + 0.5j, 0], [0, 1]]), np.array([[1.0]]))
+    model = CuspModel(2, np.array([[1 + 0j, 0], [0, 1]]), np.array([[1.0]]))
+    assert model.lattice.dtype == np.float64 and np.array_equal(model.lattice, np.eye(2))
+
+
 def test_square_torus_spectrum():
     m = square_model()
     keys, lams = spectrum.eigenvalues_up_to(m, 6)
