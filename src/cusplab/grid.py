@@ -93,19 +93,11 @@ def uniform_derivative(f: np.ndarray, h: float, deriv: int, order: int = 2) -> n
     return out
 
 
-# Uniformity tolerance of a step array, relative to its largest |node|: the
-# mode scans weight nodes by powers of one ratio and refuse an exponent array
-# whose steps deviate from its endpoint step by more than UNIFORM_TOL times
-# its largest |exponent|.  A grid allows half of that, so the exponent
-# 2 sqrt(lambda) s of every grid it builds passes the scans' check.
-UNIFORM_TOL = 1e-12
-
-
-def step_deviation(a: np.ndarray) -> float:
-    """Largest deviation of a's steps from its endpoint step."""
-    ds = np.diff(a)
-    d = (a[-1] - a[0]) / (len(a) - 1)
-    return float(max(ds.max() - d, d - ds.min()))
+# Uniformity tolerance of the nodes, relative to the largest |s|: a grid's
+# steps may deviate from its endpoint step by UNIFORM_TOL times its largest
+# |s|.  This is the one uniformity rule: the mode solves read the exponent
+# 2 sqrt(lambda) s of a grid through its endpoint step alone.
+UNIFORM_TOL = 5e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +119,8 @@ class RadialGrid:
         ds = np.diff(s)
         if not np.all(ds > 0):
             raise ConfigError("s nodes must be strictly increasing")
-        if not step_deviation(s) <= 0.5 * UNIFORM_TOL * max(abs(s[0]), abs(s[-1])):
+        d = (s[-1] - s[0]) / (len(s) - 1)
+        if not max(ds.max() - d, d - ds.min()) <= UNIFORM_TOL * max(abs(s[0]), abs(s[-1])):
             raise ConfigError("s nodes must be uniform")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)

@@ -8,16 +8,17 @@ For a positive torus eigenvalue lambda the bounded solution of
 is assembled from the kernel pair H1, H2 (Bessel-backed, carried as
 mantissa/exponent) by variation of parameters.  Every product of kernels
 pairs exponents of opposite sign.  The exponent sigma = 2 sqrt(lambda) s is
-affine in s = 1/sqrt(x), and the grid is uniform in s, so every pairing
-exp(sigma_k - sigma_l) is rho^(l - k) for the one scalar
-rho = exp(-2 sqrt(lambda) h): the quadrature and the two scans of a mode
-solve are geometric, weighting nodes by powers of rho, and take no
-exponential per node.  Everything a solve needs apart from f depends only
-on (n, lambda, grid) and is memoized as a `SolvePlan` (`_solve_plan`);
-there the homogeneous term exp(sigma_0 - sigma) is the one array
-exponentiated node by node, and a positive argument to it is a programming
-error and raises.  A solve on a held plan does only the work that depends
-on f.
+affine in s = 1/sqrt(x), and the grid is uniform in s (`RadialGrid` holds
+the one uniformity rule), so a solve sees sigma only through its step
+d = 2 sqrt(lambda) h per node: every pairing exp(sigma_k - sigma_l) is
+rho^(l - k) for the one scalar rho = exp(-d), and the quadrature and the
+two scans of a mode solve are geometric, weighting nodes by powers of rho,
+and take no exponential per node.  Everything a solve needs apart from f
+depends only on (n, lambda, grid) and is memoized as a `SolvePlan`
+(`_solve_plan`); there the homogeneous term exp(sigma_0 - sigma) is the one
+array exponentiated node by node, and a positive argument to it is a
+programming error and raises.  A solve on a held plan does only the work
+that depends on f.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -38,7 +39,7 @@ from . import geometry
 from .bessel import h_pair
 from .errors import ConfigError, MetricDegenerateError, NonContractionError, NumericalError
 from .fields import Field, check_torus_shape
-from .grid import UNIFORM_TOL, RadialGrid, step_deviation
+from .grid import RadialGrid
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
 from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
@@ -65,15 +66,9 @@ def _guarded_exp(arg: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(arg, 0.0))
 
 
-def _step(sigma: np.ndarray) -> float:
-    """Step per node of an exponent array, read from its endpoints."""
-    return float((sigma[-1] - sigma[0]) / (len(sigma) - 1))
-
-
-def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for increasing sigma of
-    uniform step d (uniform to `grid.UNIFORM_TOL` of max |sigma|; anything
-    else raises).
+def exp_weighted_revcumsum(q: np.ndarray, d: float) -> np.ndarray:
+    """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for an exponent sigma of
+    finite step d > 0 per node (any other d raises).
 
     With rho = exp(-d) this is the geometric scan R_i = q_i + rho R_{i+1},
     run forward over q[::-1].  The nodes are cut into blocks of K with
@@ -84,12 +79,9 @@ def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
     arbitrarily large total exponent spans, and no exponential is taken per
     node.
     """
-    nn = len(sigma)
-    d = _step(sigma) if nn > 1 else 0.0
-    if not d > 0:
-        raise ConfigError("exponent array must be strictly increasing")
-    if not step_deviation(sigma) <= UNIFORM_TOL * max(abs(sigma[0]), abs(sigma[-1])):
-        raise ConfigError("exponent array must be uniform: the scans weight nodes by powers of one ratio")
+    if not (d > 0 and math.isfinite(d)):
+        raise ConfigError(f"scan step must be finite and positive, got d = {d}")
+    nn = len(q)
     K = max(1, min(nn, int(_BLOCK_RANGE / d)))
     blocks = -(-nn // K)
     w = np.exp(d * np.arange(K))  # rho^-j, in [1, e^30]; exactly 1 on each block's first node
@@ -107,54 +99,54 @@ def exp_weighted_revcumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[nn - 1 :: -1]
 
 
-def exp_weighted_cumsum(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for increasing sigma of
-    uniform step: the reverse scan on the mirrored exponents -sigma[::-1]."""
-    return exp_weighted_revcumsum(-sigma[::-1], q[::-1])[::-1]
+def exp_weighted_cumsum(q: np.ndarray, d: float) -> np.ndarray:
+    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for an exponent sigma of
+    step d per node: the reverse scan of the reversed q."""
+    return exp_weighted_revcumsum(q[::-1], d)[::-1]
 
 
-def _cumulative_down(sigma: np.ndarray, y: np.ndarray, h: float, rho: float, tail_mass) -> np.ndarray:
+def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass) -> np.ndarray:
     """P_i = int_{s_i}^{s_end} y(s) exp(sigma_i - sigma(s)) ds + paired tail.
 
-    The 4th-order interval rule of `radial.interval_integrals`, each interval
-    weighted from its first node by powers of rho = exp(-step of sigma),
+    The 4th-order interval rule of `radial.interval_integrals` on step h,
+    each interval weighted from its first node by powers of rho = exp(-d),
     summed by one reverse scan; the tail mass sits at the deepest node.
     """
-    seg = interval_integrals(h, y, rho)
-    return exp_weighted_revcumsum(sigma, np.append(seg, tail_mass))
+    seg = interval_integrals(h, y, np.exp(-d))
+    return exp_weighted_revcumsum(np.append(seg, tail_mass), d)
 
 
-def _cumulative_up(sigma: np.ndarray, y: np.ndarray, h: float, rho: float) -> np.ndarray:
+def _cumulative_up(y: np.ndarray, h: float, d: float) -> np.ndarray:
     """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds.
 
     The same rule on the mirrored grid weights each interval from its last
     node; one forward scan sums them.
     """
-    seg = interval_integrals(h, y[::-1], rho)[::-1]
-    return exp_weighted_cumsum(sigma, np.append(0.0, seg))
+    seg = interval_integrals(h, y[::-1], np.exp(-d))[::-1]
+    return exp_weighted_cumsum(np.append(0.0, seg), d)
 
 
 @dataclass(frozen=True)
 class SolvePlan:
     """Everything a mode solve needs apart from f, at one (n, lam, grid).
 
-    m1, m2 and sigma are the kernel pair's mantissas and exponent on the
-    grid's nodes.  weight = x^(n-1) |dt/ds| = x^(n-1) 2/s^3 takes f to the
-    integrand density in s; it depends on n and the grid only, and plans of
-    one n and grid share one array (`_grid_weight`).  hom =
+    m1 and m2 are the kernel pair's mantissas on the grid's nodes, and d is
+    the step per node of its exponent sigma = 2 sqrt(lam) s, read from the
+    end nodes: on a grid uniform in s, the scans and the interval rule see
+    sigma only through d.  weight = x^(n-1) |dt/ds| = x^(n-1) 2/s^3 takes f
+    to the integrand density in s; it depends on n and the grid only, and
+    plans of one n and grid share one array (`_grid_weight`).  hom =
     (m2/m2[0]) exp(sigma_0 - sigma) is the homogeneous solution with value 1
-    at x0, the one per-node exponential of the plan.  rho = exp(-step of
-    sigma) is the scans' ratio and h the grid step; two_m1_0 = 2 m1[0], and
-    tail times f at the deepest node is the below-grid tail of
-    int_0^x t^(n-1) H2 f dt.  Every array is read-only.
+    at x0, the one per-node exponential of the plan.  h is the grid step;
+    two_m1_0 = 2 m1[0], and tail times f at the deepest node is the
+    below-grid tail of int_0^x t^(n-1) H2 f dt.  Every array is read-only.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    sigma: np.ndarray
     weight: np.ndarray
     hom: np.ndarray
-    rho: float
+    d: float
     h: float
     two_m1_0: float
     tail: float
@@ -176,23 +168,30 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     held.  The key is the exact lam, and grids are equal when their nodes
     are equal bit for bit (`RadialGrid.__eq__`).
     """
-    s, x = grid.s, grid.x
+    x = grid.x
     pair = h_pair(n, lam, x)
-    # the four node arrays of a plan are the rows of one block, allocated
-    # after h_pair's temporaries are freed: held as four separate arrays they
+    sigma = pair.exponent
+    d = float((sigma[-1] - sigma[0]) / (len(sigma) - 1))
+    rho = np.exp(-d)
+    # the interval rule forms rho^(+-1), rho^(+-2) and rho^3; rho^3 is the
+    # first to leave the normal floats, once d passes about 236
+    if not rho * rho * rho >= np.finfo(float).tiny:
+        raise ConfigError(f"mode eigenvalue lambda = {lam:.6g} on grid step h = {grid.h:.6g}: exponent step "
+                          f"d = 2 sqrt(lambda) h = {d:.6g} per node is past about 236, where exp(-3 d) underflows")
+    # the three node arrays of a plan are the rows of one block, allocated
+    # after h_pair's temporaries are freed: held as separate arrays they
     # left holes in the heap between solves (green_sweep's peak RSS rose 4.8 MB)
-    block = np.empty((4, len(s)))
-    block[0], block[1], block[2] = pair.h1_mantissa, pair.h2_mantissa, pair.exponent
+    block = np.empty((3, len(x)))
+    block[0], block[1] = pair.h1_mantissa, pair.h2_mantissa
     del pair
-    np.multiply(block[1] / block[1, 0], _guarded_exp(block[2, 0] - block[2]), out=block[3])
+    np.multiply(block[1] / block[1, 0], _guarded_exp(sigma[0] - sigma), out=block[2])
     block.flags.writeable = False
-    m1, m2, sigma, hom = block
+    m1, m2, hom = block
     # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
     # node, bounded by the decay of exp(-2 sqrt(lam)/sqrt(t)):
     # tail < x^{3/2} integrand(x) / sqrt(lam)
     tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * x[-1] ** (n - 1) * m2[-1]
-    return SolvePlan(m1, m2, sigma, _grid_weight(n, grid), hom, float(np.exp(-_step(sigma))),
-                     grid.h, float(2.0 * m1[0]), float(tail))
+    return SolvePlan(m1, m2, _grid_weight(n, grid), hom, d, grid.h, float(2.0 * m1[0]), float(tail))
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,8 @@ def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarra
     y2 = f * plan.weight
     y1 = y2 * plan.m1
     y2 *= plan.m2
-    P = _cumulative_down(plan.sigma, y2, plan.h, plan.rho, plan.tail * f[-1])
-    Q = _cumulative_up(plan.sigma, y1, plan.h, plan.rho)
+    P = _cumulative_down(y2, plan.h, plan.d, plan.tail * f[-1])
+    Q = _cumulative_up(y1, plan.h, plan.d)
     coef = v_x0 + plan.two_m1_0 * P[0]
     P *= plan.m1
     Q *= plan.m2

@@ -341,6 +341,10 @@ def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.n
     x = grid.x
     s = grid.s
     x0 = grid.x0
+    try:
+        x0_power = x0 ** (-(n + 2))
+    except OverflowError:
+        raise ConfigError(f"x0 = {x0:.6g} is too small for n = {n}: x0^-(n+2) overflows") from None
     gmax = float(np.max(np.abs(g0)))
 
     tail_P = 0.0
@@ -360,5 +364,5 @@ def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.n
     yQ = g0 / x**2 * w
     P = tail_P + reverse_cumulative_integral(s, yP)  # int_0^{x_i} t^n g0 dt
     Q = cumulative_integral(s, yQ)  # int_{x_i}^{x0} t^{-2} g0 dt
-    coeff = u_x0 / x0 + x0 ** (-(n + 2)) / (n + 2) * P[0]
+    coeff = u_x0 / x0 + x0_power / (n + 2) * P[0]
     return coeff * x - x ** (-(n + 1)) / (n + 2) * P - x / (n + 2) * Q

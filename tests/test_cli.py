@@ -297,6 +297,10 @@ def test_numerical_failure_exit_code(tmp_path):
         assert cli.main(["bessel-sweep", str(path), "-o", str(tmp_path / "o")]) == 3
 
 
+# the tier-1 solve grid, with a cosine boundary mode
+SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind = cosine\namplitude = 1e-3\n"
+
+
 @pytest.mark.parametrize(
     "command, old, new, code",
     [
@@ -309,14 +313,20 @@ def test_numerical_failure_exit_code(tmp_path):
         ("lemma43", "c = 2\n", "c = 1e300\n", 2),
         ("calabi", "t0 = -1\nt_end = -30", "t0 = 1e308\nt_end = -1e308", 2),
         ("calabi", "a = 0\nb = 0.5", "a = 0\nb = 1\npsi0 = -1e308", 3),
+        # a mode step d = 2 sqrt(lambda) h of 2450 per node: exp(-d) underflows
+        ("solve", "A = 1\n", "A = 1e-8\n", 2),
+        ("solve", "A = 1\n", "A = 1e-12\n", 2),
+        # x0^-(n+2) overflows the float range
+        ("solve", "x0 = 0.05\ns_max = 20", "x0 = 1e-300\ns_max = 2e150", 2),
     ],
 )
 def test_extreme_finite_configs_exit_cleanly(command, old, new, code, tmp_path, capsys):
     # finite values whose powers, squares or differences leave the float
     # range, and NaN figures, end in exit 2 or 3, never in a traceback
     path = tmp_path / "extreme.cfg"
-    assert old in SQUARE_CFG
-    path.write_text(SQUARE_CFG.replace(old, new, 1))
+    cfg = SQUARE_CFG + SOLVE_SECTIONS
+    assert old in cfg
+    path.write_text(cfg.replace(old, new, 1))
     with np.errstate(all="ignore"):
         assert cli.main([command, str(path), "-o", str(tmp_path / "o")]) == code
     assert "Traceback" not in capsys.readouterr().err

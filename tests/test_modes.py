@@ -28,31 +28,31 @@ def n3_model():
 class TestScans:
     def test_against_brute_force(self):
         rng = np.random.default_rng(0)
-        sigma = np.sort(rng.uniform(0.0, 40.0, 257))
-        sigma = np.linspace(sigma[0], sigma[-1], 257)
+        d = 40.0 / 256
+        sigma = d * np.arange(257)
         q = rng.normal(size=257) + 1j * rng.normal(size=257)
-        R = modes.exp_weighted_revcumsum(sigma, q)
-        F = modes.exp_weighted_cumsum(sigma, q)
+        R = modes.exp_weighted_revcumsum(q, d)
+        F = modes.exp_weighted_cumsum(q, d)
         Rb = np.array([np.sum(q[i:] * np.exp(sigma[i] - sigma[i:])) for i in range(257)])
         Fb = np.array([np.sum(q[: i + 1] * np.exp(sigma[: i + 1] - sigma[i])) for i in range(257)])
         assert np.max(np.abs(R - Rb)) / np.max(np.abs(Rb)) < 1e-13
         assert np.max(np.abs(F - Fb)) / np.max(np.abs(Fb)) < 1e-13
 
     def test_huge_exponent_spans_stay_finite(self):
-        sigma = np.linspace(0.0, 5000.0, 4096)
+        d = 5000.0 / 4095  # the exponent spans 5000 over 4096 nodes
         q = np.ones(4096)
-        R = modes.exp_weighted_revcumsum(sigma, q)
-        F = modes.exp_weighted_cumsum(sigma, q)
+        R = modes.exp_weighted_revcumsum(q, d)
+        F = modes.exp_weighted_cumsum(q, d)
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(F))
         # each reduces to a local geometric sum of the step decay
-        step = sigma[1] - sigma[0]
-        geo = 1.0 / (1.0 - np.exp(-step))
+        geo = 1.0 / (1.0 - np.exp(-d))
         assert F[-1] == pytest.approx(geo, rel=1e-12)
 
     @pytest.mark.parametrize("tail", [1e-3, 1e-20])
     def test_tail_mass_survives_at_deepest_node(self, tail):
         s = np.linspace(1.0, 5.0, 200)
-        P = modes._cumulative_down(3.0 * s, np.sin(s), s[1] - s[0], np.exp(-3.0 * (s[1] - s[0])), tail)
+        h = s[1] - s[0]
+        P = modes._cumulative_down(np.sin(s), h, 3.0 * h, tail)
         assert P[-1] == tail
 
     def test_cumulative_rules_fourth_order(self):
@@ -62,11 +62,10 @@ class TestScans:
         errs_p, errs_q = [], []
         for nn in (200, 400):
             s = np.linspace(1.0, 5.0, nn)
-            sigma = rate * s
+            h = s[1] - s[0]
             y = np.cos(s)
-            rho = np.exp(-modes._step(sigma))
-            P = modes._cumulative_down(sigma, y, s[1] - s[0], rho, 0.0)
-            Q = modes._cumulative_up(sigma, y, s[1] - s[0], rho)
+            P = modes._cumulative_down(y, h, rate * h, 0.0)
+            Q = modes._cumulative_up(y, h, rate * h)
             i = nn // 3
             pe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (s[i] - u)), [s[i], s[-1]]))
             qe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (u - s[i])), [s[0], s[i]]))
@@ -78,12 +77,13 @@ class TestScans:
     def test_cumulative_integrals_match_long_double_recurrence(self):
         # A4's grid at its largest eigenvalue: the exponent spans 334 over
         # 120 000 nodes.  The reference sums the same interval rule by the recurrence
-        # R_i = q_i + rho R_{i+1} in long double, with rho from sigma's endpoints.
+        # R_i = q_i + rho R_{i+1} in long double, with rho from the exponent's endpoints.
         grid = RadialGrid.make(0.1, 20.0, 120_000)
         sigma = h_pair(2, 10 * np.pi**2, grid.x).exponent
         y = np.random.default_rng(11).normal(size=len(grid))
-        P = modes._cumulative_down(sigma, y, grid.h, np.exp(-modes._step(sigma)), 0.0)
-        Q = modes._cumulative_up(sigma, y, grid.h, np.exp(-modes._step(sigma)))
+        d = modes._solve_plan(2, 10 * np.pi**2, grid).d
+        P = modes._cumulative_down(y, grid.h, d, 0.0)
+        Q = modes._cumulative_up(y, grid.h, d)
 
         L = np.longdouble
         nn = len(y)
@@ -112,17 +112,12 @@ class TestScans:
         assert np.max(np.abs(Q - Q_ref)) < 3e-14 * np.max(np.abs(Q_ref))
 
     @pytest.mark.parametrize("scan", [modes.exp_weighted_revcumsum, modes.exp_weighted_cumsum])
-    def test_scans_need_uniform_increasing_exponents(self, scan):
-        sigma = np.linspace(100.0, 140.0, 400)
+    def test_scans_need_a_finite_positive_step(self, scan):
         q = np.ones(400)
-        ulps = sigma.copy()
-        ulps[200] = np.nextafter(np.nextafter(ulps[200], 200.0), 200.0)
-        assert np.all(np.isfinite(scan(ulps, q)))  # a few ulps of noise is uniform
-        bent = sigma.copy()
-        bent[200] += 1e-8
-        for bad in (bent, sigma[::-1], np.full(400, 100.0), sigma[:1]):
-            with pytest.raises(ConfigError):
-                scan(bad, q[: len(bad)])
+        assert np.all(np.isfinite(scan(q, 0.1)))
+        for bad in (0.0, -0.1, np.inf, -np.inf, np.nan):
+            with pytest.raises(ConfigError, match="step"):
+                scan(q, bad)
 
 
 class TestModeSolve:
@@ -184,6 +179,16 @@ class TestModeSolve:
             with pytest.raises(ConfigError):
                 modes.ModeProblem(n=2, lam=1.0, f=np.zeros(100), v_x0=v_x0, grid=grid)
 
+    def test_exponent_step_past_the_interval_rule_refused(self):
+        # d = 2 sqrt(lambda) h per node: exp(-3 d) underflows past d of about 236
+        grid = RadialGrid.make(0.05, 20.0, 400)
+        lam = (236.0 / (2 * grid.h)) ** 2
+        v = modes.mode_solve(modes.ModeProblem(n=2, lam=lam, f=np.sin(grid.s), v_x0=1.0, grid=grid))
+        assert np.all(np.isfinite(v))
+        prob = modes.ModeProblem(n=2, lam=1e8 * np.pi**2, f=np.sin(grid.s), v_x0=1.0, grid=grid)
+        with pytest.raises(ConfigError, match=r"lambda = 9.8696e\+08 on grid step h = 0.038917.*d = .* = 2445"):
+            modes.mode_solve(prob)
+
     def test_real_inhomogeneity_solved_in_real_arithmetic(self):
         grid = RadialGrid.make(0.1, 20.0, 3000)
         f = np.sin(3.0 * grid.s) * np.exp(-0.1 * grid.s)
@@ -205,9 +210,9 @@ def _parent_solve(n, lam, grid, f, v_x0):
     y2 = x ** (n - 1) * m2 * f * jac
     y1 = x ** (n - 1) * m1 * f * jac
     tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * (x[-1] ** (n - 1) * m2[-1] * f[-1])
-    rho = np.exp(-modes._step(sigma))
-    P = modes._cumulative_down(sigma, y2, grid.h, rho, tail)
-    Q = modes._cumulative_up(sigma, y1, grid.h, rho)
+    d = (sigma[-1] - sigma[0]) / (len(sigma) - 1)
+    P = modes._cumulative_down(y2, grid.h, d, tail)
+    Q = modes._cumulative_up(y1, grid.h, d)
     coef = v_x0 + 2.0 * m1[0] * P[0]
     hom = (m2 / m2[0]) * np.exp(sigma[0] - sigma)
     return coef * hom - 2.0 * m1 * P - 2.0 * m2 * Q
@@ -269,7 +274,10 @@ class TestKernelPairReuse:
         p2 = modes._solve_plan(2, np.pi**2, g2)
         assert len(calls) == 2
         assert p2 is not p1 and p2.weight is not p1.weight
-        assert np.array_equal(p2.sigma, h_pair(2, np.pi**2, g2.x).exponent)
+        pair = h_pair(2, np.pi**2, g2.x)
+        assert np.array_equal(p2.m1, pair.h1_mantissa)
+        hom = (pair.h2_mantissa / pair.h2_mantissa[0]) * np.exp(pair.exponent[0] - pair.exponent)
+        assert np.array_equal(p2.hom, hom)
 
     def test_exact_eigenvalue_key(self, calls):
         # lambda keys the plan exactly: one ulp apart is another plan
@@ -283,7 +291,7 @@ class TestKernelPairReuse:
     def test_cached_arrays_read_only(self, calls):
         plan = modes._solve_plan(2, np.pi**2, RadialGrid.make(0.1, 20.0, 400))
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 5  # m1, m2, sigma, weight, hom
+        assert len(held) == 4  # m1, m2, weight, hom
         for a in held:
             with pytest.raises(ValueError):
                 a[0] = 1.0

@@ -42,8 +42,6 @@ def test_patch_point_resolves(module, attr):
 @pytest.mark.parametrize(
     "module, attr, index, name",
     [
-        ("cusplab.modes", "exp_weighted_cumsum", 0, "sigma"),
-        ("cusplab.modes", "exp_weighted_revcumsum", 0, "sigma"),
         ("cusplab.geometry", "quadratic_remainder", 1, "f"),
         ("cusplab.geometry", "monge_ampere_residual", 1, "f"),
     ],
@@ -52,6 +50,18 @@ def test_counted_argument_position(module, attr, index, name):
     # the counters take an argument by position or, failing that, by name
     params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
     assert params[index] == name
+
+
+def test_scan_spans_count_the_scanned_elements():
+    # one mode solve makes three scans of N elements: the reverse scan, and
+    # the forward scan with the reverse scan it calls
+    grid = RadialGrid.make(0.05, 12.0, 200)
+    prob = modes.ModeProblem(n=2, lam=np.pi**2, f=np.sin(grid.s), v_x0=1.0, grid=grid)
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        modes.mode_solve(prob)
+    scans = [sp["counts"]["elements"] for sp in tracer.spans if sp["name"] == "modes.scan"]
+    assert scans == [200, 200, 200]
 
 
 def test_counters_read_real_objects():
