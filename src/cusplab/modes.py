@@ -66,12 +66,15 @@ def _guarded_exp(arg: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(arg, 0.0))
 
 
-def exp_weighted_revcumsum(q: np.ndarray, d: float) -> np.ndarray:
-    """R_i = sum_{j >= i} q_j exp(sigma_i - sigma_j) for an exponent sigma of
-    finite step d > 0 per node (any other d raises).
+def exp_weighted_revcumsum(sigma: np.ndarray, d: float) -> np.ndarray:
+    """R_i = sum_{j >= i} sigma_j exp(-(j - i) d): the terms sigma_j weighted
+    by exp(phi_i - phi_j) for an exponent phi of finite step d > 0 per node
+    (any other d raises).  The terms are named sigma because that is the
+    keyword perfbench/spans.py's scan counter reads when they are not passed
+    by position.
 
-    With rho = exp(-d) this is the geometric scan R_i = q_i + rho R_{i+1},
-    run forward over q[::-1].  The nodes are cut into blocks of K with
+    With rho = exp(-d) this is the geometric scan R_i = sigma_i + rho R_{i+1},
+    run forward over sigma[::-1].  The nodes are cut into blocks of K with
     K d <= 30, the first block starting on the last node; one reshape to
     (blocks, K) and one cumsum along the block axis, weighted by the fixed
     vector rho^-j, sum every block, and a scalar loop over the blocks
@@ -81,14 +84,14 @@ def exp_weighted_revcumsum(q: np.ndarray, d: float) -> np.ndarray:
     """
     if not (d > 0 and math.isfinite(d)):
         raise ConfigError(f"scan step must be finite and positive, got d = {d}")
-    nn = len(q)
+    nn = len(sigma)
     K = max(1, min(nn, int(_BLOCK_RANGE / d)))
     blocks = -(-nn // K)
     w = np.exp(d * np.arange(K))  # rho^-j, in [1, e^30]; exactly 1 on each block's first node
-    w_inv = 1.0 / w  # complex q is multiplied, never divided, so real parts match a real q's
+    w_inv = 1.0 / w  # complex terms are multiplied, never divided, so real parts match real terms'
     rho_head = np.exp(-d) * w_inv  # rho^(j + 1): from the previous block's last node to node j
-    out = np.zeros((blocks, K), dtype=np.result_type(q.dtype, float))
-    out.reshape(-1)[:nn] = q[::-1]  # zeros after the first node
+    out = np.zeros((blocks, K), dtype=np.result_type(sigma.dtype, float))
+    out.reshape(-1)[:nn] = sigma[::-1]  # zeros after the first node
     out *= w
     np.cumsum(out, axis=1, out=out)
     out *= w_inv  # sums within each block
@@ -99,10 +102,10 @@ def exp_weighted_revcumsum(q: np.ndarray, d: float) -> np.ndarray:
     return out.reshape(-1)[nn - 1 :: -1]
 
 
-def exp_weighted_cumsum(q: np.ndarray, d: float) -> np.ndarray:
-    """F_i = sum_{j <= i} q_j exp(sigma_j - sigma_i) for an exponent sigma of
-    step d per node: the reverse scan of the reversed q."""
-    return exp_weighted_revcumsum(q[::-1], d)[::-1]
+def exp_weighted_cumsum(sigma: np.ndarray, d: float) -> np.ndarray:
+    """F_i = sum_{j <= i} sigma_j exp(-(i - j) d) for a step d per node: the
+    reverse scan of the reversed terms."""
+    return exp_weighted_revcumsum(sigma[::-1], d)[::-1]
 
 
 def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass) -> np.ndarray:

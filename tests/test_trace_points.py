@@ -42,6 +42,8 @@ def test_patch_point_resolves(module, attr):
 @pytest.mark.parametrize(
     "module, attr, index, name",
     [
+        ("cusplab.modes", "exp_weighted_cumsum", 0, "sigma"),
+        ("cusplab.modes", "exp_weighted_revcumsum", 0, "sigma"),
         ("cusplab.geometry", "quadratic_remainder", 1, "f"),
         ("cusplab.geometry", "monge_ampere_residual", 1, "f"),
     ],
