@@ -70,12 +70,12 @@ def _fft_axes(shape: tuple) -> tuple:
 
 def real_values(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
     """Collocation values, shape + (N,), of the real field whose half
-    spectrum on a torus grid of that shape is `coeffs` (torus axes first,
-    last axis radial)."""
+    spectrum on a torus grid of that shape is `coeffs` (torus axes, then
+    the radial axis last; any axes before them stack fields)."""
     axes = _fft_axes(shape)
     if not axes:
         return coeffs.real.copy()
-    return np.fft.irfftn(coeffs, s=[shape[i] for i in axes], axes=axes, norm="forward")
+    return np.fft.irfftn(coeffs, s=[shape[i] for i in axes], axes=[i - len(shape) - 1 for i in axes], norm="forward")
 
 
 def _half_shape(shape: tuple) -> tuple:
@@ -253,12 +253,3 @@ class Field:
 
     __rmul__ = __mul__
 
-
-def torus_points(lattice: np.ndarray, shape: tuple) -> np.ndarray:
-    """Complex coordinates z' of the collocation grid of the given per-axis
-    shape, shape + (d,)."""
-    d = lattice.shape[0] // 2
-    mesh = np.meshgrid(*(np.arange(m) / m for m in shape), indexing="ij")
-    t = np.stack(mesh, axis=-1)
-    v = t @ lattice.T
-    return v[..., :d] + 1j * v[..., d:]

@@ -17,7 +17,7 @@ The chart substitution for derivatives of circle-invariant fields is
 
 applied twice, keeping track of the z_n-dependence of first-derivative
 outputs (`holomorphic_hessian`); collocation works in the chart frame of
-(z', x) itself, before the substitution (`Collocation`).
+(z', x) itself (`Collocation`), and measures positivity relative to g there.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ from .errors import (
     ConfigError,
     MetricDegenerateError,
 )
-from .fields import Field, halved_axis, mode_indices, real_values, torus_points
+from .fields import Field, halved_axis, mode_indices, real_values
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
 
 _HERM_RTOL = 1e-12
+# collocation points per radial slab of `_ma_values`: a slab's temporaries stay in L2 cache
+_BLOCK_POINTS = 2**13
 
 
 class HermitianForm:
@@ -124,7 +126,8 @@ def _log1p_minus(w: np.ndarray) -> np.ndarray:
     series = u2 / 11.0 + 1.0 / 9.0
     for m in (7, 5, 3):
         series = series * u2 + 1.0 / m
-    return np.where(np.abs(w) < 0.1, 2.0 * u * u2 * series - w * u, np.log1p(w) - w)
+    series, small = 2.0 * u * u2 * series - w * u, np.abs(w) < 0.1
+    return series if small.all() else np.where(small, series, np.log1p(w) - w)
 
 
 def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order: int):
@@ -140,14 +143,21 @@ def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order
     return rows, k.reshape(-1, k.shape[-1])[rows], prof, px, pxx
 
 
-def _hermitian(n: int, entry) -> dict:
-    """The n x n Hermitian matrix field with upper-triangle entries entry(j, k):
-    a dict over j <= k, real on the diagonal, broadcasting against torus + (N,)."""
-    return {(j, k): np.real(entry(j, k)) if j == k else entry(j, k) for j in range(n) for k in range(j, n)}
+class _Zero:
+    """An exactly zero matrix entry: sums skip it, products are it (a +-0 term changes no nonzero result)."""
+
+    __array_ufunc__ = None  # an ndarray operand defers to the reflected operators
+    conj = __neg__ = __getitem__ = __mul__ = __rmul__ = lambda self, *_: self
+    real = property(conj)
+    __add__ = __radd__ = __rsub__ = lambda self, other: other
+    __sub__ = lambda self, other: -other
+
+
+_ZERO = _Zero()
 
 
 def _at(m: dict, j: int, k: int):
-    return m[j, k] if j <= k else np.conj(m[k, j])
+    return m[j, k] if j <= k else m[k, j].conj()
 
 
 def _cofactors(m: dict, n: int) -> tuple:
@@ -160,12 +170,12 @@ def _cofactors(m: dict, n: int) -> tuple:
         if r2:  # n = 3: a 2 x 2 minor
             minor = minor * _at(m, r2[0], c2[0]) - _at(m, r, c2[0]) * _at(m, r2[0], c)
         adj[j, k] = minor.real if j == k else (-1) ** (j + k) * minor
-    return adj, m[0, 0] * adj[0, 0] + sum((m[0, k] * np.conj(adj[0, k])).real for k in range(1, n))
+    return adj, m[0, 0] * adj[0, 0] + sum((m[0, k] * adj[0, k].conj()).real for k in range(1, n))
 
 
 def _trace_product(a: dict, b: dict):
     """tr(a b) of two Hermitian matrix fields."""
-    return sum(b[j, k] * a[j, k] if j == k else 2.0 * (b[j, k] * np.conj(a[j, k])).real for j, k in a)
+    return sum(b[j, k] * a[j, k] if j == k else 2.0 * (b[j, k] * a[j, k].conj()).real for j, k in a)
 
 
 def _det_expansion(g: dict, adj_g: dict, h: dict, n: int) -> list:
@@ -178,33 +188,40 @@ def _det_expansion(g: dict, adj_g: dict, h: dict, n: int) -> list:
 
 
 def _chart_hessian(model: CuspModel, f: Field, order: int):
-    """(values of f, its Hessian in the chart frame of `Collocation`, with
-    entries f_{a bbar} + x^2 A_ab f_x, x^2 f_{a x}, 2 x^3 f_x + x^4 f_xx).
+    """A function of a radial slice giving (values of f, its Hessian h in the
+    chart frame of `Collocation`, with entries f_{a bbar} + x^2 A_ab f_x,
+    x^2 f_{a x}, 2 x^3 f_x + x^4 f_xx) at those nodes' collocation points; an
+    entry of h is real or _ZERO where its imaginary part or all of it vanish.
 
     A coefficient weight w(k) applied to a real field keeps it real when w
     is real and even in k or imaginary and odd; the mode covector c(k) is
     odd, so the real and imaginary parts of the weights -pi^2 c_a conj(c_b)
-    and i pi c_a all do: each part of an entry is one `real_values` call.
+    and i pi c_a all do: each part of an entry is a real field, and the
+    parts whose rows are not all zero go through one `real_values` call.
     """
-    torus, nn, d, x2 = f.torus_shape, len(f.grid), model.d, f.grid.x**2
+    torus, d, x, x2 = f.torus_shape, model.d, f.grid.x, f.grid.x**2
     rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(torus), order)
     c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
 
-    def real_field(row_values):
-        """Values of the real field whose stored rows hold row_values, zero elsewhere."""
-        hat = np.zeros_like(f.coeffs)
-        hat.reshape(-1, nn)[rows] = row_values
-        return real_values(hat, torus)
+    def slab(sl: slice):
+        xs, x2s, p0, p1, p2 = x[sl], x2[sl], prof[:, sl], px[:, sl], pxx[:, sl]
+        parts = {("f",): p0, (d, d, 0): 2.0 * x2s * xs * p1 + x2s**2 * p2}  # (j, k, 0 or 1): real or imaginary part
+        for a in range(d):
+            parts[a, d, 0], parts[a, d, 1] = (1j * np.pi * ca * x2s * p1 for ca in (c[a].real, c[a].imag))
+            for b in range(a, d):
+                w, xa = -np.pi**2 * c[a] * c[b].conj(), x2s * model.A[a, b]
+                parts[a, b, 0] = w.real * p0 + xa.real * p1
+                if b > a:
+                    parts[a, b, 1] = w.imag * p0 + xa.imag * p1
+        live = [key for key, v in parts.items() if v.any()]
+        hat = np.zeros((len(live),) + f.coeffs.shape[:-1] + (len(xs),), dtype=complex)
+        for stacked, key in zip(hat, live):
+            stacked.reshape(-1, len(xs))[rows] = parts[key]
+        vals = dict(zip(live, real_values(hat, torus)))
+        part = lambda *key: vals.get(key, _ZERO)  # noqa: E731
+        return part("f"), {(i, j): part(i, j, 0) + 1j * part(i, j, 1) for i in range(d + 1) for j in range(i, d + 1)}
 
-    h = {(d, d): real_field(2.0 * x2 * f.grid.x * px + x2**2 * pxx)}
-    for a in range(d):
-        h[a, d] = real_field(1j * np.pi * c[a].real * x2 * px) + 1j * real_field(1j * np.pi * c[a].imag * x2 * px)
-        for b in range(a, d):
-            w, xa = -np.pi**2 * c[a] * c[b].conj(), x2 * model.A[a, b]
-            h[a, b] = real_field(w.real * prof + xa.real * px)
-            if b > a:
-                h[a, b] = h[a, b] + 1j * real_field(w.imag * prof + xa.imag * px)
-    return real_field(prof), h
+    return slab
 
 
 class Collocation:
@@ -212,11 +229,9 @@ class Collocation:
     needs that does not depend on the field; `modes.picard_solve` builds one
     per solve, on the torus shape its boundary data spans.
 
-    A matrix m in the chart frame of (z', x) is C m C^H in the scaled frame
-    (z_n factors scaled away, which keeps positivity and determinant ratios),
-    C = [[I, -phi_a], [0, 1]].  Kept: the chart-frame metric g = (n+1)
-    diag(x A, x^2), adj g and det g = (n+1)^n det A x^{n+1}; and, at the
-    torus points, k = C^{-1} C^{-H}: det(k + t m) = det(I + t C m C^H).
+    Kept over the radial nodes: the metric in the chart frame of (z', x)
+    (z_n factors scaled away, which keeps eigenvalues relative to g), g =
+    (n+1) diag(x A, x^2) with _ZERO (a, n) blocks, adj g and det g.
     """
 
     def __init__(self, model: CuspModel, grid: RadialGrid, shape: tuple):
@@ -224,59 +239,62 @@ class Collocation:
             raise ConfigError(f"Monge-Ampere collocation supports n = 2 and n = 3, got n = {model.n}")
         self.model, self.grid, self.shape = model, grid, tuple(shape)
         n, d, x = model.n, model.d, grid.x
-        self.g = _hermitian(n, lambda i, j: (n + 1) * (x * model.A[i, j] if j < d else x**2 * (i == d)))
+        entry = lambda i, j: _ZERO if i < d == j else (n + 1) * (x * model.A[i, j] if j < d else x**2)  # noqa: E731
+        self.g = {(i, j): entry(i, j).real if i == j else entry(i, j) for i in range(n) for j in range(i, n)}
         self.adj, self.detg = _cofactors(self.g, n)
-        pa = model.phi_grad(torus_points(model.lattice, self.shape))[..., None, :]
-        v = [pa[..., a] for a in range(d)] + [1.0]  # the last column of C^{-1}
-        self.k = _hermitian(n, lambda i, j: (i == j < d) + v[i] * np.conj(v[j]))
-        self.k_inv, _ = _cofactors(self.k, n)
 
     def check(self, model: CuspModel, f: Field):
-        """Raise ConfigError unless f lives on this model, grid and torus
-        shape."""
+        """Raise ConfigError unless f lives on this model, grid and torus shape."""
         if model is not self.model or f.grid != self.grid or f.torus_shape != self.shape:
             raise ConfigError("collocation geometry was built for another model, grid or torus shape")
 
 
-def _degenerate(h: dict, colloc: Collocation) -> np.ndarray:
-    """Where the metric g + h, in the chart frame, has its smallest eigenvalue at
-    or below f = 1e-10 tr/n: where m = g + h - f k, congruent to C (g + h) C^H - f I,
-    has a leading principal minor (m_00, adj(m)_{n-1,n-1}, det m) that is not positive."""
-    n = colloc.model.n
-    m = {jk: v + colloc.g[jk] for jk, v in h.items()}
-    floor = 1e-10 * _trace_product(colloc.k_inv, m) / n
-    for jk in m:
-        m[jk] = m[jk] - floor * colloc.k[jk]
-    adj, det = _cofactors(m, n)
-    return (m[0, 0] <= 0) | (adj[n - 1, n - 1] <= 0) | (det <= 0)
+def _degenerate(g: dict, h: dict, e: list, n: int):
+    """Where an eigenvalue of g^{-1}(g + h) is at most f = 1e-10 (n + e_1)/n,
+    1e-10 times their mean (e_k as in `_ma_values`): where (1 - f) g + h has
+    a leading principal minor <= 0, of the z' block below order n, and
+    det g sum_k e_k (1 - f)^(n-k) (e_0 = 1) at order n."""
+    t = 1.0 - 1e-10 * (n + e[0]) / n
+    block = {jk: t * g[jk] + h[jk] for jk in g if jk[1] < n - 1}  # the z' block of (1 - f) g + h
+    poly = t + e[0]
+    for ek in e[1:]:
+        poly = poly * t + ek
+    return (block[0, 0] <= 0) | (poly <= 0) | (n == 3 and _cofactors(block, 2)[1] <= 0)
 
 
-def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | None = None):
-    """(M values, Q values) at the collocation points, from the chart-frame
-    metric g of `colloc` (built on the spot when omitted) and Hessian h:
-    M = log det(g + h)/det g - f and its quadratic remainder Q = M - L.  With
-    e_k the elementary symmetric functions of the eigenvalues of g^{-1} h and
-    w = e_1 + ... + e_n, M = log(1 + w) - f and Q = (log(1 + w) - w) + e_2 +
-    ... + e_n.  Raises MetricDegenerateError at the first degenerate point."""
+def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | None = None, remainder: bool = True):
+    """(M values, Q values or None unless `remainder`) at the collocation
+    points, from the chart-frame metric g of `colloc` (built on the spot when
+    omitted) and Hessian h: M = log det(g + h)/det g - f and its quadratic
+    remainder Q = M - L.  With e_k the elementary symmetric functions of the
+    eigenvalues of g^{-1} h and w = e_1 + ... + e_n, M = log(1 + w) - f and
+    Q = (log(1 + w) - w) + e_2 + ... + e_n.  Only the radial derivatives are
+    taken on the whole grid; the rest runs in slabs of `_BLOCK_POINTS`.
+    Raises MetricDegenerateError (`_degenerate`) at the outermost degenerate
+    node, first torus index there, with the smallest eigenvalue of g^{-1}(g + h):
+    1 plus the least root of sum_k (-1)^k e_k t^(n-k), that of g^{-1} h."""
     if colloc is None:
         colloc = Collocation(model, f.grid, f.torus_shape)
     colloc.check(model, f)
-    n = model.n
-    fv, h = _chart_hessian(model, f, order)
-    bad = _degenerate(h, colloc)
-    if np.any(bad):
-        idx = np.unravel_index(np.argmax(bad), bad.shape)
-        hp, gp, kp = (np.array([[np.broadcast_to(_at(m, i, j), bad.shape)[idx] for j in range(n)] for i in range(n)])
-                      for m in (h, colloc.g, colloc.k))
-        # imported here: only this failure report needs a generalized
-        # eigenvalue solver, so no solve pays for loading scipy.linalg
-        import scipy.linalg
-
-        eigmin = scipy.linalg.eigh(gp + hp, kp, eigvals_only=True)[0]  # those of C (g + h) C^H
-        raise MetricDegenerateError(f.grid.x[idx[-1]], idx[:-1], float(eigmin))
-    e = [c / colloc.detg for c in _det_expansion(colloc.g, colloc.adj, h, n)]
-    w = sum(e)
-    return np.log1p(w) - fv, _log1p_minus(w) + sum(e[1:])
+    n, torus, nn = model.n, f.torus_shape, len(f.grid)
+    slab = _chart_hessian(model, f, order)
+    m_vals, q_vals = np.empty(torus + (nn,)), np.empty(torus + (nn,)) if remainder else None
+    width = max(1, _BLOCK_POINTS // (m_vals.size // nn))
+    for lo in range(0, nn, width):
+        sl = slice(lo, min(lo + width, nn))
+        fv, h = slab(sl)
+        g, adj = ({jk: v[sl] for jk, v in m.items()} for m in (colloc.g, colloc.adj))
+        e = [c / colloc.detg[sl] for c in _det_expansion(g, adj, h, n)]
+        bad = np.broadcast_to(_degenerate(g, h, e, n), torus + (sl.stop - lo,))
+        if bad.any():
+            r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), bad.shape[-1:] + torus)
+            char = [1.0] + [(-1) ** k * np.broadcast_to(ek, bad.shape)[(*where, r)] for k, ek in enumerate(e, 1)]
+            raise MetricDegenerateError(f.grid.x[lo + r], where, 1.0 + float(np.roots(char).real.min()))
+        w = sum(e)
+        m_vals[..., sl] = np.log1p(w) - fv
+        if remainder:
+            q_vals[..., sl] = _log1p_minus(w) + sum(e[1:])
+    return m_vals, q_vals
 
 
 # absolute Nyquist allowance for operator outputs: the log-determinant
@@ -287,7 +305,7 @@ _NYQUIST_ABS = 1e-13
 def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None) -> Field:
     """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field; `colloc`
     is the solve's `Collocation` (built on the spot when omitted)."""
-    m_vals, _ = _ma_values(model, f, order, colloc)
+    m_vals, _ = _ma_values(model, f, order, colloc, remainder=False)
     return Field.from_values(f.grid, m_vals, nyquist_abs=_NYQUIST_ABS)
 
 

@@ -66,6 +66,16 @@ def _guarded_exp(arg: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(arg, 0.0))
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_weights(d: float, K: int) -> tuple:
+    """Rows (w, 1/w, rho/w), w = rho^-j = exp(d j) for j < K: a scan's fixed vectors, held read-only per (d, K)."""
+    w = np.exp(d * np.arange(K))  # in [1, e^30]; exactly 1 on each block's first node
+    w_inv = 1.0 / w  # complex terms are multiplied, never divided, so real parts match real terms'
+    weights = np.stack([w, w_inv, np.exp(-d) * w_inv])  # rho^(j + 1): from the previous block's last node to node j
+    weights.flags.writeable = False
+    return weights
+
+
 def exp_weighted_revcumsum(sigma: np.ndarray, d: float) -> np.ndarray:
     """R_i = sum_{j >= i} sigma_j exp(-(j - i) d): the terms sigma_j weighted
     by exp(phi_i - phi_j) for an exponent phi of finite step d > 0 per node
@@ -77,19 +87,17 @@ def exp_weighted_revcumsum(sigma: np.ndarray, d: float) -> np.ndarray:
     run forward over sigma[::-1].  The nodes are cut into blocks of K with
     K d <= 30, the first block starting on the last node; one reshape to
     (blocks, K) and one cumsum along the block axis, weighted by the fixed
-    vector rho^-j, sum every block, and a scalar loop over the blocks
-    carries each block's last value into the block after.  Stable for
-    arbitrarily large total exponent spans, and no exponential is taken per
-    node.
+    vector rho^-j (`_scan_weights`), sum every block, and a scalar loop over
+    the blocks carries each block's last value into the block after.  Stable
+    for arbitrarily large total exponent spans, and no exponential is taken
+    per node.
     """
     if not (d > 0 and math.isfinite(d)):
         raise ConfigError(f"scan step must be finite and positive, got d = {d}")
     nn = len(sigma)
     K = max(1, min(nn, int(_BLOCK_RANGE / d)))
     blocks = -(-nn // K)
-    w = np.exp(d * np.arange(K))  # rho^-j, in [1, e^30]; exactly 1 on each block's first node
-    w_inv = 1.0 / w  # complex terms are multiplied, never divided, so real parts match real terms'
-    rho_head = np.exp(-d) * w_inv  # rho^(j + 1): from the previous block's last node to node j
+    w, w_inv, rho_head = _scan_weights(d, K)
     out = np.zeros((blocks, K), dtype=np.result_type(sigma.dtype, float))
     out.reshape(-1)[:nn] = sigma[::-1]  # zeros after the first node
     out *= w
@@ -115,8 +123,9 @@ def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass) -> np.ndarray
     each interval weighted from its first node by powers of rho = exp(-d),
     summed by one reverse scan; the tail mass sits at the deepest node.
     """
-    seg = interval_integrals(h, y, np.exp(-d))
-    return exp_weighted_revcumsum(np.append(seg, tail_mass), d)
+    seg = np.full(len(y), tail_mass, dtype=y.dtype)
+    interval_integrals(h, y, np.exp(-d), out=seg[:-1])
+    return exp_weighted_revcumsum(seg, d)
 
 
 def _cumulative_up(y: np.ndarray, h: float, d: float) -> np.ndarray:
@@ -125,8 +134,9 @@ def _cumulative_up(y: np.ndarray, h: float, d: float) -> np.ndarray:
     The same rule on the mirrored grid weights each interval from its last
     node; one forward scan sums them.
     """
-    seg = interval_integrals(h, y[::-1], np.exp(-d))[::-1]
-    return exp_weighted_cumsum(np.append(0.0, seg), d)
+    seg = np.zeros(len(y), dtype=np.result_type(y.dtype, float))
+    interval_integrals(h, y[::-1], np.exp(-d), out=seg[:0:-1])
+    return exp_weighted_cumsum(seg, d)
 
 
 @dataclass(frozen=True)

@@ -275,8 +275,9 @@ def tangent_cone_coefficients(n: int, c: float, K: int) -> np.ndarray:
 # --- zero-mode kernel ---
 
 
-def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0) -> np.ndarray:
-    """Per-interval integrals of y ds on a uniform grid of step h, 4th order.
+def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-interval integrals of y ds on a uniform grid of step h, 4th order,
+    written to `out` when given (len(y) - 1 values).
 
     Each interval integrates the cubic through its four nearest nodes, so
     the error varies smoothly from node to node (no odd/even sawtooth) and
@@ -291,8 +292,12 @@ def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0) -> np.ndarray:
     if nn < 4:
         raise ConfigError("cumulative integral needs at least 4 nodes")
     rho2, inv = rho * rho, 1.0 / rho
-    seg = np.empty(nn - 1, dtype=y.dtype)
-    seg[1:-1] = (h / 24.0) * (-inv * y[:-3] + 13.0 * y[1:-2] + (13.0 * rho) * y[2:-1] - rho2 * y[3:])
+    seg = np.empty(nn - 1, dtype=y.dtype) if out is None else out
+    mid, term = seg[1:-1], np.empty(nn - 3, dtype=seg.dtype)
+    np.multiply(-inv, y[:-3], out=mid)
+    for weight, yl in ((13.0, y[1:-2]), (13.0 * rho, y[2:-1]), (-rho2, y[3:])):
+        mid += np.multiply(weight, yl, out=term)
+    mid *= h / 24.0
     seg[0] = (h / 24.0) * (9.0 * y[0] + 19.0 * rho * y[1] - 5.0 * rho2 * y[2] + rho2 * rho * y[3])
     seg[-1] = (h / 24.0) * (inv * inv * y[-4] - 5.0 * inv * y[-3] + 19.0 * y[-2] + 9.0 * rho * y[-1])
     return seg
@@ -341,10 +346,11 @@ def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.n
     x = grid.x
     s = grid.s
     x0 = grid.x0
-    try:
-        x0_power = x0 ** (-(n + 2))
+    try:  # x^-(n+1) also bounds the radial derivatives' s^6 = x^-3 at the deepest node
+        x0_power, _ = x0 ** (-(n + 2)), x[-1].item() ** -(n + 1)
     except OverflowError:
-        raise ConfigError(f"x0 = {x0:.6g} is too small for n = {n}: x0^-(n+2) overflows") from None
+        raise ConfigError(f"x0 = {x0:.6g} or the deepest node x = {x[-1]:.6g} is too small for n = {n}: "
+                          "x0^-(n+2) or x^-(n+1) overflows") from None
     gmax = float(np.max(np.abs(g0)))
 
     tail_P = 0.0

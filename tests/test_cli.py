@@ -318,15 +318,37 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
         ("solve", "A = 1\n", "A = 1e-12\n", 2),
         # x0^-(n+2) overflows the float range
         ("solve", "x0 = 0.05\ns_max = 20", "x0 = 1e-300\ns_max = 2e150", 2),
+        # the deepest node's x^-(n+1) overflows, though x0^-(n+2) does not
+        pytest.param(
+            "solve", ("x0 = 0.05\ns_max = 20", "kind = cosine\namplitude = 1e-3"),
+            ("x0 = 1e-70\ns_max = 1e52", "kind = constant\namplitude = -1e-3"), 2, id="solve-deepest-node-overflow",
+        ),
+        # a large A used to break a positivity guard taken in a frame whose
+        # entries grow like A^2: a LinAlgError traceback from the failure
+        # report at A = 6.1e8 (u = 0 is exact here), a false degeneracy at
+        # A = 1e6 on a metric within 0.07 % of the background, now refused
+        # because (4, 1) cannot resolve the solution
+        pytest.param(
+            "solve", ("A = 1\n", "nodes = 400\n", "amplitude = 1e-3\n", "s_max = 20"),
+            ("A = 6.1e8\n", "nodes = 50\n[solver]\ncutoff = 0.00287\ntorus_resolution = 4\n",
+             "amplitude = -1.14e-199\n", "s_max = 4.47213595599958"), 0, id="solve-A-6.1e8-frame-free-guard",
+        ),
+        pytest.param(
+            "solve", ("A = 1\n", "nodes = 400\n"), ("A = 1e6\n", "nodes = 400\n[solver]\ntorus_resolution = 4\n"), 2,
+            id="solve-A-1e6-frame-free-guard",
+        ),
     ],
 )
 def test_extreme_finite_configs_exit_cleanly(command, old, new, code, tmp_path, capsys):
     # finite values whose powers, squares or differences leave the float
-    # range, and NaN figures, end in exit 2 or 3, never in a traceback
+    # range, and NaN figures, end in exit 0, 2 or 3, never in a traceback;
+    # a tuple of old strings is replaced by the new ones in turn
     path = tmp_path / "extreme.cfg"
     cfg = SQUARE_CFG + SOLVE_SECTIONS
-    assert old in cfg
-    path.write_text(cfg.replace(old, new, 1))
+    for old_text, new_text in zip(*(v if isinstance(v, tuple) else (v,) for v in (old, new))):
+        assert old_text in cfg
+        cfg = cfg.replace(old_text, new_text, 1)
+    path.write_text(cfg)
     with np.errstate(all="ignore"):
         assert cli.main([command, str(path), "-o", str(tmp_path / "o")]) == code
     assert "Traceback" not in capsys.readouterr().err
@@ -649,8 +671,8 @@ def test_csv_columns_format_like_rows(command, tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_linalg_and_sparse_unloaded():
-    # scipy.linalg serves only the degenerate-point report and scipy.sparse
-    # only the finite-difference spectrum oracle; neither is loaded on import
+    # nothing uses scipy.linalg, and scipy.sparse serves only the
+    # finite-difference spectrum oracle; neither is loaded on import
     import cusplab
 
     src = str(Path(cusplab.__file__).parents[1])
@@ -658,3 +680,23 @@ def test_cli_import_leaves_linalg_and_sparse_unloaded():
     code = "import sys, cusplab.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_degenerate_metric_report_needs_no_scipy_linalg(tmp_path):
+    # the positivity guard and its failure report read the e_k of the solve
+    # and one numpy root finding: a solve whose guard fires exits 3 with no
+    # traceback and never loads scipy.linalg
+    import cusplab
+
+    src = str(Path(cusplab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 12\nnodes = 600\n[solver]\ntorus_resolution = 8\n"
+                   "[boundary]\nkind = cosine\namplitude = 1.0\n")
+    code = ("import sys, cusplab.cli; rc = cusplab.cli.main(['solve', sys.argv[1], '-o', sys.argv[2]]); "
+            "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stdout.strip() == "False"
+    assert "perturbed metric degenerate" in out.stderr and "Traceback" not in out.stderr

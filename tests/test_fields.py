@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cusplab.errors import ConfigError
-from cusplab.fields import Field, halved_axis, mode_indices, torus_points
+from cusplab.fields import Field, halved_axis, mode_indices
 from cusplab.grid import RadialGrid
 
 
@@ -78,15 +78,6 @@ def test_algebra_and_norms():
     assert np.allclose(c.radial_mean(), grid.x + grid.x**2)
     assert c.sup_norm() == pytest.approx(np.max(grid.x + grid.x**2))
     assert c.sup_norm(grid.interior(2)) <= c.sup_norm()
-
-
-def test_torus_points_shape_and_values():
-    lattice = np.array([[1.0, 0.0], [0.0, 2.0]])
-    pts = torus_points(lattice, (4, 4))
-    assert pts.shape == (4, 4, 1)
-    assert pts[0, 0, 0] == 0
-    assert pts[1, 0, 0] == pytest.approx(0.25)
-    assert pts[0, 1, 0] == pytest.approx(0.5j)
 
 
 @pytest.mark.parametrize(

@@ -369,10 +369,12 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
 
 @pytest.mark.parametrize("n, torus", [(2, (8, 8)), (3, (4, 4, 4, 4))], ids=["n2", "n3"])
 def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
-    # Hermitian matrices whose smallest eigenvalue sits a factor 1 -+ 1e-3
-    # from the floor 1e-10 tr/n, handed to the guard in the chart frame of a
-    # Collocation: its decision is that of eigvalsh on the matrices
-    model = square_model(n)
+    # Hermitian matrices s whose smallest eigenvalue sits a factor 1 -+ 1e-3
+    # from the floor 1e-10 tr(s)/n, handed to the guard as the chart-frame
+    # Hessian h with g^-1/2 (g + h) g^-1/2 = s: its decision is that of
+    # eigvalsh on s, whatever the metric g = (n+1) diag(x A, x^2)
+    A = np.array([[1.3]]) if n == 2 else np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]])
+    model = CuspModel(n, np.eye(2 * n - 2), A)
     grid = RadialGrid.make(0.2, 5.0, 16)
     colloc = geometry.Collocation(model, grid, torus)
     shape = torus + (len(grid),)
@@ -380,28 +382,60 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     unitary, _ = np.linalg.qr(rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n)))
     rest = rng.uniform(0.5, 2.0, size=shape + (n - 1,))
     factor = np.where(rng.random(shape) < 0.5, 1 - 1e-3, 1 + 1e-3)
-    factor[(0,) * len(torus)] = 1 + 1e-3  # the first degenerate point has phi_a != 0
+    factor[(0,) * len(torus)] = 1 + 1e-3  # the outermost node's first torus point is not degenerate
     low = factor * 1e-10 * rest.sum(-1) / (n - factor * 1e-10)  # low = factor 1e-10 tr/n
     lam = np.concatenate([low[..., None], rest], axis=-1)
     s = np.einsum("...ij,...j,...kj->...ik", unitary, lam, unitary.conj())
     reference = np.linalg.eigvalsh(s)[..., 0] <= 1e-10 * np.trace(s, axis1=-2, axis2=-1).real / n
     assert np.array_equal(reference, factor < 1)
-    # s = C sc C^H, where C^{-1} = [[I, phi_a], [0, 1]] has the last column of k
-    cinv = np.broadcast_to(np.eye(n, dtype=complex), s.shape).copy()
-    for a in range(n - 1):
-        cinv[..., a, n - 1] = colloc.k[a, n - 1]
-    sc = cinv @ s @ cinv.conj().swapaxes(-1, -2)
-    chart = {(j, k): sc[..., j, k].real if j == k else sc[..., j, k] for j in range(n) for k in range(j, n)}
-    hessian = {jk: v - colloc.g[jk] for jk, v in chart.items()}
-    assert np.array_equal(geometry._degenerate(hessian, colloc), reference)
-    # the error names the first degenerate point and its smallest eigenvalue
-    monkeypatch.setattr(geometry, "_chart_hessian", lambda *args: (np.zeros(shape), hessian))
-    with pytest.raises(MetricDegenerateError) as info:
-        geometry._ma_values(model, Field.zero(grid, torus), 2, colloc)
-    first = np.unravel_index(np.argmax(reference), reference.shape)
-    assert info.value.where == tuple(int(i) for i in first[:-1])
-    assert info.value.x == grid.x[first[-1]]
-    assert info.value.eigmin == pytest.approx(low[first], abs=1e-14)
+    g = np.zeros((len(grid), n, n), dtype=complex)
+    g[:, :-1, :-1] = (n + 1) * grid.x[:, None, None] * A
+    g[:, -1, -1] = (n + 1) * grid.x**2
+    w, v = np.linalg.eigh(g)
+    root = np.einsum("rij,rj,rkj->rik", v, np.sqrt(w), v.conj())  # g^1/2 at each node
+    h = root @ s @ root - g
+    hessian = {(j, k): h[..., j, k].real if j == k else h[..., j, k] for j in range(n) for k in range(j, n)}
+    e = [c / colloc.detg for c in geometry._det_expansion(colloc.g, colloc.adj, hessian, n)]
+    assert np.array_equal(geometry._degenerate(colloc.g, hessian, e, n), reference)
+    # the error names the outermost degenerate node, the first torus point
+    # there and the smallest eigenvalue of g^-1 (g + h), that of s, for
+    # slabs of one node and one slab for the whole grid alike
+    slab = lambda sl: (0.0, {jk: v[..., sl] for jk, v in hessian.items()})  # noqa: E731
+    monkeypatch.setattr(geometry, "_chart_hessian", lambda *args: slab)
+    r, *where = np.unravel_index(np.argmax(np.moveaxis(reference, -1, 0)), (len(grid),) + torus)
+    for block in (64, 2**21):
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
+        with pytest.raises(MetricDegenerateError) as info:
+            geometry._ma_values(model, Field.zero(grid, torus), 2, colloc)
+        assert info.value.where == tuple(int(i) for i in where)
+        assert info.value.x == grid.x[r]
+        assert info.value.eigmin == pytest.approx(low[(*where, r)], abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, lattice, A, keys, m, nodes",
+    [
+        (2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), np.array([[1.3]]), [(1, 0), (0, 1), (1, 1)], 16, 60),
+        (2, np.eye(2), np.array([[1.0]]), [(1, 0), (3, 0)], 16, 600),
+        (3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]), [(1, 0, 0, 0), (0, 0, 1, 1)], 4, 24),
+    ],
+    ids=["n2-hexagonal", "n2-square-real-axis", "n3"],
+)
+def test_slabs_leave_collocation_bit_identical(n, lattice, A, keys, m, nodes, monkeypatch):
+    # transforms and pointwise algebra run in radial slabs of _BLOCK_POINTS
+    # points: slabs of one node and one slab for the whole grid give M and Q
+    # bit for bit (the real axis has real mixed entries, the others complex)
+    model = CuspModel(n, lattice, A)
+    grid = RadialGrid.make(0.2, 5.0, nodes)
+    shape = tuple(m if any(k[i] for k in keys) else 1 for i in range(len(keys[0])))
+    f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), shape)
+    values = []
+    for block in (16, 2**21):
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
+        values.append(geometry._ma_values(model, f, 4))
+    (m1, q1), (m2, q2) = values
+    assert np.array_equal(m1, m2) and np.array_equal(q1, q2)
+    assert geometry._ma_values(model, f, 4, remainder=False)[1] is None
 
 
 def test_n3_remainder_matches_extended_precision():

@@ -462,7 +462,7 @@ class TestPicard:
         with pytest.raises(
             MetricDegenerateError,
             match=r"^Picard iteration 1: perturbed metric degenerate at x=0\.05, "
-            r"torus index \(0, 0\): smallest eigenvalue -\d\.\d{3}e\+00$",
+            r"torus index \(0, 0\): smallest eigenvalue -\d\.\d{3}e\+01$",
         ):
             modes.picard_solve(square_model(), {(1, 0): 0.5, (-1, 0): 0.5}, grid, torus_resolution=8)
 
