@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import modes, spectrum
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 
 def barrier_sign(n: int, p: float) -> float:
@@ -46,8 +46,9 @@ def barrier_sign(n: int, p: float) -> float:
 
 
 def window_from_s(lam1: float, s_lo: float, s_hi: float):
-    """Convert a window in s = 2 sqrt(lam1)/sqrt(x) units to x bounds."""
-    return (2.0 * np.sqrt(lam1) / s_hi) ** 2, (2.0 * np.sqrt(lam1) / s_lo) ** 2
+    """Convert a window in s = 2 sqrt(lam1)/sqrt(x) units to x bounds (x_hi = inf past the float range)."""
+    with np.errstate(over="ignore"):
+        return (2.0 * np.sqrt(lam1) / s_hi) ** 2, (2.0 * np.sqrt(lam1) / s_lo) ** 2
 
 
 # decay_fit's least-squares fit of three parameters needs this many window nodes
@@ -72,12 +73,17 @@ class DecayFit:
     rms: float
     nodes: int
 
+    def envelope(self, x):
+        """The fitted model A x^p exp(-delta/sqrt(x)) at x."""
+        return self.amplitude * x**self.p * np.exp(-self.delta / np.sqrt(x))
+
 
 def decay_fit(x, profile, window) -> DecayFit:
     """Fit |profile| ~ A x^p exp(-delta/sqrt(x)) on the window (x_lo, x_hi).
 
     All three parameters are fitted.  The profile must have one sign on the
     window; the rms of log|profile| against the model is always reported.
+    An envelope past the float range on the window raises NumericalError.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(profile, dtype=float)
@@ -92,14 +98,14 @@ def decay_fit(x, profile, window) -> DecayFit:
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
     log_a, p_fit, delta_fit = coef
     resid = y - cols @ coef
-    return DecayFit(
-        window=(float(x_lo), float(x_hi)),
-        delta=float(delta_fit),
-        p=float(p_fit),
-        amplitude=float(np.exp(log_a)),
-        rms=float(np.sqrt(np.mean(resid**2))),
-        nodes=int(mask.sum()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = DecayFit(window=(float(x_lo), float(x_hi)), delta=float(delta_fit), p=float(p_fit),
+                       amplitude=float(np.exp(log_a)), rms=float(np.sqrt(np.mean(resid**2))), nodes=int(mask.sum()))
+        finite = np.all(np.isfinite(fit.envelope(xv)))
+    if not finite:
+        raise NumericalError(f"decay fit A = {fit.amplitude:.3e}, p = {fit.p:.6g}, delta = {fit.delta:.6g}: its envelope "
+                             f"leaves the float range on a window of {fit.nodes} nodes too narrow to separate the three")
+    return fit
 
 
 def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):

@@ -324,7 +324,7 @@ def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     fit, lam, prof, _, state = analysis.rate_fit(model, grid, _boundary(cfg, model.n), **window, **options)
     mask = analysis.window_mask(grid.x, fit.window)
     x = grid.x[mask]
-    env = fit.amplitude * x**fit.p * np.exp(-fit.delta / np.sqrt(x))
+    env = fit.envelope(x)
     write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], [x, prof[mask], env])
     return {
         **_solve_record(state),

@@ -24,11 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BoundaryStencilError,
-    ConfigError,
-    MetricDegenerateError,
-)
+from .errors import BoundaryStencilError, ConfigError, MetricDegenerateError, NumericalError
 from .fields import Field, halved_axis, mode_indices, real_values
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
@@ -272,7 +268,8 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
     taken on the whole grid; the rest runs in slabs of `_BLOCK_POINTS`.
     Raises MetricDegenerateError (`_degenerate`) at the outermost degenerate
     node, first torus index there, with the smallest eigenvalue of g^{-1}(g + h):
-    1 plus the least root of sum_k (-1)^k e_k t^(n-k), that of g^{-1} h."""
+    1 plus the least root of sum_k (-1)^k e_k t^(n-k), that of g^{-1} h; or
+    NumericalError when w leaves the float range at that point."""
     if colloc is None:
         colloc = Collocation(model, f.grid, f.torus_shape)
     colloc.check(model, f)
@@ -284,13 +281,19 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
         sl = slice(lo, min(lo + width, nn))
         fv, h = slab(sl)
         g, adj = ({jk: v[sl] for jk, v in m.items()} for m in (colloc.g, colloc.adj))
-        e = [c / colloc.detg[sl] for c in _det_expansion(g, adj, h, n)]
-        bad = np.broadcast_to(_degenerate(g, h, e, n), torus + (sl.stop - lo,))
+        points = torus + (sl.stop - lo,)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a w past the float range is refused
+            e = [c / colloc.detg[sl] for c in _det_expansion(g, adj, h, n)]
+            w = sum(e)
+            lost = np.broadcast_to(~np.isfinite(w), points)
+            bad = lost | _degenerate(g, h, e, n)
         if bad.any():
-            r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), bad.shape[-1:] + torus)
-            char = [1.0] + [(-1) ** k * np.broadcast_to(ek, bad.shape)[(*where, r)] for k, ek in enumerate(e, 1)]
+            r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), points[-1:] + torus)
+            if lost[(*where, r)]:
+                raise NumericalError(f"det(g + h)/det g leaves the float range at x={f.grid.x[lo + r]:.6g}, "
+                                     f"torus index {tuple(map(int, where))}: the Hessian of the iterate overflows")
+            char = [1.0] + [(-1) ** k * np.broadcast_to(ek, points)[(*where, r)] for k, ek in enumerate(e, 1)]
             raise MetricDegenerateError(f.grid.x[lo + r], where, 1.0 + float(np.roots(char).real.min()))
-        w = sum(e)
         m_vals[..., sl] = np.log1p(w) - fv
         if remainder:
             q_vals[..., sl] = _log1p_minus(w) + sum(e[1:])

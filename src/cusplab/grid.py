@@ -122,6 +122,8 @@ class RadialGrid:
         d = (s[-1] - s[0]) / (len(s) - 1)
         if not max(ds.max() - d, d - ds.min()) <= UNIFORM_TOL * max(abs(s[0]), abs(s[-1])):
             raise ConfigError("s nodes must be uniform")
+        if not s[-1] <= 2.0**511:  # the largest s whose x = 1/s^2 is a normal float
+            raise ConfigError(f"s_max = {s[-1]:.6g} is past 2^511, where x = 1/s^2 leaves the float range")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 

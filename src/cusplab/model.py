@@ -44,8 +44,8 @@ class CuspModel:
         if not np.allclose(A, A.conj().T, rtol=_HERM_RTOL, atol=1e-300):
             raise ConfigError("A must be Hermitian")
         eigs = np.linalg.eigvalsh(A)
-        if eigs.min() <= 0:
-            raise ConfigError(f"A must be positive definite (eigenvalues {eigs})")
+        if not eigs.min() > 1e-15 * eigs.max():  # a smaller ratio is singular to rounding: inv(A) can fail
+            raise ConfigError(f"A must be positive definite to working precision (eigenvalues {eigs})")
         B = np.atleast_2d(np.asarray(self.lattice))
         if np.any(np.imag(B) != 0):
             raise ConfigError("lattice must be real")

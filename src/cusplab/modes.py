@@ -15,10 +15,9 @@ rho^(l - k) for the one scalar rho = exp(-d), and the quadrature and the
 two scans of a mode solve are geometric, weighting nodes by powers of rho,
 and take no exponential per node.  Everything a solve needs apart from f
 depends only on (n, lambda, grid) and is memoized as a `SolvePlan`
-(`_solve_plan`); there the homogeneous term exp(sigma_0 - sigma) is the one
-array exponentiated node by node, and a positive argument to it is a
-programming error and raises.  A solve on a held plan does only the work
-that depends on f.
+(`_solve_plan`); there the homogeneous term exp(sigma_0 - sigma) <= 1 is
+the one array exponentiated node by node.  A solve on a held plan does only
+the work that depends on f.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -44,7 +43,6 @@ from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
 from .spectrum import first_eigenvalue, mode_eigenvalue, modes_below
 
-_EXP_GUARD = 1e-9
 _BLOCK_RANGE = 30.0
 # a mode of g no larger than this fraction of g's largest mode, with no
 # boundary data, is left unsolved by assemble_representation
@@ -56,14 +54,6 @@ _ITERATION_ORDER = 4
 # builds, refused before anything is allocated: about 0.4 GB at the 0.18 kB
 # a point of n = 2 solves on (16, 16); it admits (16, 16) on 4800 nodes
 _COLLOCATION_POINTS = 2**21
-
-
-def _guarded_exp(arg: np.ndarray) -> np.ndarray:
-    if np.any(arg > _EXP_GUARD):
-        raise NumericalError(
-            "exponent combination came out positive: kernel factors were mis-paired"
-        )
-    return np.exp(np.minimum(arg, 0.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,7 +187,7 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     block = np.empty((3, len(x)))
     block[0], block[1] = pair.h1_mantissa, pair.h2_mantissa
     del pair
-    np.multiply(block[1] / block[1, 0], _guarded_exp(sigma[0] - sigma), out=block[2])
+    np.multiply(block[1] / block[1, 0], np.exp(sigma[0] - sigma), out=block[2])  # sigma never falls: exp(<= 0)
     block.flags.writeable = False
     m1, m2, hom = block
     # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
@@ -276,15 +266,13 @@ def truncate_mode_noise(g: Field) -> Field:
 
 def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: tuple):
     """Combine the zero-mode kernel with mode solves for the modes below the
-    cutoff, given as the (keys, lams) arrays of `spectrum.modes_below`;
-    returns (Field, diagnostics).
+    cutoff, given as the (keys, lams) arrays of `spectrum.modes_below` on
+    the torus shape of g; returns (Field, diagnostics).
 
-    boundary maps integer mode keys to boundary coefficients at x0.  Modes
-    of g above the cutoff are not solved; their largest sup-norm is reported
-    as the tail indicator, never enforced.  Modes below the cutoff that the
-    torus grid of g cannot resolve (some 2|k_i| >= m_i, so every k_i != 0 on
-    an axis of size 1) carry no coefficient and are skipped unless nonzero
-    boundary data forces them.
+    boundary maps integer mode keys to boundary coefficients at x0; nonzero
+    boundary data forces its mode in.  Modes of g above the cutoff are not
+    solved; their largest sup-norm is reported as the tail indicator, never
+    enforced.
     Each +/- pair is solved once: `Field.set_mode` stores a solution with
     its conjugate as that of -k, and a key whose slot is filled is skipped.
     """
@@ -292,9 +280,7 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     n = model.n
     dims = 2 * model.d
     zero = (0,) * dims
-    below_keys, below_lams = below
-    held = np.all(2 * np.abs(below_keys) < g.torus_shape, axis=1)
-    keys = dict(zip(map(tuple, below_keys[held].tolist()), below_lams[held]))
+    keys = dict(zip(map(tuple, below[0].tolist()), below[1]))
     for k, v in boundary.items():
         kk = tuple(int(i) for i in k)
         if kk != zero and v != 0 and kk not in keys:
@@ -342,11 +328,10 @@ def _ell0_decay_power(u: Field) -> float:
     x = u.grid.x
     half = len(x) // 2
     mask = prof[half:] > 1e-300
-    if mask.sum() < 4:
-        return float("nan")
     lx = np.log(x[half:][mask])
-    lp = np.log(prof[half:][mask])
-    return float(np.polyfit(lx, lp, 1)[0])
+    if mask.sum() < 4 or not np.ptp(lx) > 1e-12 * np.max(np.abs(lx)):  # as in radial._power_fit
+        return float("nan")
+    return float(np.polyfit(lx, np.log(prof[half:][mask]), 1)[0])
 
 
 def boundary_torus_shape(boundary: dict, dims: int, torus_resolution: int) -> tuple:
@@ -382,10 +367,10 @@ def _check_contraction(it: int, previous: float, change: float, tol: float, max_
 
 @contextmanager
 def _stage(name: str):
-    """Prefix a MetricDegenerateError with the solve stage."""
+    """Prefix a MetricDegenerateError or NumericalError with the solve stage."""
     try:
         yield
-    except MetricDegenerateError as exc:
+    except (MetricDegenerateError, NumericalError) as exc:
         exc.args = (f"{name}: {exc}",)
         raise
 
@@ -411,8 +396,9 @@ def picard_solve(
     `boundary_torus_shape`: torus_resolution points along the lattice axes
     the boundary data spans, one along the others; a grid of more than
     `_COLLOCATION_POINTS` torus points times nodes is refused first.  The
-    collocation geometry is built once here, before any mode is enumerated
-    (it refuses n > 3), and shared by every collocation call.
+    collocation geometry is built once here (it refuses n > 3), before the
+    one enumeration of the modes that shape holds, and shared by every
+    collocation call.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
@@ -429,7 +415,7 @@ def picard_solve(
             f"{_COLLOCATION_POINTS}; lower torus_resolution or the node count"
         )
     colloc = geometry.Collocation(model, grid, shape)
-    below = modes_below(model, cutoff * lam1)
+    below = modes_below(model, cutoff * lam1, shape)
     u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
     trace = []
     for it in range(1, max_iter + 1):
@@ -495,7 +481,8 @@ def _check_boundary_symmetry(boundary: dict):
 
 def extract_tangent_cone(u: Field, n: int):
     """Least-squares fit of the radial mean against -(n+1) log(1 + c x) on
-    the inner half of the grid; returns (c, rms)."""
+    the inner half of the grid, by Gauss-Newton steps kept inside
+    1 + c x > 0; returns (c, rms)."""
     x = u.grid.x
     prof = u.radial_mean()
     window = slice(len(x) // 2, len(x))
@@ -512,6 +499,8 @@ def extract_tangent_cone(u: Field, n: int):
         if denom == 0.0:
             break
         dc = float(J @ r) / denom
+        while math.isfinite(dc) and np.any(1.0 + (c + dc) * xs <= 0.0):  # halve a step that leaves 1 + c x > 0
+            dc *= 0.5
         c += dc
         if abs(dc) <= 1e-15 * max(1.0, abs(c)):
             break

@@ -326,9 +326,9 @@ def _power_fit(x_tail: np.ndarray, g_tail: np.ndarray) -> float:
     if mask.sum() < 2:
         return np.inf  # identically zero tail: any decay rate works
     lx = np.log(x_tail[mask])
-    lg = np.log(np.abs(g_tail[mask]))
-    slope = np.polyfit(lx, lg, 1)[0]
-    return float(slope)
+    if not np.ptp(lx) > 1e-12 * np.max(np.abs(lx)):  # a narrower span leaves polyfit rank deficient
+        raise ConfigError(f"the deepest nodes span {np.ptp(lx):.3g} of log x, too little to fit the tail's decay power")
+    return float(np.polyfit(lx, np.log(np.abs(g_tail[mask])), 1)[0])
 
 
 def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.ndarray:

@@ -7,8 +7,9 @@ character chi_k(t) = exp(2*pi*i k.t) to lambda_k chi_k with
 
 where B has the lattice basis as columns and k runs over integer dual
 coordinates.  Enumeration is brute force over integer boxes, each one
-array computation, with radius doubling until the requested eigenvalues are
-certified to lie strictly inside the box.
+array computation.  `modes_below` takes the one box of modes a torus grid
+holds; `eigenvalues_up_to` doubles the radius of a cube until the
+requested eigenvalues are certified to lie strictly inside it.
 """
 
 from __future__ import annotations
@@ -35,23 +36,17 @@ def mode_eigenvalue(model: CuspModel, k):
     return np.pi**2 * np.real(np.sum(c.conj() * (c @ model.A_inv.T), axis=-1))
 
 
-# The box max|k_i| <= r has (2r + 1)^(2d) points.  Past this many the
-# enumeration is refused before anything is allocated: the radius stops at
-# 256 for n = 2 and at 8 for n = 3.
+# The cube max|k_i| <= r has (2r + 1)^(2d) points.  Past this many the
+# radius doubling of `eigenvalues_up_to` is refused before anything is
+# allocated: the radius stops at 256 for n = 2 and at 8 for n = 3.
 _BOX_POINTS = 2**20
 
 
-def _box(model: CuspModel, radius: int, what: str):
-    """Integer keys of the box max|k_i| <= radius, shape (M, 2d), in
-    lexicographic order; their eigenvalues; and the least eigenvalue on the
-    box edge max|k_i| = radius, which closes the radius doubling."""
-    dims = 2 * model.d
-    if (2 * radius + 1) ** dims > _BOX_POINTS:
-        raise ConfigError(f"{what} enumeration did not close; check lattice/A scales")
-    keys = np.indices((2 * radius + 1,) * dims).reshape(dims, -1).T - radius
-    lams = mode_eigenvalue(model, keys)
-    edge = np.max(np.abs(keys), axis=1) == radius
-    return keys, lams, np.min(lams[edge])
+def _box(model: CuspModel, radii):
+    """Integer keys of the box |k_i| <= radii[i], shape (M, 2d), in
+    lexicographic order, and their eigenvalues."""
+    keys = np.indices([2 * r + 1 for r in radii]).reshape(len(radii), -1).T - radii
+    return keys, mode_eigenvalue(model, keys)
 
 
 def _sorted(keys: np.ndarray, lams: np.ndarray):
@@ -65,25 +60,27 @@ def eigenvalues_up_to(model: CuspModel, count: int):
     arrays of shapes (count, 2d) and (count,), sorted by (lam, k)."""
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
+    dims = 2 * model.d
     radius = 2
     while True:
-        keys, lams, edge_min = _box(model, radius, "eigenvalue")
+        if (2 * radius + 1) ** dims > _BOX_POINTS:
+            raise ConfigError("eigenvalue enumeration did not close; check lattice/A scales")
+        keys, lams = _box(model, (radius,) * dims)
+        edge_min = np.min(lams[np.max(np.abs(keys), axis=1) == radius])
         keys, lams = _sorted(keys, lams)
         if len(lams) > count and lams[count - 1] < edge_min:
             return keys[:count], lams[:count]
         radius *= 2
 
 
-def modes_below(model: CuspModel, lam_max: float):
-    """All nonzero modes with eigenvalue <= lam_max: (keys, lams) arrays of
-    shapes (M, 2d) and (M,), sorted by (lam, k)."""
-    radius = 2
-    while True:
-        keys, lams, edge_min = _box(model, radius, "mode")
-        if edge_min > lam_max:
-            below = (lams > 0) & (lams <= lam_max)
-            return _sorted(keys[below], lams[below])
-        radius *= 2
+def modes_below(model: CuspModel, lam_max: float, shape: tuple):
+    """All nonzero modes with eigenvalue <= lam_max that a torus grid of the
+    given shape holds, |k_i| <= (m_i - 1)//2 (2|k_i| < m_i, the rule of
+    `Field.index`): (keys, lams) arrays of shapes (M, 2d) and (M,), sorted
+    by (lam, k)."""
+    keys, lams = _box(model, [(m - 1) // 2 for m in shape])
+    below = (lams > 0) & (lams <= lam_max)
+    return _sorted(keys[below], lams[below])
 
 
 def first_eigenvalue(model: CuspModel) -> float:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,9 +178,20 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     assert cli.main(["spectrum", str(bad), "-o", str(tmp_path / "o")]) == 2
     rc = cli.main(["spectrum", str(tmp_path / "missing.cfg"), "-o", str(tmp_path / "o")])
     assert rc == 2
-    # a cutoff whose mode box exceeds the point budget is refused at once
-    bad.write_text(N3_SOLVE_CFG + "[solver]\ncutoff = 1e6\ntorus_resolution = 4\n")
-    assert cli.main(["solve", str(bad), "-o", str(tmp_path / "o")]) == 2
+    # a huge cutoff only selects among the modes the torus grid holds: the
+    # constant n = 3 boundary collocates on (1, 1, 1, 1), which holds none,
+    # and the n = 2 cosine on (16, 1) holds the 7 +/- pairs k_1 = 1..7
+    cutoff = "[solver]\ncutoff = 1e6\ntorus_resolution = {}\n"
+    bad.write_text(N3_SOLVE_CFG + cutoff.format(4))
+    assert cli.main(["solve", str(bad), "-o", str(tmp_path / "n3")]) == 0
+    res = json.loads((tmp_path / "n3" / "solve.json").read_text())["results"]
+    assert res["torus_shape"] == [1, 1, 1, 1] and res["modes_solved"] == 0
+    bad.write_text(SQUARE_CFG + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 400\n" + cutoff.format(16)
+                   + "[boundary]\nkind = cosine\namplitude = 3e-3\n")
+    assert cli.main(["solve", str(bad), "-o", str(tmp_path / "n2")]) == 0
+    res = json.loads((tmp_path / "n2" / "solve.json").read_text())["results"]
+    assert res["torus_shape"] == [16, 1] and res["modes_solved"] == 7 and res["tail_indicator"] == 0.0
+    assert all(record["modes_solved"] == 7 for record in res["trace"])
 
     # sizes that would exhaust memory are refused before they are allocated;
     # the patches make an allocation of one of them fail at once
@@ -336,6 +348,56 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
         pytest.param(
             "solve", ("A = 1\n", "nodes = 400\n"), ("A = 1e6\n", "nodes = 400\n[solver]\ntorus_resolution = 4\n"), 2,
             id="solve-A-1e6-frame-free-guard",
+        ),
+        # found by test_fuzzed_tiny_solves_exit_cleanly: s_max^2 overflows in x = 1/s^2
+        pytest.param("solve", "x0 = 0.05\ns_max = 20", "x0 = 1.0\ns_max = 1e155", 2, id="solve-s_max-squared-overflows"),
+        # the tangent-cone fit's Gauss-Newton step used to leave 1 + c x > 0 (NaN c)
+        pytest.param(
+            "solve", ("x0 = 0.05\ns_max = 20", "nodes = 400\n", "kind = cosine\namplitude = 1e-3"),
+            ("x0 = 1.0\ns_max = 1.0863896155683441", "nodes = 49\n[solver]\ntol = 1.0\nmax_iter = 2\ntorus_resolution = 4\n",
+             "kind = constant\namplitude = 17.573920784162386"), 0, id="solve-tangent-cone-step-leaves-domain",
+        ),
+        # det h of an n = 3 iterate overflows: the guard's failure report used to
+        # end in a LinAlgError traceback from np.roots on non-finite e_k
+        pytest.param(
+            "solve", ("n = 2\nlattice = 1 0 ; 0 1\nA = 1\n", "x0 = 0.05\ns_max = 20", "nodes = 400\n",
+                      "kind = cosine\namplitude = 1e-3"),
+            ("n = 3\nlattice = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\nA = 1 0 ; 0 1\n", "x0 = 0.0316\ns_max = 5e27",
+             "nodes = 53\n[solver]\ntol = 1e-12\nmax_iter = 2\ntorus_resolution = 4\n", "kind = constant\namplitude = -1"),
+            3, id="solve-n3-hessian-overflows",
+        ),
+        # eigenvalues 2.5e-24 and 2.1e-8 passed the positivity check, then inv(A)
+        # raised LinAlgError: A must be positive definite to working precision
+        pytest.param(
+            "solve", "n = 2\nlattice = 1 0 ; 0 1\nA = 1\n",
+            "n = 3\nlattice = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\nA = 8.097031469220685e-09 "
+            "5.9462896893155236e-09+8.421318114789624e-09j ; 5.9462896893155236e-09-8.421318114789624e-09j "
+            "1.3125422602559407e-08\n", 2, id="solve-A-singular-to-rounding",
+        ),
+        # a grid 4e-13 wide in log x: both log-log slopes (the zero mode's
+        # tail power, and the reported ell0_decay_power) raised RankWarning
+        pytest.param(
+            "solve", ("n = 2\nlattice = 1 0 ; 0 1\nA = 1\n", "x0 = 0.05\ns_max = 20", "nodes = 400\n", "amplitude = 1e-3"),
+            ("n = 3\nlattice = 31.622776601683793 0 0 0 ; 0 223.79465593327046 0 0 ; 0 0 1 0 ; 0 0 0 0.033777216073319245\n"
+             "A = 0.880556857449228 3597.8766037199994-84749.1437232534j ; 3597.8766037199994+84749.1437232534j "
+             "20493690896.709866\n", "x0 = 1.7461432882321365e-26\ns_max = 7567632967977.562",
+             "nodes = 28\n[solver]\ncutoff = 0.3173065954292505\ntorus_resolution = 4\nmax_iter = 2\ntol = 10\n",
+             "amplitude = 8.767760761898876e-121"), 2, id="solve-tail-power-span-too-narrow",
+        ),
+        pytest.param(
+            "solve", ("x0 = 0.05\ns_max = 20", "nodes = 400\n", "amplitude = 1e-3"),
+            ("x0 = 1.7461432882321365e-26\ns_max = 7567632967977.562",
+             "nodes = 28\n[solver]\ncutoff = 0.3173065954292505\ntorus_resolution = 4\nmax_iter = 2\ntol = 10\n",
+             "amplitude = 8.767760761898876e-121"), 0, id="solve-ell0-decay-span-too-narrow",
+        ),
+        # a window of s_lo = 1e-300 used to overflow x_hi; on a grid 1.2e-10 wide
+        # the decay fit's amplitude overflowed and its envelope was NaN
+        pytest.param(
+            "rate-fit", ("A = 1\n", "x0 = 0.05\ns_max = 20", "nodes = 400\n", "amplitude = 1e-3\n"),
+            ("A = 1e-12\n", "x0 = 1.0\ns_max = 1.0000000001209561",
+             "nodes = 45\n[solver]\ncutoff = 0.2725597471230348\ntol = 3.378137382263277e-54\nmax_iter = 3\n"
+             "torus_resolution = 4\n", "amplitude = 8.450885799611047e-288\n[ratefit]\ns_lo = 1e-300\ns_hi = 1e300\n"),
+            3, id="rate-fit-decay-fit-leaves-float-range",
         ),
     ],
 )
@@ -605,6 +667,86 @@ def test_fuzzed_configs_exit_cleanly(command, tmp_path, monkeypatch):
         path.write_text(text)
         err, out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), np.errstate(all="ignore"):
+            rc = cli.main([command, str(path), "-o", str(tmp_path / "o")])
+        assert rc in {0, 2, 3, 4}, text
+        assert "Traceback" not in err.getvalue(), text
+
+    run()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda sv: sv[0] * sv[1])
+
+
+def _entry(value) -> str:
+    value = complex(value)
+    return repr(value.real) if value.imag == 0 else f"{value.real!r}{value.imag:+}j"
+
+
+def _matrix_text(rows) -> str:
+    return " ; ".join(" ".join(_entry(v) for v in row) for row in rows)
+
+
+def _mostly(usual, rare):
+    """`usual` nine draws in ten, else `rare`: most configs get past the
+    config checks and into a solve."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 5 else usual)  # hypothesis favours the bounds
+
+
+@st.composite
+def tiny_solve_config(draw, command):
+    """A real tiny solve: at most 60 nodes, m <= 4, max_iter <= 6, with
+    log-uniform extremes of every [model], [grid], [solver] and [boundary]
+    key, and at times a value the config checks or the solve refuse."""
+    n = draw(_mostly(st.sampled_from([2, 3]), st.just(4)))
+    d = n - 1
+    lattice = np.diag([draw(_log_uniform(1e-3, 1e3)) for _ in range(2 * d)])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 2 * d - 1), st.integers(0, 2 * d - 1)), max_size=2)):
+        lattice[i, j] += draw(_signed(_log_uniform(1e-3, 1e3)))
+    A = np.diag([draw(_log_uniform(1e-12, 1e12)) for _ in range(d)]).astype(complex)
+    if d == 2:  # a Hermitian coupling of relative size up to 1.2, so at times indefinite
+        A[0, 1] = draw(st.floats(0.0, 1.2)) * np.sqrt(A[0, 0].real * A[1, 1].real) * np.exp(1j * draw(st.floats(0, 6.3)))
+        A[1, 0] = np.conj(A[0, 1])
+    x0 = draw(_mostly(_log_uniform(1e-60, 1e3), _log_uniform(1e-300, 1e-60)))
+    s_max = draw(_mostly(_log_uniform(1e-12, 1e3).map(lambda r: x0**-0.5 * (1.0 + r)), _log_uniform(1e-3, 1e300)))
+    amplitude = draw(_mostly(_signed(_log_uniform(1e-300, 1e2)), st.just(0.0)))
+    # the rate fit needs the (1, 0, ...) mode of a cosine boundary
+    cosine = st.just("cosine")
+    kind = draw(_mostly(cosine, st.just("constant")) if command == "rate-fit" else cosine | st.just("constant"))
+    sections = {
+        "model": {"n": n, "lattice": _matrix_text(lattice), "A": _matrix_text(A),
+                  "scale": draw(_log_uniform(1e-30, 1e30))},
+        "grid": {"x0": x0, "s_max": s_max, "nodes": draw(_mostly(st.integers(8, 60), st.integers(1, 7)))},
+        "solver": {"cutoff": draw(_log_uniform(1e-4, 1e6)), "tol": draw(_log_uniform(1e-300, 1e2)),
+                   "max_iter": draw(st.integers(1, 6)),
+                   "torus_resolution": draw(_mostly(st.just(4), st.sampled_from([1, 2, 3])))},
+        "boundary": {"kind": kind, "amplitude": amplitude},
+    }
+    if command == "rate-fit":  # mostly every node, else the default window or a drawn one
+        s_lo = draw(_log_uniform(1e-3, 1e6))
+        drawn = st.sampled_from([{}, {"s_lo": s_lo, "s_hi": s_lo * draw(_log_uniform(1.001, 1e3))}])
+        sections["ratefit"] = draw(_mostly(st.just({"s_lo": 1e-300, "s_hi": 1e300}), drawn))
+    # str() of a float is its shortest round-tripping repr
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("command", ["solve", "rate-fit"])
+def test_fuzzed_tiny_solves_exit_cleanly(command, tmp_path):
+    # real solves, nothing patched out, RuntimeWarnings raised as errors
+    path = tmp_path / "tiny.cfg"
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(tiny_solve_config(command))
+    def run(text):
+        path.write_text(text)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main([command, str(path), "-o", str(tmp_path / "o")])
         assert rc in {0, 2, 3, 4}, text
         assert "Traceback" not in err.getvalue(), text

@@ -342,7 +342,7 @@ class TestAssemble:
         g = Field.zero(grid, (8, 8))
         delta = 1e-3
         out, diag = modes.assemble_representation(
-            model, {(1, 0): delta, (-1, 0): delta}, g, spectrum.modes_below(model, 10 * np.pi**2)
+            model, {(1, 0): delta, (-1, 0): delta}, g, spectrum.modes_below(model, 10 * np.pi**2, g.torus_shape)
         )
         pair = h_pair(2, np.pi**2, grid.x)
         ratio = pair.h2_mantissa / pair.h2_mantissa[0] * np.exp(pair.exponent[0] - pair.exponent)
@@ -357,7 +357,7 @@ class TestAssemble:
         grid = RadialGrid.make(0.1, 16.0, 30000)
         prof = (grid.x**2 * np.exp(-2.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): 0.5 * prof, (-1, 0): 0.5 * prof}, (8, 8))
-        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 10 * np.pi**2))
+        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 10 * np.pi**2, g.torus_shape))
         lg = geometry.linearized_apply(model, out, order=2)
         it = grid.interior(2)
         scale = np.max(np.abs(prof))
@@ -370,18 +370,19 @@ class TestAssemble:
         grid = RadialGrid.make(0.1, 14.0, 800)
         prof = (grid.x**2 * np.exp(-1.0 / np.sqrt(grid.x))).astype(complex)
         g = Field.from_modes(grid, {(0, 0): prof, (1, 0): (0.3 + 0.1j) * prof, (-1, 0): (0.3 - 0.1j) * prof}, (8, 8))
-        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2))
+        out, _ = modes.assemble_representation(model, {}, g, spectrum.modes_below(model, 5 * np.pi**2, g.torus_shape))
         # on (8, 8) the halved axis is the last: both modes sit on its k_2 = 0
         # plane in slots of their own, and one solve fills both
         assert np.array_equal(out.mode((-1, 0)), out.mode((1, 0)).conj())
 
     def test_modes_the_torus_grid_cannot_hold(self):
         # on an m = 4 grid the below-cutoff mode (2, 0) would alias onto
-        # (-2, 0): it is skipped, and boundary data on it is rejected
+        # (-2, 0): it is not enumerated, and boundary data on it is rejected
         model = square_model()
         grid = RadialGrid.make(0.1, 14.0, 300)
         g = Field.zero(grid, (4, 4))
-        below = spectrum.modes_below(model, 10 * np.pi**2)
+        below = spectrum.modes_below(model, 10 * np.pi**2, g.torus_shape)
+        assert np.max(np.abs(below[0])) == 1
         _, diag = modes.assemble_representation(model, {(1, 0): 1e-3, (-1, 0): 1e-3}, g, below)
         assert diag["modes_solved"] == 1  # (1, 0) and its conjugate (-1, 0)
         with pytest.raises(ConfigError):
@@ -488,6 +489,21 @@ class TestPicard:
         residuals = [record["residual_sup"] for record in state.trace]
         assert len(residuals) == state.iteration >= 2
         assert residuals[-1] < residuals[0]
+
+    def test_modes_enumerated_once_on_the_collocation_shape(self, monkeypatch):
+        # one enumeration per solve, over the box the collocation grid holds
+        calls = []
+        enumerate_modes = modes.modes_below
+
+        def recorded(model, lam_max, shape):
+            calls.append(shape)
+            return enumerate_modes(model, lam_max, shape)
+
+        monkeypatch.setattr(modes, "modes_below", recorded)
+        grid = RadialGrid.make(0.05, 16.0, 400)
+        u, state = modes.picard_solve(square_model(), {(1, 0): 5e-5, (-1, 0): 5e-5}, grid, torus_resolution=8)
+        assert state.iteration >= 2
+        assert calls == [state.diagnostics["torus_shape"]] == [u.torus_shape] == [(8, 1)]
 
     def test_dimension_four_refused_before_mode_enumeration(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -647,6 +663,16 @@ class TestExtractTangentCone:
         )
         c, _ = modes.extract_tangent_cone(u, 2)
         assert c == pytest.approx(0.37, abs=1e-8)
+
+    def test_steps_stay_inside_the_model_domain(self):
+        # near c x = -1 a full Gauss-Newton step from c = 0 lands past the
+        # pole of log(1 + c x); halved steps keep 1 + c x > 0 and converge
+        grid = RadialGrid.make(0.5, 1.5, 40)
+        u = Field.from_radial(grid, -3 * np.log1p(-1.9 * grid.x), (1, 1))
+        with np.errstate(invalid="raise"):
+            c, rms = modes.extract_tangent_cone(u, 2)
+        assert c == pytest.approx(-1.9, abs=1e-9)
+        assert rms < 1e-10
 
 
 class TestStructure:

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from cusplab import spectrum
+from cusplab import fields, spectrum
 from cusplab.errors import ConfigError
+from cusplab.fields import Field
+from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel
 
 
@@ -73,7 +75,7 @@ def test_basis_relabeling_invariance():
 def test_modes_below_matches_enumeration():
     m = square_model()
     lam_max = 10 * np.pi**2
-    keys, lams = spectrum.modes_below(m, lam_max)
+    keys, lams = spectrum.modes_below(m, lam_max, (8, 8))  # holds |k_i| <= 3
     assert np.all((0 < lams) & (lams <= lam_max))
     # count k with 0 < |k|^2 <= 10: |k|^2 in {1,2,4,5,8,9,10}
     counts = {1: 4, 2: 4, 4: 4, 5: 8, 8: 4, 9: 4, 10: 8}
@@ -131,11 +133,11 @@ def _assert_sorted_by_lam_then_key(keys, lams):
 
 
 @pytest.mark.parametrize(
-    "model, radius, cutoff, count",
-    [(HEXAGONAL, 12, 9.5, 31), (PICARD_N3, 5, 9.1, 45)],
-    ids=["hexagonal", "picard_n3"],
+    "model, radius, cutoff, count, shape",
+    [(HEXAGONAL, 12, 9.5, 31, (32, 32)), (PICARD_N3, 5, 9.1, 45, (16,) * 4), (HEXAGONAL, 12, 9.5, 31, (4, 8))],
+    ids=["hexagonal", "picard_n3", "hexagonal-cut"],
 )
-def test_enumeration_matches_per_point_reference(model, radius, cutoff, count):
+def test_enumeration_matches_per_point_reference(model, radius, cutoff, count, shape):
     entries, edge = _reference_box(model, radius)
     ref = {k: lam for lam, k in entries}
     lam_max = cutoff * spectrum.first_eigenvalue(model)
@@ -145,8 +147,10 @@ def test_enumeration_matches_per_point_reference(model, radius, cutoff, count):
     assert np.min(np.abs(ref_lams - lam_max)) > 1e-12 * lam_max
     assert ref_lams[count] - ref_lams[count - 1] > 1e-12 * ref_lams[count]
 
-    keys, lams = spectrum.modes_below(model, lam_max)
-    assert {tuple(k) for k in keys.tolist()} == {k for k, lam in ref.items() if 0 < lam <= lam_max}
+    # the modes the torus grid holds: 2|k_i| < m_i on every axis
+    held = {k: lam for k, lam in ref.items() if all(2 * abs(ki) < m for ki, m in zip(k, shape))}
+    keys, lams = spectrum.modes_below(model, lam_max, shape)
+    assert {tuple(k) for k in keys.tolist()} == {k for k, lam in held.items() if 0 < lam <= lam_max}
     _assert_sorted_by_lam_then_key(keys, lams)
     np.testing.assert_allclose(lams, [ref[tuple(k)] for k in keys.tolist()], rtol=1e-14, atol=0)
 
@@ -157,18 +161,45 @@ def test_enumeration_matches_per_point_reference(model, radius, cutoff, count):
     np.testing.assert_allclose(lams, [ref[tuple(k)] for k in keys.tolist()], rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize(
+    "model, shape",
+    [(HEXAGONAL, (4, 1)), (HEXAGONAL, (16, 16)), (HEXAGONAL, (1, 16)), (PICARD_N3, (4,) * 4)],
+    ids=["4x1", "16x16", "1x16", "4x4x4x4"],
+)
+def test_enumeration_is_the_modes_the_field_holds(model, shape):
+    # modes_below enumerates exactly the nonzero modes `fields` stores a
+    # slot for: +/- every stored, non-Nyquist index of the half spectrum
+    keys, lams = spectrum.modes_below(model, 1e300, shape)
+    field = Field.zero(RadialGrid.make(0.1, 14.0, 8), shape)
+    for k in keys.tolist():
+        field.index(k)  # raises ConfigError on a key that aliases
+    stored = fields.mode_indices(shape).reshape(-1, len(shape))
+    stored = stored[np.all(2 * np.abs(stored) < shape, axis=1)]
+    stored = stored[spectrum.mode_eigenvalue(model, stored) > 0]
+    expected = {tuple(k) for k in np.concatenate([stored, -stored]).tolist()}
+    assert {tuple(k) for k in keys.tolist()} == expected
+    assert len(keys) == len(expected) == np.prod([2 * ((m - 1) // 2) + 1 for m in shape]) - 1
+    assert np.all(lams > 0)
+
+
 def test_box_point_budget_refuses_before_building(monkeypatch):
-    # a cutoff of 1e6 lambda_1 at n = 3 needs a box of over 10^13 points
+    # eigenvalues_up_to refuses a cube past the point budget before building
+    # it; modes_below builds only the box of modes the torus grid holds
     budget = spectrum._BOX_POINTS
     indices = np.indices
+    built = []
 
     def guarded(dimensions, *args, **kwargs):
         assert np.prod(dimensions) <= budget, f"box {dimensions} built over the budget"
+        built.append(tuple(dimensions))
         return indices(dimensions, *args, **kwargs)
 
     monkeypatch.setattr(np, "indices", guarded)
-    lam1 = spectrum.first_eigenvalue(PICARD_N3)
-    with pytest.raises(ConfigError, match="mode enumeration did not close"):
-        spectrum.modes_below(PICARD_N3, 1e6 * lam1)
     with pytest.raises(ConfigError, match="eigenvalue enumeration did not close"):
         spectrum.eigenvalues_up_to(PICARD_N3, budget + 1)
+    lam1 = spectrum.first_eigenvalue(PICARD_N3)
+    built.clear()
+    # a cutoff of 1e6 lambda_1 at n = 3 takes every held mode: 3 x 15 - 1
+    keys, _ = spectrum.modes_below(PICARD_N3, 1e6 * lam1, (4, 1, 16, 1))
+    assert built == [(3, 1, 15, 1)]
+    assert len(keys) == 44
