@@ -69,7 +69,7 @@ def _fft_axes(shape: tuple) -> tuple:
 
 
 def real_values(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
-    """Collocation values, shape + (N,), of the real field whose half
+    """Values at the collocation points, shape + (N,), of the real field whose half
     spectrum on a torus grid of that shape is `coeffs` (torus axes, then
     the radial axis last; any axes before them stack fields)."""
     axes = _fft_axes(shape)
@@ -222,7 +222,7 @@ class Field:
         return self.coeffs[(0,) * self.torus_dims].real.copy()
 
     def values(self) -> np.ndarray:
-        """Collocation values on the uniform torus grid, last axis radial."""
+        """Values at the collocation points of the uniform torus grid, last axis radial."""
         return real_values(self.coeffs, self.torus_shape)
 
     def sup_norm(self, interior: slice | None = None) -> float:

@@ -16,8 +16,9 @@ The chart substitution for derivatives of circle-invariant fields is
     d/dz_n   -> (x^2 / z_n) d/dx        (theta terms drop),
 
 applied twice, keeping track of the z_n-dependence of first-derivative
-outputs (`holomorphic_hessian`); collocation works in the chart frame of
-(z', x) itself (`Collocation`), and measures positivity relative to g there.
+outputs (`holomorphic_hessian`).  The Hessian is collocated in an
+orthonormal frame of the model metric (`_chart_hessian`), so volume ratios
+and positivity read that Hessian alone.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class _Zero:
     """An exactly zero matrix entry: sums skip it, products are it (a +-0 term changes no nonzero result)."""
 
     __array_ufunc__ = None  # an ndarray operand defers to the reflected operators
-    conj = __neg__ = __getitem__ = __mul__ = __rmul__ = lambda self, *_: self
+    conj = __neg__ = __mul__ = __rmul__ = lambda self, *_: self
     real = property(conj)
     __add__ = __radd__ = __rsub__ = lambda self, other: other
     __sub__ = lambda self, other: -other
@@ -152,63 +153,55 @@ class _Zero:
 _ZERO = _Zero()
 
 
-def _at(m: dict, j: int, k: int):
-    return m[j, k] if j <= k else m[k, j].conj()
+def _symmetric_functions(m: dict, n: int) -> list:
+    """[e_1, ..., e_n] of the eigenvalues of a Hermitian matrix field m (upper triangle), n = 2 or 3: tr m,
+    tr adj m (n = 3), det m by its first row; adj(m)_{jk} is (-1)^{j+k} times the minor without row k, column j."""
+    at = lambda j, k: m[j, k] if j <= k else m[k, j].conj()  # noqa: E731
 
-
-def _cofactors(m: dict, n: int) -> tuple:
-    """(adj m, det m), n = 2 or 3: adj(m)_{jk} is (-1)^{j+k} times the minor
-    without row k and column j; det m is expanded along the first row."""
-    adj = {}
-    for j, k in m:  # every upper-triangle entry
+    def adj(j, k):
         (r, *r2), (c, *c2) = [i for i in range(n) if i != k], [i for i in range(n) if i != j]
-        minor = _at(m, r, c)
+        minor = at(r, c)
         if r2:  # n = 3: a 2 x 2 minor
-            minor = minor * _at(m, r2[0], c2[0]) - _at(m, r, c2[0]) * _at(m, r2[0], c)
-        adj[j, k] = minor.real if j == k else (-1) ** (j + k) * minor
-    return adj, m[0, 0] * adj[0, 0] + sum((m[0, k] * adj[0, k].conj()).real for k in range(1, n))
+            minor = minor * at(r2[0], c2[0]) - at(r, c2[0]) * at(r2[0], c)
+        return minor.real if j == k else (-1) ** (j + k) * minor
+
+    det = m[0, 0] * adj(0, 0) + sum((m[0, k] * adj(0, k).conj()).real for k in range(1, n))
+    middle = [sum(adj(j, j) for j in range(n))] if n == 3 else []
+    return [sum(m[j, j] for j in range(n))] + middle + [det]
 
 
-def _trace_product(a: dict, b: dict):
-    """tr(a b) of two Hermitian matrix fields."""
-    return sum(b[j, k] * a[j, k] if j == k else 2.0 * (b[j, k] * a[j, k].conj()).real for j, k in a)
-
-
-def _det_expansion(g: dict, adj_g: dict, h: dict, n: int) -> list:
-    """[c_1, ..., c_n], det(g + t h) = det g + c_1 t + ... + c_n t^n (n = 2, 3):
-    c_k is det g times the k-th elementary symmetric function of the
-    eigenvalues of g^{-1} h, c_1 = <adj g, h>, c_{n-1} = <g, adj h>, c_n = det h."""
-    adj_h, det_h = _cofactors(h, n)
-    middle = [_trace_product(g, adj_h)] if n == 3 else []
-    return [_trace_product(adj_g, h)] + middle + [det_h]
+def check_dimension(model: CuspModel):
+    """Raise ConfigError unless Monge-Ampere collocation covers the model's n (2 or 3)."""
+    if model.n > 3:
+        raise ConfigError(f"Monge-Ampere collocation supports n = 2 and n = 3, got n = {model.n}")
 
 
 def _chart_hessian(model: CuspModel, f: Field, order: int):
-    """A function of a radial slice giving (values of f, its Hessian h in the
-    chart frame of `Collocation`, with entries f_{a bbar} + x^2 A_ab f_x,
-    x^2 f_{a x}, 2 x^3 f_x + x^4 f_xx) at those nodes' collocation points; an
-    entry of h is real or _ZERO where its imaginary part or all of it vanish.
-
-    A coefficient weight w(k) applied to a real field keeps it real when w
-    is real and even in k or imaginary and odd; the mode covector c(k) is
-    odd, so the real and imaginary parts of the weights -pi^2 c_a conj(c_b)
-    and i pi c_a all do: each part of an entry is a real field, and the
-    parts whose rows are not all zero go through one `real_values` call.
-    """
-    torus, d, x, x2 = f.torus_shape, model.d, f.grid.x, f.grid.x**2
-    rows, k, prof, px, pxx = _mode_derivatives(f.grid, f.coeffs, mode_indices(torus), order)
-    c = mode_covector(model, k).T[:, :, None]  # (d, rows, 1)
+    """A function of a radial slice giving (values of f, its Hessian h in an
+    orthonormal frame of the model metric) at those nodes' collocation
+    points; an entry of h is real or _ZERO where its imaginary part or all
+    of it vanish.  With A = L L^H and c~ = L^-1 c(k), the frame takes the
+    chart metric (n+1) diag(x A, x^2) of (z', x) to I, and h has entries
+    (-pi^2 c~_a conj(c~_b) f + x^2 delta_ab f_x)/((n+1) x), i pi c~_a f_x/((n+1) s)
+    (sqrt(x) = 1/s) and (2 x f_x + x^2 f_xx)/(n+1).  A weight w(k) keeps a
+    real field real when w is real and even in k or imaginary and odd; c~(k)
+    is odd, so each part of -pi^2 c~_a conj(c~_b) and i pi c~_a gives a real
+    field, and the parts whose rows are not all zero take one `real_values`."""
+    torus, n, d, grid = f.torus_shape, model.n, model.d, f.grid
+    rows, k, prof, px, pxx = _mode_derivatives(grid, f.coeffs, mode_indices(torus), order)
+    c = np.linalg.solve(np.linalg.cholesky(model.A), mode_covector(model, k).T)[:, :, None]  # (d, rows, 1)
 
     def slab(sl: slice):
-        xs, x2s, p0, p1, p2 = x[sl], x2[sl], prof[:, sl], px[:, sl], pxx[:, sl]
-        parts = {("f",): p0, (d, d, 0): 2.0 * x2s * xs * p1 + x2s**2 * p2}  # (j, k, 0 or 1): real or imaginary part
+        xs, p0, p1, p2 = grid.x[sl], prof[:, sl], px[:, sl], pxx[:, sl]
+        p0x, p1x, p1s = p0 / ((n + 1) * xs), xs * p1 / (n + 1), p1 / ((n + 1) * grid.s[sl])
+        parts = {("f",): p0, (d, d, 0): (2.0 * xs * p1 + xs**2 * p2) / (n + 1)}  # (j, k, 0 or 1): real or imaginary part
         for a in range(d):
-            parts[a, d, 0], parts[a, d, 1] = (1j * np.pi * ca * x2s * p1 for ca in (c[a].real, c[a].imag))
+            parts[a, d, 0], parts[a, d, 1] = (1j * np.pi * ca * p1s for ca in (c[a].real, c[a].imag))
             for b in range(a, d):
-                w, xa = -np.pi**2 * c[a] * c[b].conj(), x2s * model.A[a, b]
-                parts[a, b, 0] = w.real * p0 + xa.real * p1
+                w = -np.pi**2 * c[a] * c[b].conj()
+                parts[a, b, 0] = w.real * p0x + p1x if b == a else w.real * p0x
                 if b > a:
-                    parts[a, b, 1] = w.imag * p0 + xa.imag * p1
+                    parts[a, b, 1] = w.imag * p0x
         live = [key for key, v in parts.items() if v.any()]
         hat = np.zeros((len(live),) + f.coeffs.shape[:-1] + (len(xs),), dtype=complex)
         for stacked, key in zip(hat, live):
@@ -220,59 +213,31 @@ def _chart_hessian(model: CuspModel, f: Field, order: int):
     return slab
 
 
-class Collocation:
-    """What Monge-Ampere collocation (n = 2, 3) on (model, grid, torus shape)
-    needs that does not depend on the field; `modes.picard_solve` builds one
-    per solve, on the torus shape its boundary data spans.
-
-    Kept over the radial nodes: the metric in the chart frame of (z', x)
-    (z_n factors scaled away, which keeps eigenvalues relative to g), g =
-    (n+1) diag(x A, x^2) with _ZERO (a, n) blocks, adj g and det g.
-    """
-
-    def __init__(self, model: CuspModel, grid: RadialGrid, shape: tuple):
-        if model.n > 3:
-            raise ConfigError(f"Monge-Ampere collocation supports n = 2 and n = 3, got n = {model.n}")
-        self.model, self.grid, self.shape = model, grid, tuple(shape)
-        n, d, x = model.n, model.d, grid.x
-        entry = lambda i, j: _ZERO if i < d == j else (n + 1) * (x * model.A[i, j] if j < d else x**2)  # noqa: E731
-        self.g = {(i, j): entry(i, j).real if i == j else entry(i, j) for i in range(n) for j in range(i, n)}
-        self.adj, self.detg = _cofactors(self.g, n)
-
-    def check(self, model: CuspModel, f: Field):
-        """Raise ConfigError unless f lives on this model, grid and torus shape."""
-        if model is not self.model or f.grid != self.grid or f.torus_shape != self.shape:
-            raise ConfigError("collocation geometry was built for another model, grid or torus shape")
-
-
-def _degenerate(g: dict, h: dict, e: list, n: int):
-    """Where an eigenvalue of g^{-1}(g + h) is at most f = 1e-10 (n + e_1)/n,
-    1e-10 times their mean (e_k as in `_ma_values`): where (1 - f) g + h has
-    a leading principal minor <= 0, of the z' block below order n, and
-    det g sum_k e_k (1 - f)^(n-k) (e_0 = 1) at order n."""
+def _degenerate(h: dict, e: list, n: int):
+    """Where an eigenvalue of I + h (h in the orthonormal frame, e_k its
+    `_symmetric_functions`) is at most f = 1e-10 (n + e_1)/n, 1e-10 times
+    their mean: where (1 - f) I + h has a leading principal minor <= 0, of
+    the z' block below order n and sum_k e_k (1 - f)^(n-k) (e_0 = 1) at n."""
     t = 1.0 - 1e-10 * (n + e[0]) / n
-    block = {jk: t * g[jk] + h[jk] for jk in g if jk[1] < n - 1}  # the z' block of (1 - f) g + h
+    block = {(j, k): t + v if j == k else v for (j, k), v in h.items() if k < n - 1}  # the z' block of (1 - f) I + h
     poly = t + e[0]
     for ek in e[1:]:
         poly = poly * t + ek
-    return (block[0, 0] <= 0) | (poly <= 0) | (n == 3 and _cofactors(block, 2)[1] <= 0)
+    return (block[0, 0] <= 0) | (poly <= 0) | (n == 3 and _symmetric_functions(block, 2)[-1] <= 0)
 
 
-def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | None = None, remainder: bool = True):
+def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     """(M values, Q values or None unless `remainder`) at the collocation
-    points, from the chart-frame metric g of `colloc` (built on the spot when
-    omitted) and Hessian h: M = log det(g + h)/det g - f and its quadratic
-    remainder Q = M - L.  With e_k the elementary symmetric functions of the
-    eigenvalues of g^{-1} h and w = e_1 + ... + e_n, M = log(1 + w) - f and
-    Q = (log(1 + w) - w) + e_2 + ... + e_n.  Only the radial derivatives are
-    taken on the whole grid; the rest runs in slabs of `_BLOCK_POINTS`.
-    Raises MetricDegenerateError (`_degenerate`) at the outermost degenerate
-    node, first torus index there, with the smallest eigenvalue of g^{-1}(g + h):
-    1 plus the least root of sum_k (-1)^k e_k t^(n-k), that of g^{-1} h; or
-    NumericalError when w leaves the float range at that point."""
-    if colloc is None:
-        colloc = Collocation(model, f.grid, f.torus_shape)
-    colloc.check(model, f)
+    points, from the Hessian h of f in an orthonormal frame of the model
+    metric (`_chart_hessian`): M = log det(I + h) - f and its quadratic
+    remainder Q = M - L: with e_k from `_symmetric_functions` and w = e_1 +
+    ... + e_n, M = log(1 + w) - f and Q = (log(1 + w) - w) + e_2 + ... + e_n.
+    Radial derivatives span the grid, the rest runs in `_BLOCK_POINTS` slabs.
+    Raises ConfigError for n > 3, MetricDegenerateError (`_degenerate`) at
+    the outermost degenerate node, first torus index there, with the least
+    eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k t^(n-k)),
+    or NumericalError where w leaves the float range."""
+    check_dimension(model)
     n, torus, nn = model.n, f.torus_shape, len(f.grid)
     slab = _chart_hessian(model, f, order)
     m_vals, q_vals = np.empty(torus + (nn,)), np.empty(torus + (nn,)) if remainder else None
@@ -280,13 +245,12 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
     for lo in range(0, nn, width):
         sl = slice(lo, min(lo + width, nn))
         fv, h = slab(sl)
-        g, adj = ({jk: v[sl] for jk, v in m.items()} for m in (colloc.g, colloc.adj))
         points = torus + (sl.stop - lo,)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a w past the float range is refused
-            e = [c / colloc.detg[sl] for c in _det_expansion(g, adj, h, n)]
+            e = _symmetric_functions(h, n)
             w = sum(e)
             lost = np.broadcast_to(~np.isfinite(w), points)
-            bad = lost | _degenerate(g, h, e, n)
+            bad = lost | _degenerate(h, e, n)
         if bad.any():
             r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), points[-1:] + torus)
             if lost[(*where, r)]:
@@ -305,21 +269,17 @@ def _ma_values(model: CuspModel, f: Field, order: int, colloc: Collocation | Non
 _NYQUIST_ABS = 1e-13
 
 
-def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None) -> Field:
-    """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field; `colloc`
-    is the solve's `Collocation` (built on the spot when omitted)."""
-    m_vals, _ = _ma_values(model, f, order, colloc, remainder=False)
+def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2) -> Field:
+    """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field."""
+    m_vals, _ = _ma_values(model, f, order, remainder=False)
     return Field.from_values(f.grid, m_vals, nyquist_abs=_NYQUIST_ABS)
 
 
-def quadratic_remainder(
-    model: CuspModel, f: Field, order: int = 2, colloc: Collocation | None = None, with_residual: bool = False
-):
-    """Q(f) = M(f) - L(f), the nonlinear part of the operator; `colloc` as
-    in `monge_ampere_residual`.  With `with_residual`, returns (Q, the sup
-    of |M(f)| over the collocation values at interior radial nodes), both
-    from one collocation."""
-    m_vals, q_vals = _ma_values(model, f, order, colloc)
+def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residual: bool = False):
+    """Q(f) = M(f) - L(f), the nonlinear part of the operator.  With
+    `with_residual`, returns (Q, the sup of |M(f)| over the collocation
+    values at interior radial nodes), both from one collocation."""
+    m_vals, q_vals = _ma_values(model, f, order)
     q = Field.from_values(f.grid, q_vals, nyquist_abs=_NYQUIST_ABS)
     if with_residual:
         return q, float(np.max(np.abs(m_vals[..., f.grid.interior(order)])))

@@ -54,9 +54,11 @@ _ITERATION_ORDER = 4
 # builds, refused before anything is allocated: about 0.4 GB at the 0.18 kB
 # a point of n = 2 solves on (16, 16); it admits (16, 16) on 4800 nodes
 _COLLOCATION_POINTS = 2**21
+# plans and scan weights held; each assembly walks its eigenvalues in one order (13 on (16, 16) at cutoff 25)
+_PLANS_HELD = 32
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=_PLANS_HELD)
 def _scan_weights(d: float, K: int) -> tuple:
     """Rows (w, 1/w, rho/w), w = rho^-j = exp(d j) for j < K: a scan's fixed vectors, held read-only per (d, K)."""
     w = np.exp(d * np.arange(K))  # in [1, e^30]; exactly 1 on each block's first node
@@ -162,14 +164,14 @@ def _grid_weight(n: int, grid: RadialGrid) -> np.ndarray:
     return weight
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=_PLANS_HELD)
 def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     """The solve plan at eigenvalue lam on the grid, built once.
 
     The plan depends on the mode only through lam, and on the square torus
-    4 or 8 characters share each lam bit for bit, so the last 8 plans are
-    held.  The key is the exact lam, and grids are equal when their nodes
-    are equal bit for bit (`RadialGrid.__eq__`).
+    4 or 8 characters share each lam bit for bit, so the last `_PLANS_HELD`
+    plans are held.  The key is the exact lam, and grids are equal when
+    their nodes are equal bit for bit (`RadialGrid.__eq__`).
     """
     x = grid.x
     pair = h_pair(n, lam, x)
@@ -256,7 +258,7 @@ def mode_ode_residual(problem: ModeProblem, v: np.ndarray) -> np.ndarray:
 
 def truncate_mode_noise(g: Field) -> Field:
     """Zero each mode profile where it has fallen below 1e-14 times its own
-    peak.  Collocation-space roundoff puts an absolute noise floor under
+    peak.  Roundoff in collocation space puts an absolute noise floor under
     every coefficient; beyond the knee the true profiles decay doubly
     exponentially, so dropping the floored values commits the smaller error."""
     size = np.abs(g.coeffs)
@@ -395,10 +397,8 @@ def picard_solve(
     enough raises (`_check_contraction`).  The solve collocates on
     `boundary_torus_shape`: torus_resolution points along the lattice axes
     the boundary data spans, one along the others; a grid of more than
-    `_COLLOCATION_POINTS` torus points times nodes is refused first.  The
-    collocation geometry is built once here (it refuses n > 3), before the
-    one enumeration of the modes that shape holds, and shared by every
-    collocation call.
+    `_COLLOCATION_POINTS` torus points times nodes, then n > 3
+    (`geometry.check_dimension`), is refused before the modes are enumerated.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
@@ -414,14 +414,14 @@ def picard_solve(
             f"collocation grid {shape} x {len(grid)} nodes has {points} points, over the budget of "
             f"{_COLLOCATION_POINTS}; lower torus_resolution or the node count"
         )
-    colloc = geometry.Collocation(model, grid, shape)
+    geometry.check_dimension(model)
     below = modes_below(model, cutoff * lam1, shape)
     u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
     trace = []
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
         with _stage(f"Picard iteration {it}"):
-            g_field, res_sup = geometry.quadratic_remainder(model, u, _ITERATION_ORDER, colloc, with_residual=True)
+            g_field, res_sup = geometry.quadratic_remainder(model, u, _ITERATION_ORDER, with_residual=True)
             g_field = -(model.n + 1) * g_field
             t1 = time.perf_counter()
             u_old = u
@@ -450,7 +450,7 @@ def picard_solve(
     del g_clean
 
     with _stage("final residual"):
-        residual = geometry.monge_ampere_residual(model, u, _ITERATION_ORDER, colloc)
+        residual = geometry.monge_ampere_residual(model, u, _ITERATION_ORDER)
     res_sup = residual.sup_norm(grid.interior(_ITERATION_ORDER))
     state = PicardState(
         iteration=it,

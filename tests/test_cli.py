@@ -212,7 +212,7 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np, "linspace", small(np.linspace))
         patch.setattr(np, "geomspace", small(np.geomspace))
-        patch.setattr(cli.modes.geometry, "Collocation", refuse("collocation built"))
+        patch.setattr(cli.modes, "modes_below", refuse("modes enumerated"))
         patch.setattr(cli.bessel, "wronskian_residuals", refuse("Bessel sweep started"))
         for command, text in [
             ("bessel-sweep", SQUARE_CFG + "[bessel]\npoints = 2147483648\n"),

@@ -370,13 +370,11 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
 @pytest.mark.parametrize("n, torus", [(2, (8, 8)), (3, (4, 4, 4, 4))], ids=["n2", "n3"])
 def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     # Hermitian matrices s whose smallest eigenvalue sits a factor 1 -+ 1e-3
-    # from the floor 1e-10 tr(s)/n, handed to the guard as the chart-frame
-    # Hessian h with g^-1/2 (g + h) g^-1/2 = s: its decision is that of
-    # eigvalsh on s, whatever the metric g = (n+1) diag(x A, x^2)
-    A = np.array([[1.3]]) if n == 2 else np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]])
-    model = CuspModel(n, np.eye(2 * n - 2), A)
+    # from the floor 1e-10 tr(s)/n, handed to the guard as the Hessian
+    # h = s - I in the orthonormal frame of the model metric: its decision
+    # is that of eigvalsh on s
+    model = CuspModel(n, np.eye(2 * n - 2), np.eye(n - 1))
     grid = RadialGrid.make(0.2, 5.0, 16)
-    colloc = geometry.Collocation(model, grid, torus)
     shape = torus + (len(grid),)
     rng = np.random.default_rng(7)
     unitary, _ = np.linalg.qr(rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n)))
@@ -388,25 +386,20 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     s = np.einsum("...ij,...j,...kj->...ik", unitary, lam, unitary.conj())
     reference = np.linalg.eigvalsh(s)[..., 0] <= 1e-10 * np.trace(s, axis1=-2, axis2=-1).real / n
     assert np.array_equal(reference, factor < 1)
-    g = np.zeros((len(grid), n, n), dtype=complex)
-    g[:, :-1, :-1] = (n + 1) * grid.x[:, None, None] * A
-    g[:, -1, -1] = (n + 1) * grid.x**2
-    w, v = np.linalg.eigh(g)
-    root = np.einsum("rij,rj,rkj->rik", v, np.sqrt(w), v.conj())  # g^1/2 at each node
-    h = root @ s @ root - g
+    h = s - np.eye(n)
     hessian = {(j, k): h[..., j, k].real if j == k else h[..., j, k] for j in range(n) for k in range(j, n)}
-    e = [c / colloc.detg for c in geometry._det_expansion(colloc.g, colloc.adj, hessian, n)]
-    assert np.array_equal(geometry._degenerate(colloc.g, hessian, e, n), reference)
+    e = geometry._symmetric_functions(hessian, n)
+    assert np.array_equal(geometry._degenerate(hessian, e, n), reference)
     # the error names the outermost degenerate node, the first torus point
-    # there and the smallest eigenvalue of g^-1 (g + h), that of s, for
-    # slabs of one node and one slab for the whole grid alike
+    # there and the smallest eigenvalue of I + h, that of s, for slabs of one
+    # node and one slab for the whole grid alike
     slab = lambda sl: (0.0, {jk: v[..., sl] for jk, v in hessian.items()})  # noqa: E731
     monkeypatch.setattr(geometry, "_chart_hessian", lambda *args: slab)
     r, *where = np.unravel_index(np.argmax(np.moveaxis(reference, -1, 0)), (len(grid),) + torus)
     for block in (64, 2**21):
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
         with pytest.raises(MetricDegenerateError) as info:
-            geometry._ma_values(model, Field.zero(grid, torus), 2, colloc)
+            geometry._ma_values(model, Field.zero(grid, torus), 2)
         assert info.value.where == tuple(int(i) for i in where)
         assert info.value.x == grid.x[r]
         assert info.value.eigmin == pytest.approx(low[(*where, r)], abs=1e-14)
@@ -441,21 +434,27 @@ def test_slabs_leave_collocation_bit_identical(n, lattice, A, keys, m, nodes, mo
 def test_n3_remainder_matches_extended_precision():
     # Q = log det(I + g^{-1} h) - tr(g^{-1} h) at collocation points against
     # 40 digits from the pointwise metric and Hessian; |g^{-1} h| reaches
-    # 1e-3 here, where log(1 + w) - w loses digits if taken directly
+    # 1e-3 here, where log(1 + w) - w loses digits if taken directly.  The
+    # n = 2 hexagonal row and the n = 3 row both have A != I, so the Cholesky
+    # factor of A in the orthonormal frame enters every z' entry
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    model = CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
-    grid = RadialGrid.make(0.2, 5.0, 24)
-    keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]
-    f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), (8,) * 4)
-    _, q = geometry._ma_values(model, f, 2)
-    rng = np.random.default_rng(1)
-    for _ in range(12):
-        node, idx = tuple(int(i) for i in rng.integers(0, 8, 4)), int(rng.integers(1, len(grid) - 1))
-        v = model.lattice @ (np.array(node) / 8)
-        p = CuspPoint(v[:2] + 1j * v[2:], x=grid.x[idx])
-        g = mpmath.matrix(geometry.metric_coefficients(model, p).entries.tolist())
-        h = mpmath.matrix(geometry.holomorphic_hessian(model, f, p).entries.tolist())
-        b = mpmath.inverse(g) * h
-        ref = mpmath.re(mpmath.log(mpmath.det(mpmath.eye(3) + b)) - (b[0, 0] + b[1, 1] + b[2, 2]))
-        assert abs(float((q[node + (idx,)] - ref) / ref)) < 1e-13
+    rows = [
+        (2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), np.array([[1.3]]), [(1, 0), (0, 1), (1, 1)], 16),
+        (3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)], 8),
+    ]
+    for n, lattice, A, keys, m in rows:
+        model = CuspModel(n, lattice, A)
+        grid = RadialGrid.make(0.2, 5.0, 24)
+        f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), (m,) * len(keys[0]))
+        _, q = geometry._ma_values(model, f, 2)
+        rng = np.random.default_rng(1)
+        for _ in range(12):
+            node, idx = tuple(int(i) for i in rng.integers(0, m, 2 * n - 2)), int(rng.integers(1, len(grid) - 1))
+            v = model.lattice @ (np.array(node) / m)
+            p = CuspPoint(v[: n - 1] + 1j * v[n - 1 :], x=grid.x[idx])
+            g = mpmath.matrix(geometry.metric_coefficients(model, p).entries.tolist())
+            h = mpmath.matrix(geometry.holomorphic_hessian(model, f, p).entries.tolist())
+            b = mpmath.inverse(g) * h
+            ref = mpmath.re(mpmath.log(mpmath.det(mpmath.eye(n) + b)) - sum(b[j, j] for j in range(n)))
+            assert abs(float((q[node + (idx,)] - ref) / ref)) < 1e-13, (n, node, idx)

@@ -257,6 +257,15 @@ class TestKernelPairReuse:
         assert len({id(p.weight) for p in plans}) == 1
         assert modes._grid_weight.cache_info().currsize == 1
 
+    def test_solve_builds_one_pair_per_eigenvalue(self, calls):
+        # a (16, 16) solve at cutoff 25 walks 13 distinct eigenvalues in the
+        # same order in every assembly: each plan is built once and held
+        grid = RadialGrid.make(0.05, 34.0, 300)
+        boundary = {(1, 0): 2.5e-4, (-1, 0): 2.5e-4, (0, 1): 2.5e-4, (0, -1): 2.5e-4}
+        _, state = modes.picard_solve(square_model(), boundary, grid, torus_resolution=16, cutoff=25.0)
+        assert state.iteration >= 4
+        assert len(calls) == len(set(calls)) == 13
+
     def test_equal_grid_built_apart_hits(self, calls):
         g1 = RadialGrid.make(0.1, 20.0, 400)
         g2 = RadialGrid(np.linspace(g1.s[0], g1.s[-1], 400))
@@ -298,7 +307,7 @@ class TestKernelPairReuse:
 
     def test_cache_bounded(self, calls):
         grid = RadialGrid.make(0.1, 20.0, 200)
-        bound = 8
+        bound = modes._PLANS_HELD
         assert modes._solve_plan.cache_info().maxsize == bound
         for j in range(1, bound + 4):
             modes._solve_plan(2, j * np.pi**2, grid)
@@ -537,14 +546,14 @@ class TestPicard:
 
 
 def _collocation_shapes(monkeypatch) -> list:
-    """The torus shapes of the Collocations built from here on."""
-    shapes, build = [], geometry.Collocation
+    """The torus shapes collocated on from here on, one per `_ma_values` call."""
+    shapes, collocate = [], geometry._ma_values
 
-    def spy(model, grid, shape):
-        shapes.append(tuple(shape))
-        return build(model, grid, shape)
+    def spy(model, f, *args, **kwargs):
+        shapes.append(f.torus_shape)
+        return collocate(model, f, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "Collocation", spy)
+    monkeypatch.setattr(geometry, "_ma_values", spy)
     return shapes
 
 
@@ -568,7 +577,7 @@ class TestTorusShape:
         shapes = _collocation_shapes(monkeypatch)
         grid = RadialGrid.make(0.05, 34.0, 200)
         u, state = modes.picard_solve(model, boundary, grid, torus_resolution=m, tol=1e-11)
-        assert shapes == [expected]
+        assert shapes == [expected] * (state.iteration + 1)  # every iteration and the final residual
         assert u.torus_shape == state.diagnostics["torus_shape"] == expected
         assert u.torus_resolution == max(expected)
 
