@@ -18,8 +18,13 @@ that want them call scipy directly.  `h_pair` builds order n + 2 from
 orders 0 and 1 by the order recurrences of DLMF 10.29.1.  It takes three
 scaled calls, ``k0e``, ``k1e`` and ``i0e``, each a few times cheaper than one
 ``ive``/``kve`` call; e^{-s} I_1 follows from the Wronskian of DLMF 10.28.2.
-`wronskian_residuals` checks both kernel identities, with derivatives taken
-through the stable order recurrences I' = (I_{a-1} + I_{a+1})/2,
+`h_pair` takes its nodes in blocks of `pool.BLOCK` = 2^13, each written
+straight into slices of the output rows, so no full-grid temporary is made;
+on a grid past `pool.parallel`'s size rule (two blocks per worker) the
+blocks run on the thread pool, whose scipy and numpy loops release the GIL,
+and below it on the caller, with the same operations on every node either
+way.  `wronskian_residuals` checks both kernel identities, with derivatives
+taken through the stable order recurrences I' = (I_{a-1} + I_{a+1})/2,
 K' = -(K_{a-1} + K_{a+1})/2.
 """
 
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e, ive, k0e, k1e, kve
 
+from . import pool
 from .errors import ConfigError
 
 
@@ -116,18 +122,12 @@ def _i_far(alpha: int, s: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.ndar
     return _raise_order(alpha, s, i0, (1.0 / s - i0 * k1) / k0, -1.0)
 
 
-def h_pair(n: int, lam: float, x) -> HPair:
-    """Both homogeneous solutions of the mode equation at eigenvalue lam,
-    from three scaled Bessel calls (k0e, k1e, i0e), plus ive on the nodes
-    below the far branch s >= 2(n + 2)."""
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ConfigError(f"need a finite lambda > 0, got {lam}")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xv <= 0):
-        raise ConfigError("x must be positive")
-    s = 2.0 * np.sqrt(lam) / np.sqrt(xv)
+def _pair_block(n: int, c: float, x: np.ndarray, s: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+    """Exponent s = c/sqrt(x) and both mantissas at the nodes x of one
+    block, written into s, m1 and m2 (slices of `h_pair`'s output rows)."""
     alpha = n + 2
-    pref = xv ** (-0.5 * n)
+    np.divide(c, np.sqrt(x), out=s)
+    pref = x ** (-0.5 * n)
     k0, k1 = k0e(s), k1e(s)
     # K's forward recurrence adds positive terms, so it is stable for all s.
     # I's cancels as s falls under the order (relative error 2.4e-12 at
@@ -142,6 +142,29 @@ def h_pair(n: int, lam: float, x) -> HPair:
         i = np.empty_like(s)
         i[far] = _i_far(alpha, s[far], k0[far], k1[far])
         i[~far] = ive(alpha, s[~far])
-    m1 = pref * i
-    m2 = pref * _raise_order(alpha, s, k0, k1, 1.0)
+    np.multiply(pref, i, out=m1)
+    np.multiply(pref, _raise_order(alpha, s, k0, k1, 1.0), out=m2)
+
+
+def h_pair(n: int, lam: float, x) -> HPair:
+    """Both homogeneous solutions of the mode equation at eigenvalue lam on
+    the nodes x (a scalar or a 1-D array), from three scaled Bessel calls
+    (k0e, k1e, i0e), plus ive on the nodes below the far branch
+    s >= 2(n + 2); one `_pair_block` per block of `pool.BLOCK` nodes, on the
+    thread pool past `pool.parallel`'s size rule."""
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ConfigError(f"need a finite lambda > 0, got {lam}")
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xv <= 0):
+        raise ConfigError("x must be positive")
+    nodes = len(xv)
+    s, m1, m2 = np.empty(nodes), np.empty(nodes), np.empty(nodes)
+    c = 2.0 * np.sqrt(lam)
+    blocks = [slice(a, a + pool.BLOCK) for a in range(0, nodes, pool.BLOCK)]
+    args = [(n, c, xv[b], s[b], m1[b], m2[b]) for b in blocks]
+    if pool.parallel(nodes):
+        pool.results([pool.submit(_pair_block, *a) for a in args])
+    else:
+        for a in args:
+            _pair_block(*a)
     return HPair(m1, m2, s)

@@ -17,7 +17,13 @@ and take no exponential per node.  Everything a solve needs apart from f
 depends only on (n, lambda, grid) and is memoized as a `SolvePlan`
 (`_solve_plan`); there the homogeneous term exp(sigma_0 - sigma) <= 1 is
 the one array exponentiated node by node.  A solve on a held plan does only
-the work that depends on f.
+the work that depends on f: its down and up integrals, each in its own rows
+of one buffer allocated per call (`_work`), so concurrent callers share no
+buffer and nothing is held between solves.  On a grid past
+`pool.parallel`'s size rule (two blocks of 2^13 nodes per worker) the down
+integral runs on the thread pool while the caller runs the up integral,
+with the same operations in the same order, so the solution is the same
+bit for bit.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, pool
 from .bessel import h_pair
 from .errors import ConfigError, MetricDegenerateError, NonContractionError, NumericalError
 from .fields import Field, check_torus_shape
@@ -68,7 +74,13 @@ def _scan_weights(d: float, K: int) -> tuple:
     return weights
 
 
-def exp_weighted_revcumsum(sigma: np.ndarray, d: float) -> np.ndarray:
+def _scan_shape(nn: int, d: float) -> tuple:
+    """(blocks, K) of a scan of nn terms at step d: blocks of K nodes with K d <= 30."""
+    K = max(1, min(nn, int(_BLOCK_RANGE / d)))
+    return -(-nn // K), K
+
+
+def exp_weighted_revcumsum(sigma: np.ndarray, d: float, out: np.ndarray | None = None) -> np.ndarray:
     """R_i = sum_{j >= i} sigma_j exp(-(j - i) d): the terms sigma_j weighted
     by exp(phi_i - phi_j) for an exponent phi of finite step d > 0 per node
     (any other d raises).  The terms are named sigma because that is the
@@ -82,53 +94,77 @@ def exp_weighted_revcumsum(sigma: np.ndarray, d: float) -> np.ndarray:
     vector rho^-j (`_scan_weights`), sum every block, and a scalar loop over
     the blocks carries each block's last value into the block after.  Stable
     for arbitrarily large total exponent spans, and no exponential is taken
-    per node.
+    per node.  The scan runs in `out` when given, a buffer of two rows of at
+    least blocks K elements (`_scan_shape`) of the result's dtype whose
+    first row does not overlap sigma: the first row holds the scan, the
+    second takes the carry products, and the result is a view of the first.
     """
     if not (d > 0 and math.isfinite(d)):
         raise ConfigError(f"scan step must be finite and positive, got d = {d}")
     nn = len(sigma)
-    K = max(1, min(nn, int(_BLOCK_RANGE / d)))
-    blocks = -(-nn // K)
+    blocks, K = _scan_shape(nn, d)
     w, w_inv, rho_head = _scan_weights(d, K)
-    out = np.zeros((blocks, K), dtype=np.result_type(sigma.dtype, float))
-    out.reshape(-1)[:nn] = sigma[::-1]  # zeros after the first node
-    out *= w
-    np.cumsum(out, axis=1, out=out)
-    out *= w_inv  # sums within each block
-    carry = np.zeros(blocks, dtype=out.dtype)  # scan value at the last node of block b - 1
+    if out is None:
+        out = np.empty((2, blocks * K), dtype=np.result_type(sigma.dtype, float))
+    flat = out[0, : blocks * K]
+    flat[:nn] = sigma[::-1]
+    flat[nn:] = 0.0  # zeros after the first node
+    scan = flat.reshape(blocks, K)
+    scan *= w
+    np.cumsum(scan, axis=1, out=scan)
+    scan *= w_inv  # sums within each block
+    carry = np.zeros(blocks, dtype=scan.dtype)  # scan value at the last node of block b - 1
     for b in range(1, blocks):
-        carry[b] = out[b - 1, -1] + rho_head[-1] * carry[b - 1]
-    out[1:] += carry[1:, None] * rho_head
-    return out.reshape(-1)[nn - 1 :: -1]
+        carry[b] = scan[b - 1, -1] + rho_head[-1] * carry[b - 1]
+    spare = out[1, : (blocks - 1) * K].reshape(blocks - 1, K)
+    scan[1:] += np.multiply(carry[1:, None], rho_head, out=spare)
+    return flat[nn - 1 :: -1]
 
 
-def exp_weighted_cumsum(sigma: np.ndarray, d: float) -> np.ndarray:
+def exp_weighted_cumsum(sigma: np.ndarray, d: float, out: np.ndarray | None = None) -> np.ndarray:
     """F_i = sum_{j <= i} sigma_j exp(-(i - j) d) for a step d per node: the
-    reverse scan of the reversed terms."""
-    return exp_weighted_revcumsum(sigma[::-1], d)[::-1]
+    reverse scan of the reversed terms, in `out` when given."""
+    return exp_weighted_revcumsum(sigma[::-1], d, out)[::-1]
 
 
-def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass) -> np.ndarray:
+def _work(nn: int, d: float, dtype, count: int = 1) -> np.ndarray:
+    """Buffers of `count` cumulative integrals of nn nodes at step d, in one
+    allocation: for each, three rows as long as the scan's blocks, for the
+    integrand and then the scan, the products of the interval rule and then
+    the scan's carry products, and the interval integrals."""
+    blocks, K = _scan_shape(nn, d)
+    return np.empty((count, 3, blocks * K), dtype=dtype)
+
+
+def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass, work: np.ndarray | None = None) -> np.ndarray:
     """P_i = int_{s_i}^{s_end} y(s) exp(sigma_i - sigma(s)) ds + paired tail.
 
     The 4th-order interval rule of `radial.interval_integrals` on step h,
     each interval weighted from its first node by powers of rho = exp(-d),
     summed by one reverse scan; the tail mass sits at the deepest node.
+    Everything runs in `work` (`_work`), whose first row y may occupy, and
+    the result is a view of that row.
     """
-    seg = np.full(len(y), tail_mass, dtype=y.dtype)
-    interval_integrals(h, y, np.exp(-d), out=seg[:-1])
-    return exp_weighted_revcumsum(seg, d)
+    nn = len(y)
+    work = _work(nn, d, np.result_type(y.dtype, float))[0] if work is None else work
+    seg = work[2, :nn]
+    seg[-1] = tail_mass
+    interval_integrals(h, y, np.exp(-d), out=seg[:-1], work=work[1])
+    return exp_weighted_revcumsum(seg, d, out=work[:2])
 
 
-def _cumulative_up(y: np.ndarray, h: float, d: float) -> np.ndarray:
+def _cumulative_up(y: np.ndarray, h: float, d: float, work: np.ndarray | None = None) -> np.ndarray:
     """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds.
 
     The same rule on the mirrored grid weights each interval from its last
-    node; one forward scan sums them.
+    node; one forward scan sums them, in `work` as for `_cumulative_down`.
     """
-    seg = np.zeros(len(y), dtype=np.result_type(y.dtype, float))
-    interval_integrals(h, y[::-1], np.exp(-d), out=seg[:0:-1])
-    return exp_weighted_cumsum(seg, d)
+    nn = len(y)
+    work = _work(nn, d, np.result_type(y.dtype, float))[0] if work is None else work
+    seg = work[2, :nn]
+    seg[0] = 0.0
+    interval_integrals(h, y[::-1], np.exp(-d), out=seg[:0:-1], work=work[1])
+    return exp_weighted_cumsum(seg, d, out=work[:2])
 
 
 @dataclass(frozen=True)
@@ -223,19 +259,55 @@ class ModeProblem:
         object.__setattr__(self, "f", f)
 
 
-def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarray:
-    """Variation of parameters on a plan: the only work that depends on f."""
-    y2 = f * plan.weight
-    y1 = y2 * plan.m1
-    y2 *= plan.m2
-    P = _cumulative_down(y2, plan.h, plan.d, plan.tail * f[-1])
-    Q = _cumulative_up(y1, plan.h, plan.d)
-    coef = v_x0 + plan.two_m1_0 * P[0]
+def _down(plan: SolvePlan, f: np.ndarray, work: np.ndarray):
+    """The down integral of a solve in its buffer `work`: (P m1, P[0]) with
+    P = `_cumulative_down` of f weight m2."""
+    y = np.multiply(f, plan.weight, out=work[0, : len(f)])
+    y *= plan.m2
+    P = _cumulative_down(y, plan.h, plan.d, plan.tail * f[-1], work)
+    p0 = P[0]
     P *= plan.m1
+    return P, p0
+
+
+def _up(plan: SolvePlan, f: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The up integral of a solve in its buffer `work`: Q m2 with
+    Q = `_cumulative_up` of f weight m1."""
+    y = np.multiply(f, plan.weight, out=work[0, : len(f)])
+    y *= plan.m1
+    Q = _cumulative_up(y, plan.h, plan.d, work)
     Q *= plan.m2
+    return Q
+
+
+def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarray:
+    """Variation of parameters on a plan: the only work that depends on f.
+
+    Both cumulative integrals run in one buffer allocated per call, one
+    `_work` block each.  On a grid past `pool.parallel`'s size rule the down
+    integral runs on the thread pool while the caller runs the up integral;
+    no buffer is shared between calls, so concurrent solves on one plan are
+    safe."""
+    nn = len(f)
+    dtype = np.result_type(f.dtype, float)
+    # the result is allocated before the buffer, so the buffer is freed on
+    # top of the heap and the next solve's buffer takes its place
+    out = np.empty(nn, dtype=np.result_type(v_x0, dtype))
+    work = _work(nn, plan.d, dtype, 2)
+    if pool.parallel(nn):
+        _scan_weights(plan.d, _scan_shape(nn, plan.d)[1])  # made here, held weights sit in the caller's heap
+        down = pool.submit(_down, plan, f, work[0])
+        try:
+            Q = _up(plan, f, work[1])
+        finally:
+            P, p0 = down.result()
+    else:
+        P, p0 = _down(plan, f, work[0])
+        Q = _up(plan, f, work[1])
+    coef = v_x0 + plan.two_m1_0 * p0
     P += Q
     P *= 2.0
-    out = coef * plan.hom
+    np.multiply(coef, plan.hom, out=out)
     out -= P
     return out
 

@@ -275,9 +275,12 @@ def tangent_cone_coefficients(n: int, c: float, K: int) -> np.ndarray:
 # --- zero-mode kernel ---
 
 
-def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0, out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """Per-interval integrals of y ds on a uniform grid of step h, 4th order,
-    written to `out` when given (len(y) - 1 values).
+    written to `out` when given (len(y) - 1 values); the products of the
+    rule go to `work` when given, a row of at least len(y) - 3 elements of
+    out's dtype.
 
     Each interval integrates the cubic through its four nearest nodes, so
     the error varies smoothly from node to node (no odd/even sawtooth) and
@@ -293,7 +296,8 @@ def interval_integrals(h: float, y: np.ndarray, rho: float = 1.0, out: np.ndarra
         raise ConfigError("cumulative integral needs at least 4 nodes")
     rho2, inv = rho * rho, 1.0 / rho
     seg = np.empty(nn - 1, dtype=y.dtype) if out is None else out
-    mid, term = seg[1:-1], np.empty(nn - 3, dtype=seg.dtype)
+    mid = seg[1:-1]
+    term = np.empty(nn - 3, dtype=seg.dtype) if work is None else work[: nn - 3]
     np.multiply(-inv, y[:-3], out=mid)
     for weight, yl in ((13.0, y[1:-2]), (13.0 * rho, y[2:-1]), (-rho2, y[3:])):
         mid += np.multiply(weight, yl, out=term)

@@ -1,9 +1,11 @@
+import threading
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ive, k0e, k1e, kve
 
-from cusplab import bessel
+from cusplab import bessel, pool
 from cusplab.errors import ConfigError
 
 mp.mp.dps = 40
@@ -210,3 +212,74 @@ def test_h_pair_all_far_nodes_match_oracle(n):
         oi, ok = _oracle_i_scaled(alpha, sj), _oracle_k_scaled(alpha, sj)
         assert abs(pair.h1_mantissa[j] / pref[j] - oi) / oi < 1e-13
         assert abs(pair.h2_mantissa[j] / pref[j] - ok) / ok < 1e-13
+
+
+# two node blocks per worker on two CPUs is 2 * 2 * 8192 = 32768 nodes
+PARALLEL_NODES = 40_000
+
+
+def _h_pair_whole_array(n, lam, x):
+    """h_pair as one formula over the whole array: the reference that the
+    node blocks must reproduce bit for bit."""
+    s = 2.0 * np.sqrt(lam) / np.sqrt(x)
+    alpha = n + 2
+    pref = x ** (-0.5 * n)
+    k0, k1 = k0e(s), k1e(s)
+    far = s >= 2.0 * alpha
+    if far.all():
+        i = bessel._i_far(alpha, s, k0, k1)
+    else:
+        i = np.empty_like(s)
+        i[far] = bessel._i_far(alpha, s[far], k0[far], k1[far])
+        i[~far] = ive(alpha, s[~far])
+    return pref * i, pref * bessel._raise_order(alpha, s, k0, k1, 1.0), s
+
+
+def _pair_arrays(pair):
+    return pair.h1_mantissa, pair.h2_mantissa, pair.exponent
+
+
+def _block_nodes():
+    """Nodes whose s = 2/sqrt(x) at lambda = 1 crosses s = 2(n + 2)."""
+    s = np.linspace(0.5, 300.0, PARALLEL_NODES)
+    return 4.0 / s**2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h_pair_node_blocks_on_the_pool_equal_whole_array_formula(n, cpus, blocks):
+    cpus(2)
+    x = _block_nodes()
+    got = _pair_arrays(bessel.h_pair(n, 1.0, x))
+    for a, b in zip(got, _h_pair_whole_array(n, 1.0, x)):
+        assert np.array_equal(a, b)
+    assert len(blocks) == -(-PARALLEL_NODES // pool.BLOCK)
+    assert all(thread != threading.get_ident() for thread, _ in blocks)
+
+
+def test_h_pair_on_one_cpu_runs_its_blocks_serially_and_equal(cpus, blocks):
+    x = _block_nodes()
+    cpus(2)
+    parallel = _pair_arrays(bessel.h_pair(2, 1.0, x))
+    blocks.clear()
+    cpus(1)
+    serial = _pair_arrays(bessel.h_pair(2, 1.0, x))
+    assert blocks and all(thread == threading.get_ident() for thread, _ in blocks)
+    for a, b, c in zip(serial, parallel, _h_pair_whole_array(2, 1.0, x)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_h_pair_blocks_see_the_callers_errstate(cpus, blocks):
+    cpus(2)
+    with np.errstate(all="raise"):
+        bessel.h_pair(2, 1.0, _block_nodes())
+    assert blocks and all(thread != threading.get_ident() for thread, _ in blocks)
+    assert all(err == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for _, err in blocks)
+
+
+def test_floating_point_error_in_a_block_reaches_the_caller(cpus):
+    # at x = 1e300, s = 2e-150 and the order recurrence's 2/s overflows
+    cpus(2)
+    x = _block_nodes()
+    x[-1] = 1e300
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        bessel.h_pair(2, 1.0, x)

@@ -1,10 +1,12 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from cusplab import analysis, geometry, modes, spectrum
+from cusplab import analysis, geometry, modes, pool, spectrum
 from cusplab.bessel import h_pair
 from cusplab.errors import (
     ConfigError,
@@ -342,6 +344,97 @@ class TestKernelPairReuse:
         plan = modes._solve_plan(2, 2 * np.pi**2, grid)
         v = modes._solve_with_plan(plan, np.cos(grid.s), 0.5)
         assert v.dtype == np.float64
+
+
+# two node blocks per worker on two CPUs is 2 * 2 * 8192 = 32768 nodes
+PARALLEL_NODES = 40_000
+
+
+def _parallel_problem(lam, complex_f):
+    grid = RadialGrid.make(0.1, 20.0, PARALLEL_NODES)
+    rng = np.random.default_rng(11)
+    f = np.sin(3.0 * grid.s) + 0.1 * rng.normal(size=len(grid))
+    if complex_f:
+        return modes.ModeProblem(n=2, lam=lam, f=f + 1j * np.cos(grid.s), v_x0=0.3 - 0.2j, grid=grid)
+    return modes.ModeProblem(n=2, lam=lam, f=f, v_x0=0.3, grid=grid)
+
+
+class TestParallelSolve:
+    @pytest.fixture
+    def downs(self, monkeypatch):
+        """Records (thread, np.geterr()) of every down integral."""
+        seen = []
+        down = modes._down
+
+        def spy(*args):
+            seen.append((threading.get_ident(), np.geterr()))
+            return down(*args)
+
+        monkeypatch.setattr(modes, "_down", spy)
+        return seen
+
+    @pytest.mark.parametrize("complex_f", [False, True])
+    def test_down_integral_on_the_pool_equals_serial_solve(self, cpus, downs, complex_f):
+        problem = _parallel_problem(5 * np.pi**2, complex_f)
+        cpus(1)
+        serial = modes.mode_solve(problem)
+        cpus(2)
+        parallel = modes.mode_solve(problem)
+        assert np.array_equal(serial, parallel)
+        assert parallel.dtype == (np.complex128 if complex_f else np.float64)
+        [(first, _), (second, _)] = downs
+        assert first == threading.get_ident() != second
+
+    def test_size_rule(self, cpus):
+        # two blocks per worker: green_sweep's 120 000 nodes go parallel on
+        # two CPUs, picard_a5's 4800 and picard_n3's 600 never do
+        cpus(2)
+        assert not pool.parallel(4 * 2**13 - 1) and pool.parallel(4 * 2**13)
+        assert pool.parallel(120_000) and not pool.parallel(4800)
+        cpus(4)
+        assert not pool.parallel(8 * 2**13 - 1) and pool.parallel(8 * 2**13)
+        cpus(1)
+        assert not pool.parallel(10**7)
+
+    def test_workers_see_the_callers_errstate(self, cpus, blocks, downs):
+        cpus(2)
+        problem = _parallel_problem(7 * np.pi**2, complex_f=True)
+        modes._solve_plan.cache_clear()
+        with np.errstate(all="raise"):
+            modes.mode_solve(problem)
+        raised = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+        assert len(blocks) == 5 and len(downs) == 1
+        for thread, err in blocks + downs:
+            assert thread != threading.get_ident() and err == raised
+
+    def test_concurrent_solves_on_held_plans(self, cpus):
+        # four callers, more than the cores, share the held plans of two
+        # eigenvalues; a tiny switch interval interleaves them as finely as
+        # the interpreter allows
+        problems = [_parallel_problem(lam, complex_f) for lam in (np.pi**2, 2 * np.pi**2) for complex_f in (False, True)]
+        cpus(1)
+        serial = [modes.mode_solve(p) for p in problems]
+        cpus(2)
+        results = {}
+
+        def solve_all(caller):
+            results[caller] = [modes.mode_solve(p) for p in problems]
+
+        threads = [threading.Thread(target=solve_all, args=(caller,)) for caller in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for t in threads:
+            assert not t.is_alive()
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial, strict=True))
 
 
 class TestAssemble:
