@@ -23,6 +23,8 @@ and positivity read that Hessian alone.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import BoundaryStencilError, ConfigError, MetricDegenerateError, NumericalError
@@ -144,7 +146,7 @@ class _Zero:
     """An exactly zero matrix entry: sums skip it, products are it (a +-0 term changes no nonzero result)."""
 
     __array_ufunc__ = None  # an ndarray operand defers to the reflected operators
-    conj = __neg__ = __mul__ = __rmul__ = lambda self, *_: self
+    conj = conjugate = __neg__ = __mul__ = __rmul__ = lambda self, *_: self
     real = property(conj)
     __add__ = __radd__ = __rsub__ = lambda self, other: other
     __sub__ = lambda self, other: -other
@@ -153,27 +155,23 @@ class _Zero:
 _ZERO = _Zero()
 
 
+def _minor(m: dict, rows: tuple, cols: tuple):
+    """Determinant of the rows x cols submatrix of a Hermitian matrix field m (upper triangle) by Laplace
+    expansion along its first row, each minor taken as the conjugate of its transpose (the minor on cols x
+    rows); real where rows == cols."""
+    at = lambda j, k: m[j, k] if j <= k else m[k, j].conjugate()  # noqa: E731
+    if len(rows) == 1:
+        return at(rows[0], cols[0])
+    terms = [at(rows[0], c) * _minor(m, cols[:i] + cols[i + 1 :], rows[1:]).conjugate() for i, c in enumerate(cols)]
+    value = terms[0] + sum((-t if i % 2 else t for i, t in enumerate(terms) if i), _ZERO)
+    return value.real if rows == cols else value
+
+
 def _symmetric_functions(m: dict, n: int) -> list:
-    """[e_1, ..., e_n] of the eigenvalues of a Hermitian matrix field m (upper triangle), n = 2 or 3: tr m,
-    tr adj m (n = 3), det m by its first row; adj(m)_{jk} is (-1)^{j+k} times the minor without row k, column j."""
-    at = lambda j, k: m[j, k] if j <= k else m[k, j].conj()  # noqa: E731
-
-    def adj(j, k):
-        (r, *r2), (c, *c2) = [i for i in range(n) if i != k], [i for i in range(n) if i != j]
-        minor = at(r, c)
-        if r2:  # n = 3: a 2 x 2 minor
-            minor = minor * at(r2[0], c2[0]) - at(r, c2[0]) * at(r2[0], c)
-        return minor.real if j == k else (-1) ** (j + k) * minor
-
-    det = m[0, 0] * adj(0, 0) + sum((m[0, k] * adj(0, k).conj()).real for k in range(1, n))
-    middle = [sum(adj(j, j) for j in range(n))] if n == 3 else []
-    return [sum(m[j, j] for j in range(n))] + middle + [det]
-
-
-def check_dimension(model: CuspModel):
-    """Raise ConfigError unless Monge-Ampere collocation covers the model's n (2 or 3)."""
-    if model.n > 3:
-        raise ConfigError(f"Monge-Ampere collocation supports n = 2 and n = 3, got n = {model.n}")
+    """[e_1, ..., e_n] of the eigenvalues of a Hermitian matrix field m (upper triangle): e_k is the sum of its
+    principal k x k minors, e_1 = tr m in index order, the others in the order of the indices they leave out."""
+    kept = lambda k: (tuple(i for i in range(n) if i not in out) for out in combinations(range(n), n - k))  # noqa: E731
+    return [sum(m[j, j] for j in range(n))] + [sum(_minor(m, s, s) for s in kept(k)) for k in range(2, n + 1)]
 
 
 def _chart_hessian(model: CuspModel, f: Field, order: int):
@@ -216,14 +214,17 @@ def _chart_hessian(model: CuspModel, f: Field, order: int):
 def _degenerate(h: dict, e: list, n: int):
     """Where an eigenvalue of I + h (h in the orthonormal frame, e_k its
     `_symmetric_functions`) is at most f = 1e-10 (n + e_1)/n, 1e-10 times
-    their mean: where (1 - f) I + h has a leading principal minor <= 0, of
-    the z' block below order n and sum_k e_k (1 - f)^(n-k) (e_0 = 1) at n."""
+    their mean: where (1 - f) I + h has a leading principal minor <= 0 (Sylvester's test),
+    of the z' block (`_minor`) below order n and sum_k e_k (1 - f)^(n-k) (e_0 = 1) at n."""
     t = 1.0 - 1e-10 * (n + e[0]) / n
     block = {(j, k): t + v if j == k else v for (j, k), v in h.items() if k < n - 1}  # the z' block of (1 - f) I + h
     poly = t + e[0]
     for ek in e[1:]:
         poly = poly * t + ek
-    return (block[0, 0] <= 0) | (poly <= 0) | (n == 3 and _symmetric_functions(block, 2)[-1] <= 0)
+    bad = poly <= 0
+    for k in range(1, n):
+        bad = bad | (_minor(block, tuple(range(k)), tuple(range(k))) <= 0)
+    return bad
 
 
 def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
@@ -233,11 +234,10 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     remainder Q = M - L: with e_k from `_symmetric_functions` and w = e_1 +
     ... + e_n, M = log(1 + w) - f and Q = (log(1 + w) - w) + e_2 + ... + e_n.
     Radial derivatives span the grid, the rest runs in `_BLOCK_POINTS` slabs.
-    Raises ConfigError for n > 3, MetricDegenerateError (`_degenerate`) at
-    the outermost degenerate node, first torus index there, with the least
-    eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k t^(n-k)),
-    or NumericalError where w leaves the float range."""
-    check_dimension(model)
+    One path serves every n.  Raises MetricDegenerateError (`_degenerate`)
+    at the outermost degenerate node, first torus index there, with the
+    least eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k
+    t^(n-k)), or NumericalError where w leaves the float range."""
     n, torus, nn = model.n, f.torus_shape, len(f.grid)
     slab = _chart_hessian(model, f, order)
     m_vals, q_vals = np.empty(torus + (nn,)), np.empty(torus + (nn,)) if remainder else None

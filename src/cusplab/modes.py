@@ -469,8 +469,8 @@ def picard_solve(
     enough raises (`_check_contraction`).  The solve collocates on
     `boundary_torus_shape`: torus_resolution points along the lattice axes
     the boundary data spans, one along the others; a grid of more than
-    `_COLLOCATION_POINTS` torus points times nodes, then n > 3
-    (`geometry.check_dimension`), is refused before the modes are enumerated.
+    `_COLLOCATION_POINTS` torus points times nodes is refused before the
+    modes are enumerated.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
@@ -486,7 +486,6 @@ def picard_solve(
             f"collocation grid {shape} x {len(grid)} nodes has {points} points, over the budget of "
             f"{_COLLOCATION_POINTS}; lower torus_resolution or the node count"
         )
-    geometry.check_dimension(model)
     below = modes_below(model, cutoff * lam1, shape)
     u, diag = assemble_representation(model, boundary, Field.zero(grid, shape), below)
     trace = []

@@ -38,7 +38,7 @@ def mode_eigenvalue(model: CuspModel, k):
 
 # The cube max|k_i| <= r has (2r + 1)^(2d) points.  Past this many the
 # radius doubling of `eigenvalues_up_to` is refused before anything is
-# allocated: the radius stops at 256 for n = 2 and at 8 for n = 3.
+# allocated: the radius stops at 256, 8, 4 and 2 for n = 2 to 5, and n >= 6 gets no cube.
 _BOX_POINTS = 2**20
 
 
@@ -63,8 +63,9 @@ def eigenvalues_up_to(model: CuspModel, count: int):
     dims = 2 * model.d
     radius = 2
     while True:
-        if (2 * radius + 1) ** dims > _BOX_POINTS:
-            raise ConfigError("eigenvalue enumeration did not close; check lattice/A scales")
+        if (points := (2 * radius + 1) ** dims) > _BOX_POINTS:
+            raise ConfigError(f"eigenvalue enumeration did not close: radius {radius} in {dims} lattice dimensions "
+                              f"needs {points} box points, over the budget of {_BOX_POINTS}")
         keys, lams = _box(model, (radius,) * dims)
         edge_min = np.min(lams[np.max(np.abs(keys), axis=1) == radius])
         keys, lams = _sorted(keys, lams)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -539,22 +540,39 @@ def test_solve_sidecar_records_torus_shape(tmp_path):
     assert "torus" not in text
 
 
-def test_solve_refuses_dimension_four(tmp_path, capsys):
-    # collocation covers n = 2 and n = 3; the other commands keep every n
-    lattice = " ; ".join(" ".join(str(int(i == j)) for j in range(6)) for i in range(6))
-    model = f"[model]\nn = 4\nlattice = {lattice}\nA = 1 0 0 ; 0 1 0 ; 0 0 1\n"
-    cfg = tmp_path / "n4.cfg"
-    cfg.write_text(
-        model
-        + SQUARE_CFG[SQUARE_CFG.index("[spectrum]") :].replace("[expand]\nn = 2", "[expand]\nn = 4")
-        + "[grid]\nx0 = 0.05\ns_max = 16\nnodes = 200\n[boundary]\nkind = cosine\namplitude = 1e-3\n"
+def _dimension_config(n: int) -> str:
+    """The square config at dimension n: lattice I_2(n-1), A = I_(n-1), and
+    the grid and boundary of a rate solve (4800 nodes, boundary (+-1, 0, ...)
+    at 1e-5, m = 8)."""
+    eye = lambda k: " ; ".join(" ".join(str(int(i == j)) for j in range(k)) for i in range(k))  # noqa: E731
+    return (
+        f"[model]\nn = {n}\nlattice = {eye(2 * n - 2)}\nA = {eye(n - 1)}\n"
+        + SQUARE_CFG[SQUARE_CFG.index("[spectrum]") :].replace("[expand]\nn = 2", f"[expand]\nn = {n}")
+        + "[grid]\nx0 = 0.05\ns_max = 34\nnodes = 4800\n[solver]\ncutoff = 25\ntol = 1e-11\ntorus_resolution = 8\n"
+        + "[boundary]\nkind = cosine\namplitude = 1e-5\n"
     )
+
+
+def test_solve_and_rate_fit_run_at_dimension_four(tmp_path, capsys):
+    # one collocation path serves every n: n = 4 solves on the one lattice
+    # axis its boundary spans; n = 6 is refused where its 10-dimensional
+    # eigenvalue box passes the point budget, before any solve
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text(_dimension_config(4))
     for command in ("solve", "rate-fit"):
-        assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "n = 4" in err and "Traceback" not in err
+        assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 0
+        res = json.loads((tmp_path / command / f"{command}.json").read_text())["results"]
+        assert res["torus_shape"] == [8, 1, 1, 1, 1, 1]
+        assert res["residual_sup"] <= 1e-11
     for command in ("calabi", "expand", "spectrum"):
         assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+    cfg.write_text(_dimension_config(6))
+    for command in ("solve", "rate-fit", "spectrum"):
+        assert cli.main([command, str(cfg), "-o", str(tmp_path / f"{command}6")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eigenvalue enumeration did not close: radius 2 in 10 lattice dimensions")
+        assert "Traceback" not in err
 
 
 def test_model_dimension_has_one_default(tmp_path):
@@ -702,15 +720,17 @@ def tiny_solve_config(draw, command):
     """A real tiny solve: at most 60 nodes, m <= 4, max_iter <= 6, with
     log-uniform extremes of every [model], [grid], [solver] and [boundary]
     key, and at times a value the config checks or the solve refuse."""
-    n = draw(_mostly(st.sampled_from([2, 3]), st.just(4)))
+    n = draw(_mostly(st.sampled_from([2, 3, 4]), st.just(6)))  # n = 6 is refused at the eigenvalue box
     d = n - 1
     lattice = np.diag([draw(_log_uniform(1e-3, 1e3)) for _ in range(2 * d)])
     for i, j in draw(st.lists(st.tuples(st.integers(0, 2 * d - 1), st.integers(0, 2 * d - 1)), max_size=2)):
         lattice[i, j] += draw(_signed(_log_uniform(1e-3, 1e3)))
     A = np.diag([draw(_log_uniform(1e-12, 1e12)) for _ in range(d)]).astype(complex)
-    if d == 2:  # a Hermitian coupling of relative size up to 1.2, so at times indefinite
-        A[0, 1] = draw(st.floats(0.0, 1.2)) * np.sqrt(A[0, 0].real * A[1, 1].real) * np.exp(1j * draw(st.floats(0, 6.3)))
-        A[1, 0] = np.conj(A[0, 1])
+    # Hermitian couplings of relative size up to 1.2 between every pair of axes, so at times indefinite
+    pairs, coupling = list(itertools.combinations(range(d), 2)), st.tuples(st.floats(0.0, 1.2), st.floats(0, 6.3))
+    for (a, b), (size, phase) in zip(pairs, draw(st.lists(coupling, min_size=len(pairs), max_size=len(pairs)))):
+        A[a, b] = size * np.sqrt(A[a, a].real * A[b, b].real) * np.exp(1j * phase)
+        A[b, a] = np.conj(A[a, b])
     x0 = draw(_mostly(_log_uniform(1e-60, 1e3), _log_uniform(1e-300, 1e-60)))
     s_max = draw(_mostly(_log_uniform(1e-12, 1e3).map(lambda r: x0**-0.5 * (1.0 + r)), _log_uniform(1e-3, 1e300)))
     amplitude = draw(_mostly(_signed(_log_uniform(1e-300, 1e2)), st.just(0.0)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from cusplab.errors import BoundaryStencilError, ConfigError, MetricDegenerateEr
 from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel, CuspPoint
+
+
+# a complex Hermitian A for the n = 4 rows: every z' entry of the frame's Cholesky factor is complex
+A4 = np.array([[1.0, 0.2 + 0.1j, 0.05 - 0.1j], [0.2 - 0.1j, 0.8, 0.1 + 0.05j], [0.05 + 0.1j, 0.1 - 0.05j, 1.2]])
 
 
 def square_model(n=2, a=1.0):
@@ -273,8 +279,12 @@ class TestMongeAmpere:
 
     @pytest.mark.parametrize(
         "m",
-        [square_model(), CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))],
-        ids=["n2", "n3"],
+        [
+            square_model(),
+            CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]])),
+            CuspModel(4, np.eye(6), A4),
+        ],
+        ids=["n2", "n3", "n4"],
     )
     def test_degenerate_metric_reported(self, m):
         grid = RadialGrid.make(0.1, 6.0, 200)
@@ -283,8 +293,9 @@ class TestMongeAmpere:
             geometry.monge_ampere_residual(m, huge)
 
     def test_generic_dimension_path(self):
-        # n = 3 exercises the 3 x 3 invariants (the e_2 term and the 2 x 2
-        # minors of the adjugate) with a complex Hermitian torus weight
+        # n = 3 exercises the minor recursion below the determinant (e_2 and
+        # the 2 x 2 minors of the first-row expansion) with a complex
+        # Hermitian torus weight
         m = CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
         sups = []
         for num in (400, 800):
@@ -313,11 +324,16 @@ def _modes_on_keys(grid, keys, amplitude):
     return modes
 
 
+def _spanned_shape(keys, m):
+    """m torus points along each lattice axis some key spans, one along the others."""
+    return tuple(m if any(k[i] for k in keys) else 1 for i in range(len(keys[0])))
+
+
 def _pointwise_residual(model, f, modes, node, idx):
     """log det(g + i ddbar f)/det g - f at torus node `node` and radial node
     idx, from metric_coefficients, holomorphic_hessian and slogdet; the
     value of f is summed from its mode profiles `modes`."""
-    t = np.array(node) / f.torus_resolution
+    t = np.array(node) / f.torus_shape
     v = model.lattice @ t
     p = CuspPoint(v[: model.d] + 1j * v[model.d :], x=f.grid.x[idx])
     g = geometry.metric_coefficients(model, p).entries
@@ -350,16 +366,26 @@ def _pointwise_residual(model, f, modes, node, idx):
             1e-4,
             [(1, 2, 3, 5), (6, 1, 0, 2), (3, 7, 5, 1)],
         ),
+        (
+            4,
+            np.eye(6),
+            A4,
+            [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0)],
+            8,
+            1e-4,
+            [(1, 0, 3, 0, 5, 0), (6, 0, 1, 0, 2, 0), (3, 0, 7, 0, 1, 0)],
+        ),
     ],
-    ids=["n2-hexagonal", "n3"],
+    ids=["n2-hexagonal", "n3", "n4"],
 )
 def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude, nodes):
     # the vectorized collocation against a per-point assembly of the metric
-    # and the Hessian: every term of the scaled Hessian must be present
+    # and the Hessian: every term of the scaled Hessian must be present; the
+    # torus is sampled m times along the axes the keys span, once along the rest
     model = CuspModel(n, lattice, A)
     grid = RadialGrid.make(0.2, 5.0, 200 if n == 2 else 24)
     modes = _modes_on_keys(grid, keys, amplitude)
-    f = Field.from_modes(grid, modes, (m,) * len(keys[0]))
+    f = Field.from_modes(grid, modes, _spanned_shape(keys, m))
     values = geometry.monge_ampere_residual(model, f, order=2).values()
     points = list(zip(nodes, (len(grid) // 4, len(grid) // 2, 3 * len(grid) // 4)))
     ref = np.array([_pointwise_residual(model, f, modes, node, idx) for node, idx in points])
@@ -367,7 +393,35 @@ def test_collocation_matches_pointwise_oracle(n, lattice, A, keys, m, amplitude,
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n, torus", [(2, (8, 8)), (3, (4, 4, 4, 4))], ids=["n2", "n3"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_functions_match_characteristic_polynomial(n):
+    # e_k from the principal-minor recursion against (-1)^k times the
+    # coefficients of the polynomial whose roots are the eigvalsh eigenvalues,
+    # relative to e_k's scale binom(n, k) |s|^k; the upper-triangle entries
+    # are drawn real, complex or exactly zero (`_ZERO`, the diagonal real or
+    # zero); the first trial is diagonal, the second all complex
+    rng = np.random.default_rng(n)
+    for trial in range(10):
+        kinds = [np.eye(n, dtype=int), np.full((n, n), 2), rng.integers(0, 3, size=(n, n))][min(trial, 2)]
+        s = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+        s = s + np.conj(np.swapaxes(s, -1, -2))
+        hessian = {}
+        for j in range(n):
+            for k in range(j, n):
+                kind = min(kinds[j, k], 1) if j == k else kinds[j, k]
+                entry = [np.zeros(64), s[:, j, k].real.copy(), s[:, j, k].copy()][kind]
+                s[:, j, k], s[:, k, j] = entry, np.conj(entry)
+                hessian[j, k] = geometry._ZERO if kind == 0 else entry
+        lam = np.linalg.eigvalsh(s)
+        ref = np.array([np.poly(row) for row in lam]) * (-1.0) ** np.arange(n + 1)
+        norm = np.max(np.abs(lam), axis=-1)
+        for k, ek in enumerate(geometry._symmetric_functions(hessian, n), 1):
+            ek = np.broadcast_to(ek, (64,))
+            assert np.isrealobj(ek)
+            assert np.all(np.abs(ek - ref[:, k]) <= 1e-12 * math.comb(n, k) * norm**k), (trial, k)
+
+
+@pytest.mark.parametrize("n, torus", [(2, (8, 8)), (3, (4, 4, 4, 4)), (4, (4, 4, 4, 4, 1, 1))], ids=["n2", "n3", "n4"])
 def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     # Hermitian matrices s whose smallest eigenvalue sits a factor 1 -+ 1e-3
     # from the floor 1e-10 tr(s)/n, handed to the guard as the Hessian
@@ -390,6 +444,15 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     hessian = {(j, k): h[..., j, k].real if j == k else h[..., j, k] for j in range(n) for k in range(j, n)}
     e = geometry._symmetric_functions(hessian, n)
     assert np.array_equal(geometry._degenerate(hessian, e, n), reference)
+    # two negative eigenvalues leave the determinant positive: only the
+    # leading minors below order n see them, and every point fails
+    two = lam.copy()
+    two[..., :2] = -rng.uniform(0.1, 0.5, size=shape + (2,))
+    s2 = np.einsum("...ij,...j,...kj->...ik", unitary, two, unitary.conj())
+    assert np.all(np.linalg.det(s2).real > 0)
+    h2 = s2 - np.eye(n)
+    pair = {(j, k): h2[..., j, k].real if j == k else h2[..., j, k] for j in range(n) for k in range(j, n)}
+    assert geometry._degenerate(pair, geometry._symmetric_functions(pair, n), n).all()
     # the error names the outermost degenerate node, the first torus point
     # there and the smallest eigenvalue of I + h, that of s, for slabs of one
     # node and one slab for the whole grid alike
@@ -411,8 +474,9 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
         (2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), np.array([[1.3]]), [(1, 0), (0, 1), (1, 1)], 16, 60),
         (2, np.eye(2), np.array([[1.0]]), [(1, 0), (3, 0)], 16, 600),
         (3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]), [(1, 0, 0, 0), (0, 0, 1, 1)], 4, 24),
+        (4, np.eye(6), A4, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1)], 4, 24),
     ],
-    ids=["n2-hexagonal", "n2-square-real-axis", "n3"],
+    ids=["n2-hexagonal", "n2-square-real-axis", "n3", "n4"],
 )
 def test_slabs_leave_collocation_bit_identical(n, lattice, A, keys, m, nodes, monkeypatch):
     # transforms and pointwise algebra run in radial slabs of _BLOCK_POINTS
@@ -420,8 +484,7 @@ def test_slabs_leave_collocation_bit_identical(n, lattice, A, keys, m, nodes, mo
     # bit for bit (the real axis has real mixed entries, the others complex)
     model = CuspModel(n, lattice, A)
     grid = RadialGrid.make(0.2, 5.0, nodes)
-    shape = tuple(m if any(k[i] for k in keys) else 1 for i in range(len(keys[0])))
-    f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), shape)
+    f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), _spanned_shape(keys, m))
     values = []
     for block in (16, 2**21):
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
@@ -434,23 +497,26 @@ def test_slabs_leave_collocation_bit_identical(n, lattice, A, keys, m, nodes, mo
 def test_n3_remainder_matches_extended_precision():
     # Q = log det(I + g^{-1} h) - tr(g^{-1} h) at collocation points against
     # 40 digits from the pointwise metric and Hessian; |g^{-1} h| reaches
-    # 1e-3 here, where log(1 + w) - w loses digits if taken directly.  The
-    # n = 2 hexagonal row and the n = 3 row both have A != I, so the Cholesky
-    # factor of A in the orthonormal frame enters every z' entry
+    # 1e-3 here, where log(1 + w) - w loses digits if taken directly.  Every
+    # row has A != I, so the Cholesky factor of A in the orthonormal frame
+    # enters every z' entry; the torus is sampled along the axes the keys span
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     rows = [
         (2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), np.array([[1.3]]), [(1, 0), (0, 1), (1, 1)], 16),
         (3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)], 8),
+        (4, np.eye(6), A4, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0)], 8),
     ]
     for n, lattice, A, keys, m in rows:
         model = CuspModel(n, lattice, A)
         grid = RadialGrid.make(0.2, 5.0, 24)
-        f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), (m,) * len(keys[0]))
+        shape = _spanned_shape(keys, m)
+        f = Field.from_modes(grid, _modes_on_keys(grid, keys, 1e-3), shape)
         _, q = geometry._ma_values(model, f, 2)
         rng = np.random.default_rng(1)
         for _ in range(12):
-            node, idx = tuple(int(i) for i in rng.integers(0, m, 2 * n - 2)), int(rng.integers(1, len(grid) - 1))
+            draw = rng.integers(0, m, 2 * n - 2)
+            node, idx = tuple(int(i) % s for i, s in zip(draw, shape)), int(rng.integers(1, len(grid) - 1))
             v = model.lattice @ (np.array(node) / m)
             p = CuspPoint(v[: n - 1] + 1j * v[n - 1 :], x=grid.x[idx])
             g = mpmath.matrix(geometry.metric_coefficients(model, p).entries.tolist())

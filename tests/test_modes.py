@@ -607,16 +607,6 @@ class TestPicard:
         assert state.iteration >= 2
         assert calls == [state.diagnostics["torus_shape"]] == [u.torus_shape] == [(8, 1)]
 
-    def test_dimension_four_refused_before_mode_enumeration(self, monkeypatch):
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("modes_below called for n = 4")
-
-        monkeypatch.setattr(modes, "modes_below", no_enumeration)
-        grid = RadialGrid.make(0.05, 12.0, 200)
-        model = CuspModel(4, np.eye(6), np.eye(3))
-        with pytest.raises(ConfigError, match="n = 2 and n = 3"):
-            modes.picard_solve(model, {(0,) * 6: 0.01}, grid, torus_resolution=4)
-
     def test_non_contraction_names_iteration_and_change(self):
         grid = RadialGrid.make(0.05, 12.0, 600)
         with pytest.raises(
