@@ -60,6 +60,8 @@ _ITERATION_ORDER = 4
 # builds, refused before anything is allocated: about 0.4 GB at the 0.18 kB
 # a point of n = 2 solves on (16, 16); it admits (16, 16) on 4800 nodes
 _COLLOCATION_POINTS = 2**21
+# principal-minor products a collocation point expands to (`geometry._minor`, about n!): n = 7 solves, n = 8 is not
+_MINOR_PRODUCTS = math.factorial(7)
 # plans and scan weights held; each assembly walks its eigenvalues in one order (13 on (16, 16) at cutoff 25)
 _PLANS_HELD = 32
 
@@ -470,12 +472,14 @@ def picard_solve(
     `boundary_torus_shape`: torus_resolution points along the lattice axes
     the boundary data spans, one along the others; a grid of more than
     `_COLLOCATION_POINTS` torus points times nodes is refused before the
-    modes are enumerated.
+    modes are enumerated, and n > 7 (`_MINOR_PRODUCTS`) before anything.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if (products := math.factorial(model.n)) > _MINOR_PRODUCTS:
+        raise ConfigError(f"n = {model.n} expands about {products} minor products a point, over {_MINOR_PRODUCTS}")
     lam1 = first_eigenvalue(model)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
     _check_boundary_symmetry(boundary)

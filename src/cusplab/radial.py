@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DecayPreconditionError, NumericalError
-from .grid import RadialGrid
+from .grid import RadialGrid, uniform_derivative
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,14 @@ class CalabiTrajectory:
         return float(np.max(np.abs(fi - self.b)) / scale)
 
     def ode_residual(self) -> float:
-        """Residual of (psi')^{n-1} psi'' = e^{psi+a} with a finite-difference
-        psi'', sup-normalized by the largest forcing value (the forcing decays
-        exponentially along the cusp, so pointwise normalization would just
-        measure roundoff there).  Interior nodes only."""
+        """Residual of (psi')^{n-1} psi'' = e^{psi+a} with a 4th-order psi''
+        on at least 6 nodes, sup-normalized by the largest forcing value (the
+        forcing decays exponentially along the cusp, so pointwise
+        normalization would just measure roundoff there).  Interior nodes only."""
         t = self.t_nodes
-        dt = t[1] - t[0]
-        psi_pp = np.gradient(self.psi_prime, dt, edge_order=2)
+        if len(t) < 6:
+            raise NumericalError(f"trajectory has {len(t)} nodes before breakdown, fewer than its residual's 6")
+        psi_pp = uniform_derivative(self.psi_prime, t[1] - t[0], 1, order=4)
         rhs = np.exp(self.psi + self.a)
         res = self.psi_prime ** (self.n - 1) * psi_pp - rhs
         return float(np.max(np.abs(res[2:-2])) / np.max(rhs))

@@ -326,6 +326,13 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
         ("lemma43", "c = 2\n", "c = 1e300\n", 2),
         ("calabi", "t0 = -1\nt_end = -30", "t0 = 1e308\nt_end = -1e308", 2),
         ("calabi", "a = 0\nb = 0.5", "a = 0\nb = 1\npsi0 = -1e308", 3),
+        # a breakdown before the sixth node leaves too few nodes for the ODE
+        # residual's stencil: this used to end in an IndexError traceback
+        pytest.param("calabi", "a = 0\nb = 0.5", "a = 0\nb = -0.5\npsi0 = -0.25", 3,
+                     id="calabi-breakdown-before-sixth-node"),
+        # nearly parallel basis vectors (det B = 1): Cholesky cannot factor the eigenvalue form
+        *(pytest.param(command, "lattice = 1 0 ; 0 1", "lattice = 10000 10000 ; 10000 10000.0001", 2,
+                       id=f"{command}-eigenvalue-form-not-positive-definite") for command in ("spectrum", "solve")),
         # a mode step d = 2 sqrt(lambda) h of 2450 per node: exp(-d) underflows
         ("solve", "A = 1\n", "A = 1e-8\n", 2),
         ("solve", "A = 1\n", "A = 1e-12\n", 2),
@@ -540,23 +547,24 @@ def test_solve_sidecar_records_torus_shape(tmp_path):
     assert "torus" not in text
 
 
-def _dimension_config(n: int) -> str:
+def _dimension_config(n: int, nodes: int = 4800) -> str:
     """The square config at dimension n: lattice I_2(n-1), A = I_(n-1), and
-    the grid and boundary of a rate solve (4800 nodes, boundary (+-1, 0, ...)
-    at 1e-5, m = 8)."""
+    the grid and boundary of a rate solve (4800 nodes by default, boundary
+    (+-1, 0, ...) at 1e-5, m = 8)."""
     eye = lambda k: " ; ".join(" ".join(str(int(i == j)) for j in range(k)) for i in range(k))  # noqa: E731
     return (
         f"[model]\nn = {n}\nlattice = {eye(2 * n - 2)}\nA = {eye(n - 1)}\n"
         + SQUARE_CFG[SQUARE_CFG.index("[spectrum]") :].replace("[expand]\nn = 2", f"[expand]\nn = {n}")
-        + "[grid]\nx0 = 0.05\ns_max = 34\nnodes = 4800\n[solver]\ncutoff = 25\ntol = 1e-11\ntorus_resolution = 8\n"
+        + f"[grid]\nx0 = 0.05\ns_max = 34\nnodes = {nodes}\n[solver]\ncutoff = 25\ntol = 1e-11\ntorus_resolution = 8\n"
         + "[boundary]\nkind = cosine\namplitude = 1e-5\n"
     )
 
 
-def test_solve_and_rate_fit_run_at_dimension_four(tmp_path, capsys):
+def test_solve_and_rate_fit_run_up_to_dimension_seven(tmp_path, capsys, monkeypatch):
     # one collocation path serves every n: n = 4 solves on the one lattice
-    # axis its boundary spans; n = 6 is refused where its 10-dimensional
-    # eigenvalue box passes the point budget, before any solve
+    # axis its boundary spans, and so do n = 6 and 7 on 400 nodes; n = 8 is
+    # refused at the minor-product budget before any collocation, while its
+    # spectrum, which has no dimension bound, still runs
     cfg = tmp_path / "n4.cfg"
     cfg.write_text(_dimension_config(4))
     for command in ("solve", "rate-fit"):
@@ -566,13 +574,27 @@ def test_solve_and_rate_fit_run_at_dimension_four(tmp_path, capsys):
         assert res["residual_sup"] <= 1e-11
     for command in ("calabi", "expand", "spectrum"):
         assert cli.main([command, str(cfg), "-o", str(tmp_path / command)]) == 0
+    for n in (6, 7):
+        cfg.write_text(_dimension_config(n, nodes=400))
+        for command in ("solve", "rate-fit", "spectrum"):
+            assert cli.main([command, str(cfg), "-o", str(tmp_path / f"{command}{n}")]) == 0
+        res = json.loads((tmp_path / f"rate-fit{n}" / "rate-fit.json").read_text())["results"]
+        assert res["torus_shape"] == [8] + [1] * (2 * n - 3)
+        assert res["residual_sup"] <= 1e-7
     capsys.readouterr()
-    cfg.write_text(_dimension_config(6))
-    for command in ("solve", "rate-fit", "spectrum"):
-        assert cli.main([command, str(cfg), "-o", str(tmp_path / f"{command}6")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: eigenvalue enumeration did not close: radius 2 in 10 lattice dimensions")
-        assert "Traceback" not in err
+    cfg.write_text(_dimension_config(8, nodes=400))
+
+    def collocated(*args, **kwargs):
+        raise AssertionError("n = 8 collocated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.modes.geometry, "quadratic_remainder", collocated)
+        for command in ("solve", "rate-fit"):
+            assert cli.main([command, str(cfg), "-o", str(tmp_path / f"{command}8")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: n = 8 expands about 40320 minor products a point, over 5040")
+            assert "Traceback" not in err
+    assert cli.main(["spectrum", str(cfg), "-o", str(tmp_path / "spectrum8")]) == 0
 
 
 def test_model_dimension_has_one_default(tmp_path):
@@ -720,7 +742,7 @@ def tiny_solve_config(draw, command):
     """A real tiny solve: at most 60 nodes, m <= 4, max_iter <= 6, with
     log-uniform extremes of every [model], [grid], [solver] and [boundary]
     key, and at times a value the config checks or the solve refuse."""
-    n = draw(_mostly(st.sampled_from([2, 3, 4]), st.just(6)))  # n = 6 is refused at the eigenvalue box
+    n = draw(_mostly(st.sampled_from([2, 3, 4, 5]), st.just(8)))  # n = 8 is refused at the minor-product budget
     d = n - 1
     lattice = np.diag([draw(_log_uniform(1e-3, 1e3)) for _ in range(2 * d)])
     for i, j in draw(st.lists(st.tuples(st.integers(0, 2 * d - 1), st.integers(0, 2 * d - 1)), max_size=2)):

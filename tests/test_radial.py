@@ -35,6 +35,19 @@ class TestCalabi:
         traj = radial.integrate_calabi(n, 0.0, 0.5, t0=-1.0, t_end=-1.25, tol=1e-13)
         assert traj.ode_residual() < 1e-6
 
+    def test_ode_residual_resolves_the_integration(self):
+        # on 800 nodes over [-1, -20] the 2nd-order stencil alone read 1.6e-4;
+        # the 4th-order one reads 8.2e-8
+        traj = radial.integrate_calabi(2, 0.0, 0.5, t0=-1.0, t_end=-20.0, tol=1e-12)
+        assert traj.ode_residual() < 1e-6
+
+    def test_breakdown_before_the_stencil_refused(self):
+        # e^psi0 + b = 0.279 sits just above the breakdown floor -b/2 = 0.25
+        traj = radial.integrate_calabi(2, 0.0, -0.5, t0=-1.0, t_end=-50.0, psi0=-0.25)
+        assert len(traj.t_nodes) < 6
+        with pytest.raises(NumericalError, match="nodes before breakdown"):
+            traj.ode_residual()
+
     def test_negative_b_breakdown_reported(self):
         traj = radial.integrate_calabi(2, 0.0, -0.5, t0=-1.0, t_end=-50.0, tol=1e-12)
         assert traj.breakdown_t is not None

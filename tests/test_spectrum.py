@@ -114,17 +114,45 @@ PICARD_N3 = CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.
 
 def _reference_box(model, radius):
     """(lam, k) of every key in the box max|k_i| <= radius, one solve per
-    point, sorted; and the least eigenvalue on the box edge."""
+    point, sorted."""
     d = model.d
-    entries, edge = [], np.inf
+    entries = []
     for k in itertools.product(range(-radius, radius + 1), repeat=2 * d):
         xi = np.linalg.solve(model.lattice.T, np.array(k, dtype=float))
         c = xi[:d] - 1j * xi[d:]
-        lam = float(np.pi**2 * np.real(c.conj() @ (model.A_inv @ c)))
-        entries.append((lam, k))
-        if max(map(abs, k)) == radius:
-            edge = min(edge, lam)
-    return sorted(entries), edge
+        entries.append((float(np.pi**2 * np.real(c.conj() @ (model.A_inv @ c))), k))
+    return sorted(entries)
+
+
+def _polarised_form(model):
+    """G with lambda_k = k^T G k, polarised from `mode_eigenvalue` alone."""
+    eye = np.eye(2 * model.d, dtype=np.int64)
+    unit = spectrum.mode_eigenvalue(model, eye)
+    return (spectrum.mode_eigenvalue(model, eye[:, None] + eye[None, :]) - unit[:, None] - unit[None, :]) / 2.0
+
+
+def _ellipsoid_radii(model, bound):
+    """Per-axis radii of a box that holds every key with lambda_k <= bound:
+    |k_j| <= sqrt(bound (G^-1)_jj) on the ellipsoid k^T G k <= bound."""
+    return np.floor(np.sqrt(bound * np.diag(np.linalg.inv(_polarised_form(model))) * 1.01)).astype(int) + 1
+
+
+def _brute_force(model, radii, bound):
+    """(keys, lams) of every key of the box |k_i| <= radii[i] with lambda_k
+    <= bound, sorted by (lam, k).  Each key's polarised-form value screens
+    it at twice the bound, far above the form's rounding on these lattices,
+    and `mode_eigenvalue` gives the lam of each key the screen keeps."""
+    radii = np.asarray(radii)
+    box = np.indices(2 * radii + 1, dtype=float).reshape(len(radii), -1) - radii[:, None]
+    keys = box[:, np.sum((_polarised_form(model) @ box) * box, axis=0) <= 2.0 * bound].T.astype(np.int64)
+    lams = spectrum.mode_eigenvalue(model, keys)
+    keys, lams = keys[lams <= bound], lams[lams <= bound]
+    order = np.lexsort((*keys.T[::-1], lams))
+    return keys[order], lams[order]
+
+
+def _rows(keys, lams):
+    return [(lam, tuple(k)) for lam, k in zip(lams.tolist(), keys.tolist())]
 
 
 def _assert_sorted_by_lam_then_key(keys, lams):
@@ -138,10 +166,11 @@ def _assert_sorted_by_lam_then_key(keys, lams):
     ids=["hexagonal", "picard_n3", "hexagonal-cut"],
 )
 def test_enumeration_matches_per_point_reference(model, radius, cutoff, count, shape):
-    entries, edge = _reference_box(model, radius)
+    entries = _reference_box(model, radius)
     ref = {k: lam for lam, k in entries}
     lam_max = cutoff * spectrum.first_eigenvalue(model)
-    assert edge > lam_max  # the reference box holds every mode below lam_max
+    # the reference box holds every mode below lam_max
+    assert np.all(_ellipsoid_radii(model, lam_max) <= radius)
     ref_lams = np.array([lam for lam, _ in entries])
     # no reference eigenvalue sits at lam_max or across the count-th gap
     assert np.min(np.abs(ref_lams - lam_max)) > 1e-12 * lam_max
@@ -182,24 +211,83 @@ def test_enumeration_is_the_modes_the_field_holds(model, shape):
     assert np.all(lams > 0)
 
 
-def test_box_point_budget_refuses_before_building(monkeypatch):
-    # eigenvalues_up_to refuses a cube past the point budget before building
-    # it; modes_below builds only the box of modes the torus grid holds
-    budget = spectrum._BOX_POINTS
-    indices = np.indices
+def test_search_budget_refuses_before_building(monkeypatch):
+    # the search refuses a level past its partial-key budget before building
+    # it; modes_below holds only partial keys of modes the torus grid holds
+    budget = 2**12
+    monkeypatch.setattr(spectrum, "_SEARCH_KEYS", budget)
+    repeat = np.repeat
     built = []
 
-    def guarded(dimensions, *args, **kwargs):
-        assert np.prod(dimensions) <= budget, f"box {dimensions} built over the budget"
-        built.append(tuple(dimensions))
-        return indices(dimensions, *args, **kwargs)
+    def guarded(a, repeats, *args, **kwargs):
+        if np.ndim(repeats):
+            assert np.sum(repeats) <= budget, f"level of {np.sum(repeats)} partial keys built over the budget"
+            built.append(int(np.sum(repeats)))
+        return repeat(a, repeats, *args, **kwargs)
 
-    monkeypatch.setattr(np, "indices", guarded)
-    with pytest.raises(ConfigError, match="eigenvalue enumeration did not close"):
+    monkeypatch.setattr(np, "repeat", guarded)
+    with pytest.raises(ConfigError, match="partial keys under .* pass the search budget 4096"):
         spectrum.eigenvalues_up_to(PICARD_N3, budget + 1)
     lam1 = spectrum.first_eigenvalue(PICARD_N3)
     built.clear()
     # a cutoff of 1e6 lambda_1 at n = 3 takes every held mode: 3 x 15 - 1
     keys, _ = spectrum.modes_below(PICARD_N3, 1e6 * lam1, (4, 1, 16, 1))
-    assert built == [(3, 1, 15, 1)]
+    assert max(built) == 45
     assert len(keys) == 44
+
+
+def _random_lattices(n: int, count: int):
+    """Seeded lattices B = N(0, 1) + 2 I with A = X X^H + I/2, X complex normal."""
+    rng, m = np.random.default_rng(n), 2 * n - 2
+    for _ in range(count):
+        B = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+        X = rng.normal(size=(n - 1, n - 1)) + 1j * rng.normal(size=(n - 1, n - 1))
+        yield CuspModel(n, B, X @ X.conj().T + np.eye(n - 1) / 2.0)
+
+
+# xi = B^-T k with B^-T = [[-phi, 1], [1e-3, 1e-3 phi]]: lambda_1 = 0.03349 sits at
+# +-(13, 21), while no key of the cube max|k_i| <= 4 reads below 0.5505
+GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+SHEARED = CuspModel(2, np.linalg.inv(np.array([[-GOLDEN, 1e-3], [1.0, 1e-3 * GOLDEN]])), np.array([[1.0]]))
+# a lattice of the tiny-solve fuzz's kind: axes from 0.77 to 182, an off-diagonal
+# entry 17 times the diagonal beside it, A of condition 5e12 (mu = 3.9e14 in `_form`)
+EXTREME = CuspModel(
+    3,
+    np.array([[182.0, 0, 0, 0], [0.0338, 7.76, 0, 0], [0, -34.2, 2.0, 0], [0, 0, 0, 0.766]]),
+    np.array([[6.37, -1.46e-7 - 2.34e-6j], [-1.46e-7 + 2.34e-6j, 2.14e-12]]),
+)
+
+
+def _assert_exact(model, shape):
+    """eigenvalues_up_to, first_eigenvalue and modes_below match the brute-force box bit for bit."""
+    found = spectrum.eigenvalues_up_to(model, 12)
+    ref = _brute_force(model, _ellipsoid_radii(model, found[1][-1]), found[1][-1])
+    assert _rows(*found) == _rows(*ref)[:12]
+    for count in (2, 5):
+        assert _rows(*spectrum.eigenvalues_up_to(model, count)) == _rows(*ref)[:count]
+    assert spectrum.first_eigenvalue(model) == ref[1][1]
+    lam_max = 9.0 * ref[1][1]
+    ref_keys, ref_lams = _brute_force(model, [(m - 1) // 2 for m in shape], lam_max)
+    assert _rows(*spectrum.modes_below(model, lam_max, shape)) == _rows(ref_keys[1:], ref_lams[1:])
+
+
+@pytest.mark.parametrize(
+    "models, shape",
+    [([SHEARED], (64, 64)), ([EXTREME], (16, 8, 8, 64)), (list(_random_lattices(2, 50)), (16, 16)),
+     (list(_random_lattices(3, 30)), (8, 8, 4, 4)), (list(_random_lattices(4, 10)), (4,) * 6)],
+    ids=["sheared-golden", "extreme", "random-n2", "random-n3", "random-n4"],
+)
+def test_enumeration_is_exact_against_brute_force_box(models, shape):
+    # the brute-force box spans the ellipsoid lambda_k <= bound, which no
+    # cube certified by its shell need hold on a sheared lattice
+    for model in models:
+        _assert_exact(model, shape)
+
+
+def test_unfactorable_form_refused():
+    # nearly parallel basis vectors of norm 1.4e4 (det B = 1): G has condition
+    # 1e16, and Cholesky cannot factor it
+    model = CuspModel(2, 1e4 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]]), np.array([[1.0]]))
+    for enumerate_modes in (lambda: spectrum.first_eigenvalue(model), lambda: spectrum.modes_below(model, 1.0, (4, 4))):
+        with pytest.raises(ConfigError, match="eigenvalue form of the lattice and A is not positive definite"):
+            enumerate_modes()
