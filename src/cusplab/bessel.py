@@ -18,12 +18,12 @@ that want them call scipy directly.  `h_pair` builds order n + 2 from
 orders 0 and 1 by the order recurrences of DLMF 10.29.1.  It takes three
 scaled calls, ``k0e``, ``k1e`` and ``i0e``, each a few times cheaper than one
 ``ive``/``kve`` call; e^{-s} I_1 follows from the Wronskian of DLMF 10.28.2.
-`h_pair` takes its nodes in blocks of `pool.BLOCK` = 2^13, each written
-straight into slices of the output rows, so no full-grid temporary is made;
-on a grid past `pool.parallel`'s size rule (two blocks per worker) the
-blocks run on the thread pool, whose scipy and numpy loops release the GIL,
-and below it on the caller, with the same operations on every node either
-way.  `wronskian_residuals` checks both kernel identities, with derivatives
+`h_pair` writes its exponent and mantissas into the rows of one (3, N)
+block, in `pool.run` tasks of `pool.BLOCK` = 2^13 nodes, each written
+straight into slices of the rows, so no full-grid temporary is made; the
+tasks run on the thread pool past its size rule (two blocks per worker) and
+on the caller below it, with the same operations on every node either way.
+`wronskian_residuals` checks both kernel identities, with derivatives
 taken through the stable order recurrences I' = (I_{a-1} + I_{a+1})/2,
 K' = -(K_{a-1} + K_{a+1})/2.
 """
@@ -124,7 +124,7 @@ def _i_far(alpha: int, s: np.ndarray, k0: np.ndarray, k1: np.ndarray) -> np.ndar
 
 def _pair_block(n: int, c: float, x: np.ndarray, s: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     """Exponent s = c/sqrt(x) and both mantissas at the nodes x of one
-    block, written into s, m1 and m2 (slices of `h_pair`'s output rows)."""
+    block, written into s, m1 and m2 (slices of `h_pair`'s rows)."""
     alpha = n + 2
     np.divide(c, np.sqrt(x), out=s)
     pref = x ** (-0.5 * n)
@@ -150,21 +150,16 @@ def h_pair(n: int, lam: float, x) -> HPair:
     """Both homogeneous solutions of the mode equation at eigenvalue lam on
     the nodes x (a scalar or a 1-D array), from three scaled Bessel calls
     (k0e, k1e, i0e), plus ive on the nodes below the far branch
-    s >= 2(n + 2); one `_pair_block` per block of `pool.BLOCK` nodes, on the
-    thread pool past `pool.parallel`'s size rule."""
+    s >= 2(n + 2); the exponent, m1 and m2 are the rows of one (3, N) block,
+    filled by one `_pair_block` task per `pool.BLOCK` nodes (`pool.run`)."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"need a finite lambda > 0, got {lam}")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xv <= 0):
         raise ConfigError("x must be positive")
     nodes = len(xv)
-    s, m1, m2 = np.empty(nodes), np.empty(nodes), np.empty(nodes)
+    s, m1, m2 = np.empty((3, nodes))
     c = 2.0 * np.sqrt(lam)
     blocks = [slice(a, a + pool.BLOCK) for a in range(0, nodes, pool.BLOCK)]
-    args = [(n, c, xv[b], s[b], m1[b], m2[b]) for b in blocks]
-    if pool.parallel(nodes):
-        pool.results([pool.submit(_pair_block, *a) for a in args])
-    else:
-        for a in args:
-            _pair_block(*a)
+    pool.run([(_pair_block, n, c, xv[b], s[b], m1[b], m2[b]) for b in blocks], nodes)
     return HPair(m1, m2, s)

@@ -15,15 +15,14 @@ rho^(l - k) for the one scalar rho = exp(-d), and the quadrature and the
 two scans of a mode solve are geometric, weighting nodes by powers of rho,
 and take no exponential per node.  Everything a solve needs apart from f
 depends only on (n, lambda, grid) and is memoized as a `SolvePlan`
-(`_solve_plan`); there the homogeneous term exp(sigma_0 - sigma) <= 1 is
-the one array exponentiated node by node.  A solve on a held plan does only
-the work that depends on f: its down and up integrals, each in its own rows
-of one buffer allocated per call (`_work`), so concurrent callers share no
-buffer and nothing is held between solves.  On a grid past
-`pool.parallel`'s size rule (two blocks of 2^13 nodes per worker) the down
-integral runs on the thread pool while the caller runs the up integral,
-with the same operations in the same order, so the solution is the same
-bit for bit.
+(`_solve_plan`) in the rows of `h_pair`'s block; there the homogeneous
+term exp(sigma_0 - sigma) <= 1, written over the exponent row, is the one
+array exponentiated node by node.  A solve on a held plan does only the
+work that depends on f: its down and up integrals, each in its own rows of
+one buffer allocated per call (`_work`), so concurrent callers share no
+buffer and nothing is held between solves.  The two integrals are two
+`pool.run` tasks, on the thread pool past its size rule (two blocks of 2^13
+nodes per worker), with the same operations in the same order either way.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -180,9 +179,10 @@ class SolvePlan:
     to the integrand density in s; it depends on n and the grid only, and
     plans of one n and grid share one array (`_grid_weight`).  hom =
     (m2/m2[0]) exp(sigma_0 - sigma) is the homogeneous solution with value 1
-    at x0, the one per-node exponential of the plan.  h is the grid step;
-    two_m1_0 = 2 m1[0], and tail times f at the deepest node is the
-    below-grid tail of int_0^x t^(n-1) H2 f dt.  Every array is read-only.
+    at x0, the one per-node exponential of the plan; m1, m2 and hom are the
+    rows of the kernel pair's block.  h is the grid step; two_m1_0 = 2 m1[0],
+    and tail times f at the deepest node is the below-grid tail of
+    int_0^x t^(n-1) H2 f dt.  Every array is read-only.
     """
 
     m1: np.ndarray
@@ -213,7 +213,7 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     """
     x = grid.x
     pair = h_pair(n, lam, x)
-    sigma = pair.exponent
+    m1, m2, sigma = pair.h1_mantissa, pair.h2_mantissa, pair.exponent
     d = float((sigma[-1] - sigma[0]) / (len(sigma) - 1))
     rho = np.exp(-d)
     # the interval rule forms rho^(+-1), rho^(+-2) and rho^3; rho^3 is the
@@ -221,15 +221,11 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     if not rho * rho * rho >= np.finfo(float).tiny:
         raise ConfigError(f"mode eigenvalue lambda = {lam:.6g} on grid step h = {grid.h:.6g}: exponent step "
                           f"d = 2 sqrt(lambda) h = {d:.6g} per node is past about 236, where exp(-3 d) underflows")
-    # the three node arrays of a plan are the rows of one block, allocated
-    # after h_pair's temporaries are freed: held as separate arrays they
-    # left holes in the heap between solves (green_sweep's peak RSS rose 4.8 MB)
-    block = np.empty((3, len(x)))
-    block[0], block[1] = pair.h1_mantissa, pair.h2_mantissa
-    del pair
-    np.multiply(block[1] / block[1, 0], np.exp(sigma[0] - sigma), out=block[2])  # sigma never falls: exp(<= 0)
-    block.flags.writeable = False
-    m1, m2, hom = block
+    np.subtract(sigma[0], sigma, out=sigma)  # the exponent row becomes hom; sigma never falls: exp(<= 0)
+    hom = np.exp(sigma, out=sigma)
+    hom *= m2 / m2[0]
+    for row in (m1, m2, hom):
+        row.flags.writeable = False
     # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
     # node, bounded by the decay of exp(-2 sqrt(lam)/sqrt(t)):
     # tail < x^{3/2} integrand(x) / sqrt(lam)
@@ -286,26 +282,15 @@ def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarra
     """Variation of parameters on a plan: the only work that depends on f.
 
     Both cumulative integrals run in one buffer allocated per call, one
-    `_work` block each.  On a grid past `pool.parallel`'s size rule the down
-    integral runs on the thread pool while the caller runs the up integral;
-    no buffer is shared between calls, so concurrent solves on one plan are
-    safe."""
+    `_work` block each, as two `pool.run` tasks; no buffer is shared between
+    calls, so concurrent solves on one plan are safe."""
     nn = len(f)
     dtype = np.result_type(f.dtype, float)
     # the result is allocated before the buffer, so the buffer is freed on
     # top of the heap and the next solve's buffer takes its place
     out = np.empty(nn, dtype=np.result_type(v_x0, dtype))
     work = _work(nn, plan.d, dtype, 2)
-    if pool.parallel(nn):
-        _scan_weights(plan.d, _scan_shape(nn, plan.d)[1])  # made here, held weights sit in the caller's heap
-        down = pool.submit(_down, plan, f, work[0])
-        try:
-            Q = _up(plan, f, work[1])
-        finally:
-            P, p0 = down.result()
-    else:
-        P, p0 = _down(plan, f, work[0])
-        Q = _up(plan, f, work[1])
+    (P, p0), Q = pool.run([(_down, plan, f, work[0]), (_up, plan, f, work[1])], nn)
     coef = v_x0 + plan.two_m1_0 * p0
     P += Q
     P *= 2.0

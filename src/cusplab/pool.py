@@ -12,9 +12,9 @@ handing small arrays between threads costs more than it saves.
 The pool has one worker per CPU this process may run on.  It is made on
 first use, so importing cusplab starts no thread, and it is keyed by process
 id, so a child made by fork builds its own instead of queueing work for
-threads it does not have.  Every task runs in a copy of the caller's
-context, so `np.errstate` (a contextvar) holds inside it; callers read the
-result of every future, so a worker's exception reaches them.
+threads it does not have.  `run` runs each pool task in a copy of the
+caller's context, so `np.errstate` (a contextvar) holds in it, and reads
+every result, so a worker's exception reaches the caller.
 """
 
 from __future__ import annotations
@@ -55,15 +55,16 @@ def _executor():
         return _pool[1]
 
 
-def submit(fn, *args):
-    """Future of fn(*args) run on the pool in a copy of the caller's context."""
-    return _executor().submit(contextvars.copy_context().run, fn, *args)
-
-
-def results(futures) -> list:
-    """Wait for every future, then read each result in order; the first
-    exception raised in a task is raised here, after all tasks have ended."""
+def run(tasks, nodes: int) -> list:
+    """Results of the tasks (fn, *args), in order, for a grid of this many
+    nodes: on the caller below the size rule, on the pool past it.  The pool
+    runs every task before any result is read, so the first exception raised
+    in a task is raised here, after all tasks have ended."""
+    if not parallel(nodes):
+        return [fn(*args) for fn, *args in tasks]
     from concurrent.futures import wait
 
+    executor = _executor()
+    futures = [executor.submit(contextvars.copy_context().run, *task) for task in tasks]
     wait(futures)
     return [f.result() for f in futures]

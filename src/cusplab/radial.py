@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ConfigError, DecayPreconditionError, NumericalError
 from .grid import RadialGrid, uniform_derivative
 
+# solve_ivp raises any smaller rtol to this, with a UserWarning
+_MIN_TOL = 100 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class CalabiTrajectory:
@@ -77,13 +80,23 @@ def integrate_calabi(
     sampled on 800 uniform nodes.
 
     For b < 0 the admissible interval has a finite lower bound; integration
-    stops there and records the breakdown t-value.
+    stops at the breakdown floor e^{psi+a} + b = -b/2 and records the
+    breakdown t-value.  An initial level at or below that floor, and a tol
+    below solve_ivp's rtol floor of 100 machine epsilons (which it would
+    raise tol to), are refused.
     """
     if t_end >= t0:
         raise ConfigError("t_end must be below t0 (integration runs toward the cusp)")
     if not np.isfinite(t0 - t_end):
         raise ConfigError(f"t0 - t_end overflows at t0 = {t0:g}, t_end = {t_end:g}")
-    if np.exp(psi0 + a) + b <= 0:
+    if not tol >= _MIN_TOL:
+        raise ConfigError(f"tol = {tol:g} is below solve_ivp's rtol floor 100 eps = {_MIN_TOL}")
+    level = np.exp(psi0 + a) + b
+    floor = -0.5 * b  # for b < 0, stop when e^{psi+a} has eaten half the margin
+    if b < 0 and not level > floor:
+        raise ConfigError(f"initial level e^(psi0 + a) + b = {level:.6g} is at or below "
+                          f"the breakdown floor -b/2 = {floor:.6g}")
+    if level <= 0:
         raise ConfigError("initial value violates positivity of the conserved level")
 
     p = n + 1
@@ -94,8 +107,6 @@ def integrate_calabi(
 
     events = None
     if b < 0:
-        floor = -0.5 * b  # stop when e^{psi+a} has eaten half the margin
-
         def near_breakdown(t, y):
             return (np.exp(y[0] + a) + b) - floor
 

@@ -330,6 +330,12 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
         # residual's stencil: this used to end in an IndexError traceback
         pytest.param("calabi", "a = 0\nb = 0.5", "a = 0\nb = -0.5\npsi0 = -0.25", 3,
                      id="calabi-breakdown-before-sixth-node"),
+        # an initial level 0.001 under the breakdown floor -b/2 = 0.4995: this
+        # used to start the integration and end in "psi' lost positivity"
+        pytest.param("calabi", "a = 0\nb = 0.5", "a = 0\nb = -0.999\npsi0 = 0", 2,
+                     id="calabi-initial-level-below-breakdown-floor"),
+        # solve_ivp would raise this tol to 100 eps and the run record 1e-300
+        pytest.param("calabi", "tol = 1e-12", "tol = 1e-300", 2, id="calabi-tol-below-rtol-floor"),
         # nearly parallel basis vectors (det B = 1): Cholesky cannot factor the eigenvalue form
         *(pytest.param(command, "lattice = 1 0 ; 0 1", "lattice = 10000 10000 ; 10000 10000.0001", 2,
                        id=f"{command}-eigenvalue-form-not-positive-definite") for command in ("spectrum", "solve")),

@@ -306,6 +306,10 @@ class TestKernelPairReuse:
         for a in held:
             with pytest.raises(ValueError):
                 a[0] = 1.0
+        # m1, m2 and hom are the rows of the kernel pair's one block, hom over the exponent row
+        block = plan.m1.base
+        assert block.shape == (3, 400) and plan.m2.base is block and plan.hom.base is block
+        assert [a.ctypes.data for a in (plan.hom, plan.m1, plan.m2)] == [row.ctypes.data for row in block]
 
     def test_cache_bounded(self, calls):
         grid = RadialGrid.make(0.1, 20.0, 200)

@@ -1,12 +1,13 @@
 """Life cycle of the thread pool behind node-block work: no thread at
-import, no work handed to it below the size rule, and a fresh pool in a
-child made by fork."""
+import, no work handed to it below the size rule, no exception read before
+every task has ended, and a fresh pool in a child made by fork."""
 
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_a5_solve_hands_no_work_to_the_pool(cpus, monkeypatch):
     # per worker, so neither its kernel pairs nor its mode solves use the pool
     cpus(2)
     handed = []
-    monkeypatch.setattr(pool, "submit", lambda *args: handed.append(args))
+    monkeypatch.setattr(pool, "_executor", lambda: handed.append("executor"))
     threads = threading.active_count()
     model = CuspModel(2, np.eye(2), np.array([[1.0]]))
     modes._solve_plan.cache_clear()
@@ -44,6 +45,38 @@ def test_a5_solve_hands_no_work_to_the_pool(cpus, monkeypatch):
                                   torus_resolution=16, cutoff=25.0, tol=1e-11, max_iter=30)
     assert state.diagnostics["modes_solved"] > 0
     assert handed == [] and threading.active_count() == threads
+
+
+def test_run_below_the_size_rule_stays_on_the_caller(cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(pool, "_pool", None)
+    seen = []
+
+    def task(i):
+        seen.append((i, threading.get_ident()))
+        return i * i
+
+    assert pool.run([(task, i) for i in range(4)], 4 * pool.BLOCK - 1) == [0, 1, 4, 9]
+    assert seen == [(i, threading.get_ident()) for i in range(4)]
+    assert pool._pool is None
+
+
+def test_run_raises_only_after_every_task_has_ended(cpus):
+    # the first task raises at once while the second is still sleeping; the
+    # exception must not reach the caller before the second task is done
+    cpus(2)
+    done = threading.Event()
+
+    def fail():
+        raise ValueError("first task")
+
+    def sleep_then_flag():
+        time.sleep(0.2)
+        done.set()
+
+    with pytest.raises(ValueError, match="first task"):
+        pool.run([(fail,), (sleep_then_flag,)], PARALLEL_NODES)
+    assert done.is_set()
 
 
 def _child_kernel_pair(x, expected):

@@ -58,6 +58,19 @@ class TestCalabi:
         with pytest.raises(ConfigError):
             radial.integrate_calabi(2, 0.0, -2.0, t0=-1.0, t_end=-10.0, psi0=0.0)
 
+    @pytest.mark.parametrize("b, psi0", [(-0.999, 0.0), (-0.5, float(np.log(0.75)))])
+    def test_initial_level_at_or_below_breakdown_floor_refused(self, b, psi0):
+        # level 0.001 under the floor 0.4995 used to start the integration,
+        # whose e^psi + b went negative (a RuntimeWarning, an error here);
+        # level 0.25 sits on the floor 0.25
+        with pytest.raises(ConfigError, match="breakdown floor -b/2"):
+            radial.integrate_calabi(2, 0.0, b, t0=-1.0, t_end=-10.0, psi0=psi0)
+
+    def test_tol_below_solve_ivp_floor_refused(self):
+        with pytest.raises(ConfigError, match="rtol floor"):
+            radial.integrate_calabi(2, 0.0, 0.5, t0=-1.0, t_end=-10.0, tol=np.nextafter(radial._MIN_TOL, 0.0))
+        radial.integrate_calabi(2, 0.0, 0.5, t0=-1.0, t_end=-1.25, tol=radial._MIN_TOL)
+
 
 class TestConeAngle:
     def test_unit_angle(self):
