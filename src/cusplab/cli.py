@@ -46,8 +46,6 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     return str(value)
 
 
@@ -136,7 +134,7 @@ def section(cfg: configparser.ConfigParser, name: str, **defaults) -> dict:
 
     Raises ConfigError for an unknown section or key (keys compare
     lower-cased, as configparser stores them) and for a malformed,
-    non-finite or out-of-range value.
+    non-finite or out-of-range value, an int past the float range among them.
     """
     if name not in TABLE:
         raise ConfigError(f"unknown section [{name}]; the sections are {', '.join(TABLE)}")
@@ -160,6 +158,8 @@ def section(cfg: configparser.ConfigParser, name: str, **defaults) -> dict:
             raise ConfigError(f"[{name}] {key} = {raw!r} is not a valid {kind.__name__}") from None
         if kind in (float, matrix) and not np.all(np.isfinite(value)):
             raise ConfigError(f"[{name}] {key} = {raw!r} is not finite")
+        if kind is int and abs(value) > sys.float_info.max:  # the commands compute in floats
+            raise ConfigError(f"[{name}] {key} = {raw!r} is past the float range")
         if check == "positive" and not value > 0:
             raise ConfigError(f"[{name}] {key} = {raw!r} must be positive")
         if isinstance(check, tuple) and not check[0] <= value <= check[1]:

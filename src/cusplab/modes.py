@@ -18,11 +18,13 @@ depends only on (n, lambda, grid) and is memoized as a `SolvePlan`
 (`_solve_plan`) in the rows of `h_pair`'s block; there the homogeneous
 term exp(sigma_0 - sigma) <= 1, written over the exponent row, is the one
 array exponentiated node by node.  A solve on a held plan does only the
-work that depends on f: its down and up integrals, each in its own rows of
-one buffer allocated per call (`_work`), so concurrent callers share no
-buffer and nothing is held between solves.  The two integrals are two
-`pool.run` tasks, on the thread pool past its size rule (two blocks of 2^13
-nodes per worker), with the same operations in the same order either way.
+work that depends on f: two cumulative integrals of one reverse scan each
+(`_integral`), the up integral being the down integral of the mirrored
+terms with no tail, read reversed.  Each runs in its own rows of one buffer
+allocated per call (`_work`), so concurrent callers share no buffer and
+nothing is held between solves.  They are two `pool.run` tasks, on the
+thread pool past its size rule (two blocks of 2^13 nodes per worker), with
+the same operations in the same order either way.
 
 The nonlinear solve iterates  u <- T[-(n+1) Q(u)]  where T is the
 representation operator at fixed boundary data and Q the quadratic-and-up
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import geometry, pool
 from .bessel import h_pair
-from .errors import ConfigError, MetricDegenerateError, NonContractionError, NumericalError
+from .errors import ConfigError, CuspLabError, NonContractionError
 from .fields import Field, check_torus_shape
 from .grid import RadialGrid
 from .model import CuspModel
@@ -154,20 +156,6 @@ def _cumulative_down(y: np.ndarray, h: float, d: float, tail_mass, work: np.ndar
     return exp_weighted_revcumsum(seg, d, out=work[:2])
 
 
-def _cumulative_up(y: np.ndarray, h: float, d: float, work: np.ndarray | None = None) -> np.ndarray:
-    """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds.
-
-    The same rule on the mirrored grid weights each interval from its last
-    node; one forward scan sums them, in `work` as for `_cumulative_down`.
-    """
-    nn = len(y)
-    work = _work(nn, d, np.result_type(y.dtype, float))[0] if work is None else work
-    seg = work[2, :nn]
-    seg[0] = 0.0
-    interval_integrals(h, y[::-1], np.exp(-d), out=seg[:0:-1], work=work[1])
-    return exp_weighted_cumsum(seg, d, out=work[:2])
-
-
 @dataclass(frozen=True)
 class SolvePlan:
     """Everything a mode solve needs apart from f, at one (n, lam, grid).
@@ -257,42 +245,38 @@ class ModeProblem:
         object.__setattr__(self, "f", f)
 
 
-def _down(plan: SolvePlan, f: np.ndarray, work: np.ndarray):
-    """The down integral of a solve in its buffer `work`: (P m1, P[0]) with
-    P = `_cumulative_down` of f weight m2."""
-    y = np.multiply(f, plan.weight, out=work[0, : len(f)])
-    y *= plan.m2
-    P = _cumulative_down(y, plan.h, plan.d, plan.tail * f[-1], work)
+def _integral(plan: SolvePlan, work: np.ndarray, f, weight, inner, outer, tail):
+    """One cumulative integral of a solve in its buffer `work`: (P outer, P[0])
+    with P = `_cumulative_down` of f weight inner and the tail mass given.
+    On the mirrored nodes with no tail, read reversed, this is the up
+    integral int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds: mirroring
+    turns each interval's weight from its last node into one from its first."""
+    y = np.multiply(f, weight, out=work[0, : len(f)])
+    y *= inner
+    P = _cumulative_down(y, plan.h, plan.d, tail, work)
     p0 = P[0]
-    P *= plan.m1
+    P *= outer
     return P, p0
-
-
-def _up(plan: SolvePlan, f: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The up integral of a solve in its buffer `work`: Q m2 with
-    Q = `_cumulative_up` of f weight m1."""
-    y = np.multiply(f, plan.weight, out=work[0, : len(f)])
-    y *= plan.m1
-    Q = _cumulative_up(y, plan.h, plan.d, work)
-    Q *= plan.m2
-    return Q
 
 
 def _solve_with_plan(plan: SolvePlan, f: np.ndarray, v_x0: complex) -> np.ndarray:
     """Variation of parameters on a plan: the only work that depends on f.
 
-    Both cumulative integrals run in one buffer allocated per call, one
-    `_work` block each, as two `pool.run` tasks; no buffer is shared between
-    calls, so concurrent solves on one plan are safe."""
+    Both cumulative integrals, the up one on the mirrored nodes, run in one
+    buffer allocated per call, one `_work` block each, as two `pool.run`
+    tasks; no buffer is shared between calls, so concurrent solves on one
+    plan are safe."""
     nn = len(f)
     dtype = np.result_type(f.dtype, float)
     # the result is allocated before the buffer, so the buffer is freed on
     # top of the heap and the next solve's buffer takes its place
     out = np.empty(nn, dtype=np.result_type(v_x0, dtype))
     work = _work(nn, plan.d, dtype, 2)
-    (P, p0), Q = pool.run([(_down, plan, f, work[0]), (_up, plan, f, work[1])], nn)
+    m1, m2, w = plan.m1, plan.m2, plan.weight
+    (P, p0), (Q, _) = pool.run([(_integral, plan, work[0], f, w, m2, m1, plan.tail * f[-1]),
+                                (_integral, plan, work[1], f[::-1], w[::-1], m1[::-1], m2[::-1], 0.0)], nn)
     coef = v_x0 + plan.two_m1_0 * p0
-    P += Q
+    P += Q[::-1]
     P *= 2.0
     np.multiply(coef, plan.hom, out=out)
     out -= P
@@ -428,10 +412,10 @@ def _check_contraction(it: int, previous: float, change: float, tol: float, max_
 
 @contextmanager
 def _stage(name: str):
-    """Prefix a MetricDegenerateError or NumericalError with the solve stage."""
+    """Prefix any package error with the solve stage."""
     try:
         yield
-    except (MetricDegenerateError, NumericalError) as exc:
+    except CuspLabError as exc:
         exc.args = (f"{name}: {exc}",)
         raise
 

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import inspect
@@ -287,6 +288,32 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         assert cli.main([command, str(bad), "-o", str(tmp_path / "o")]) == 2, text
 
 
+def test_int_past_float_range_names_section_and_key():
+    cfg = configparser.ConfigParser()
+    cfg.read_string(f"[expand]\nn = {10**308}\n[model]\nn = {BIG_INT}\n")
+    assert cli.section(cfg, "expand")["n"] == 10**308
+    with pytest.raises(ConfigError, match=r"^\[model\] n = '1000+' is past the float range$"):
+        cli.section(cfg, "model")
+
+
+def test_missing_required_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "no-x0.cfg"
+    path.write_text((SQUARE_CFG + SOLVE_SECTIONS).replace("x0 = 0.05\n", ""))
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: [grid] x0 is missing\n"
+
+
+def test_report_failure_exit_code(cfg_path, tmp_path, monkeypatch, capsys):
+    # a failing criterion still writes both outputs, then exits 4
+    failed = acceptance.CriterionResult("A2", False, {"stub": 1.0})
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: [failed])
+    out = tmp_path / "o"
+    assert cli.main(["report", cfg_path, "-o", str(out)]) == 4
+    assert capsys.readouterr().out.startswith("[FAIL] A2")
+    assert (out / "report.csv").read_text().splitlines() == ["criterion,passed", "A2,false"]
+    assert json.loads((out / "report.json").read_text())["results"]["all_passed"] is False
+
+
 def test_expand_order_cap(tmp_path, monkeypatch):
     # past the cap the exact coefficients are refused before any rational
     # arithmetic; the patch keeps an uncapped build from running for minutes
@@ -309,6 +336,9 @@ def test_numerical_failure_exit_code(tmp_path):
     with np.errstate(all="ignore"):
         assert cli.main(["bessel-sweep", str(path), "-o", str(tmp_path / "o")]) == 3
 
+
+# an int no float holds
+BIG_INT = str(10**400)
 
 # the tier-1 solve grid, with a cosine boundary mode
 SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind = cosine\namplitude = 1e-3\n"
@@ -336,6 +366,11 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
                      id="calabi-initial-level-below-breakdown-floor"),
         # solve_ivp would raise this tol to 100 eps and the run record 1e-300
         pytest.param("calabi", "tol = 1e-12", "tol = 1e-300", 2, id="calabi-tol-below-rtol-floor"),
+        # ints past the float range: each used to end in an OverflowError traceback
+        pytest.param("expand", "[expand]\nn = 2\n", f"[expand]\nn = {BIG_INT}\n", 2, id="expand-n-past-float-range"),
+        pytest.param("calabi", "[model]\nn = 2\n", f"[model]\nn = {BIG_INT}\n", 2, id="calabi-n-past-float-range"),
+        pytest.param("bessel-sweep", "[spectrum]\n", f"[bessel]\nalpha_min = {BIG_INT}\nalpha_max = {BIG_INT}\n[spectrum]\n",
+                     2, id="bessel-orders-past-float-range"),
         # nearly parallel basis vectors (det B = 1): Cholesky cannot factor the eigenvalue form
         *(pytest.param(command, "lattice = 1 0 ; 0 1", "lattice = 10000 10000 ; 10000 10000.0001", 2,
                        id=f"{command}-eigenvalue-form-not-positive-definite") for command in ("spectrum", "solve")),
@@ -430,13 +465,7 @@ def test_extreme_finite_configs_exit_cleanly(command, old, new, code, tmp_path, 
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_rate_fit_command_matches_criterion_a5(tmp_path):
-    # the command on A5's config and the criterion run one solve-and-fit
-    # path, so they report the same figures to the last bit
-    cfg = tmp_path / "a5.cfg"
-    cfg.write_text(
-        SQUARE_CFG
-        + """
+A5_CFG = SQUARE_CFG + """
 [grid]
 x0 = 0.05
 s_max = 34
@@ -456,13 +485,28 @@ amplitude = 1e-3
 s_lo = 40
 s_hi = 200
 """
-    )
+
+
+def test_rate_fit_command_matches_criterion_a5(tmp_path):
+    # the command on A5's config and the criterion run one solve-and-fit
+    # path, so they report the same figures to the last bit
+    cfg = tmp_path / "a5.cfg"
+    cfg.write_text(A5_CFG)
     out = tmp_path / "out"
     assert cli.main(["rate-fit", str(cfg), "-o", str(out)]) == 0
     res = json.loads((out / "rate-fit.json").read_text())["results"]
     a5 = acceptance.criterion_a5()
     figures = (res["delta"], res["p"], res["residual_sup"], res["iterations"])
     assert figures == tuple(a5.details[key] for key in ("delta", "p", "residual", "iterations"))
+
+
+def test_stage_failure_names_its_stage(tmp_path, capsys):
+    # at amplitude 1e-2 the second iterate is too rough for a (16, 1) torus
+    # grid: the collocation refuses it, and the message says where
+    cfg = tmp_path / "a5.cfg"
+    cfg.write_text(A5_CFG.replace("amplitude = 1e-3", "amplitude = 1e-2"))
+    assert cli.main(["rate-fit", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: Picard iteration 2: torus shape (16, 1) too small")
 
 
 def test_rate_fit_targets_the_fitted_mode(tmp_path):

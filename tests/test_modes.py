@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from cusplab import analysis, geometry, modes, pool, spectrum
+from cusplab import analysis, geometry, modes, pool, radial, spectrum
 from cusplab.bessel import h_pair
 from cusplab.errors import (
     ConfigError,
@@ -25,6 +25,15 @@ def square_model():
 def n3_model():
     """The n = 3 model of the picard_n3 benchmark workload."""
     return CuspModel(3, np.eye(4), np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]))
+
+
+def _up_reference(y, h, d):
+    """Q_i = int_{s_0}^{s_i} y(s) exp(sigma(s) - sigma_i) ds by the forward
+    scan: the interval rule on the mirrored grid weights each interval from
+    its last node, and Q_0 = 0."""
+    seg = np.zeros(len(y), dtype=y.dtype)
+    seg[:0:-1] = radial.interval_integrals(h, y[::-1], np.exp(-d))
+    return modes.exp_weighted_cumsum(seg, d)
 
 
 class TestScans:
@@ -67,7 +76,7 @@ class TestScans:
             h = s[1] - s[0]
             y = np.cos(s)
             P = modes._cumulative_down(y, h, rate * h, 0.0)
-            Q = modes._cumulative_up(y, h, rate * h)
+            Q = _up_reference(y, h, rate * h)
             i = nn // 3
             pe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (s[i] - u)), [s[i], s[-1]]))
             qe = float(mp.quad(lambda u: mp.cos(u) * mp.e ** (rate * (u - s[i])), [s[0], s[i]]))
@@ -85,7 +94,7 @@ class TestScans:
         y = np.random.default_rng(11).normal(size=len(grid))
         d = modes._solve_plan(2, 10 * np.pi**2, grid).d
         P = modes._cumulative_down(y, grid.h, d, 0.0)
-        Q = modes._cumulative_up(y, grid.h, d)
+        Q = _up_reference(y, grid.h, d)
 
         L = np.longdouble
         nn = len(y)
@@ -214,7 +223,7 @@ def _parent_solve(n, lam, grid, f, v_x0):
     tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * (x[-1] ** (n - 1) * m2[-1] * f[-1])
     d = (sigma[-1] - sigma[0]) / (len(sigma) - 1)
     P = modes._cumulative_down(y2, grid.h, d, tail)
-    Q = modes._cumulative_up(y1, grid.h, d)
+    Q = _up_reference(y1, grid.h, d)
     coef = v_x0 + 2.0 * m1[0] * P[0]
     hom = (m2 / m2[0]) * np.exp(sigma[0] - sigma)
     return coef * hom - 2.0 * m1 * P - 2.0 * m2 * Q
@@ -363,22 +372,35 @@ def _parallel_problem(lam, complex_f):
     return modes.ModeProblem(n=2, lam=lam, f=f, v_x0=0.3, grid=grid)
 
 
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_up_integral_is_the_mirrored_down_integral(complex_f):
+    # a solve's up integral is `_integral` on the mirrored nodes with no
+    # tail; the forward scan gives it bit for bit
+    problem = _parallel_problem(5 * np.pi**2, complex_f)
+    plan = modes._solve_plan(2, problem.lam, problem.grid)
+    f, m1, m2, w = problem.f, plan.m1, plan.m2, plan.weight
+    work = modes._work(len(f), plan.d, f.dtype)[0]
+    Q, _ = modes._integral(plan, work, f[::-1], w[::-1], m1[::-1], m2[::-1], 0.0)
+    ref = _up_reference(f * w * m1, plan.h, plan.d) * m2
+    assert Q.dtype == ref.dtype and np.array_equal(Q[::-1], ref)
+
+
 class TestParallelSolve:
     @pytest.fixture
-    def downs(self, monkeypatch):
-        """Records (thread, np.geterr()) of every down integral."""
+    def integrals(self, monkeypatch):
+        """Records (thread, np.geterr()) of every cumulative integral."""
         seen = []
-        down = modes._down
+        integral = modes._integral
 
         def spy(*args):
             seen.append((threading.get_ident(), np.geterr()))
-            return down(*args)
+            return integral(*args)
 
-        monkeypatch.setattr(modes, "_down", spy)
+        monkeypatch.setattr(modes, "_integral", spy)
         return seen
 
     @pytest.mark.parametrize("complex_f", [False, True])
-    def test_down_integral_on_the_pool_equals_serial_solve(self, cpus, downs, complex_f):
+    def test_down_integral_on_the_pool_equals_serial_solve(self, cpus, integrals, complex_f):
         problem = _parallel_problem(5 * np.pi**2, complex_f)
         cpus(1)
         serial = modes.mode_solve(problem)
@@ -386,8 +408,10 @@ class TestParallelSolve:
         parallel = modes.mode_solve(problem)
         assert np.array_equal(serial, parallel)
         assert parallel.dtype == (np.complex128 if complex_f else np.float64)
-        [(first, _), (second, _)] = downs
-        assert first == threading.get_ident() != second
+        caller = threading.get_ident()
+        [(down, _), (up, _), *on_pool] = integrals
+        assert down == up == caller  # the serial solve
+        assert len(on_pool) == 2 and all(thread != caller for thread, _ in on_pool)
 
     def test_size_rule(self, cpus):
         # two blocks per worker: green_sweep's 120 000 nodes go parallel on
@@ -400,15 +424,15 @@ class TestParallelSolve:
         cpus(1)
         assert not pool.parallel(10**7)
 
-    def test_workers_see_the_callers_errstate(self, cpus, blocks, downs):
+    def test_workers_see_the_callers_errstate(self, cpus, blocks, integrals):
         cpus(2)
         problem = _parallel_problem(7 * np.pi**2, complex_f=True)
         modes._solve_plan.cache_clear()
         with np.errstate(all="raise"):
             modes.mode_solve(problem)
         raised = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
-        assert len(blocks) == 5 and len(downs) == 1
-        for thread, err in blocks + downs:
+        assert len(blocks) == 5 and len(integrals) == 2
+        for thread, err in blocks + integrals:
             assert thread != threading.get_ident() and err == raised
 
     def test_concurrent_solves_on_held_plans(self, cpus):

@@ -55,15 +55,15 @@ def test_counted_argument_position(module, attr, index, name):
 
 
 def test_scan_spans_count_the_scanned_elements():
-    # one mode solve makes three scans of N elements: the reverse scan, and
-    # the forward scan with the reverse scan it calls
+    # one mode solve makes two scans of N elements, one reverse scan for
+    # each cumulative integral
     grid = RadialGrid.make(0.05, 12.0, 200)
     prob = modes.ModeProblem(n=2, lam=np.pi**2, f=np.sin(grid.s), v_x0=1.0, grid=grid)
     tracer = _spans().Tracer()
     with tracer.installed():
         modes.mode_solve(prob)
     scans = [sp["counts"]["elements"] for sp in tracer.spans if sp["name"] == "modes.scan"]
-    assert scans == [200, 200, 200]
+    assert scans == [200, 200]
 
 
 def test_counters_read_real_objects():
