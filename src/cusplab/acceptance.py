@@ -135,36 +135,28 @@ def criterion_a4() -> CriterionResult:
     )
 
 
-@_timed
-def criterion_a5() -> CriterionResult:
-    """Sharp-rate reproduction: converged solve, then the first-eigenvalue
-    remainder fits A x^p exp(-delta/sqrt(x)) with delta = 2 sqrt(lambda_1)
-    within 2% and p = -3/4 within 0.1 over the window s in [40, 200]."""
-    model = square_torus_model()
+def _rate_criterion(name: str, model: CuspModel, delta_rel: float, p_abs: float) -> CriterionResult:
+    """Sharp-rate reproduction: a converged solve, then the (1, 0) remainder fits A x^p exp(-delta/sqrt(x)) on
+    s in [40, 200] with delta = 2 sqrt(lambda) within delta_rel and p = -n/2 + 1/4 within p_abs, the targets
+    `analysis.rate_fit` gives."""
     grid = RadialGrid.make(x0=0.05, s_max=34.0, num=4800)
     boundary = {(1, 0): 5e-4, (-1, 0): 5e-4}  # amplitude 1e-3
-    fit, lam1, _, u, state = analysis.rate_fit(
+    fit, (delta0, p0), _, _, u, state = analysis.rate_fit(
         model, grid, boundary, 40.0, 200.0, torus_resolution=16, cutoff=25.0, tol=1e-11, max_iter=30
     )
     residual = state.diagnostics["residual_sup"]
     c_fit, _ = modes.extract_tangent_cone(u, model.n)
-    delta_target = 2.0 * np.sqrt(lam1)
-    delta_err = abs(fit.delta - delta_target) / delta_target
-    p_err = abs(fit.p - (-0.75))
-    passed = residual <= 1e-7 and delta_err <= 0.02 and p_err <= 0.1
-    return CriterionResult(
-        "A5 sharp decay rate",
-        passed,
-        {
-            "residual": residual,
-            "delta": fit.delta,
-            "delta_rel_err": delta_err,
-            "p": fit.p,
-            "p_err": p_err,
-            "tangent_cone_c": c_fit,
-            "iterations": state.iteration,
-        },
-    )
+    delta_err = abs(fit.delta - delta0) / delta0
+    p_err = abs(fit.p - p0)
+    details = {"residual": residual, "delta": fit.delta, "delta_rel_err": delta_err, "p": fit.p, "p_err": p_err,
+               "tangent_cone_c": c_fit, "iterations": state.iteration}
+    return CriterionResult(name, residual <= 1e-7 and delta_err <= delta_rel and p_err <= p_abs, details)
+
+
+@_timed
+def criterion_a5() -> CriterionResult:
+    """The sharp rate on the square torus, lambda_1 = pi^2: delta within 2%, p within 0.1."""
+    return _rate_criterion("A5 sharp decay rate", square_torus_model(), 0.02, 0.1)
 
 
 @_timed
@@ -312,6 +304,15 @@ def criterion_a9() -> CriterionResult:
     )
 
 
+@_timed
+def criterion_a10() -> CriterionResult:
+    """The sharp rate on the hexagonal torus, lattice columns (1, 0) and
+    (1/2, sqrt(3)/2), A = 1.3: lambda_1 = 10.1227, so 2 sqrt(lambda_1) lies
+    1.27% above the square torus's 2 pi.  delta within 2e-3, p within 0.1."""
+    model = CuspModel(2, np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]]), np.array([[1.3]]))
+    return _rate_criterion("A10 hexagonal decay rate", model, 2e-3, 0.1)
+
+
 ALL_CRITERIA = [
     criterion_a1,
     criterion_a2,
@@ -322,6 +323,7 @@ ALL_CRITERIA = [
     criterion_a7,
     criterion_a8,
     criterion_a9,
+    criterion_a10,
 ]
 
 

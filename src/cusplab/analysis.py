@@ -6,8 +6,9 @@ The sharp envelope for a remainder governed by the first torus eigenvalue is
 
 decay_fit estimates (amplitude, power p, exponential coefficient delta) in
 the model A x^p exp(-delta/sqrt(x)) by linear least squares of log|v|
-against {1, log x, 1/sqrt(x)}; rate_fit solves with cosine boundary data
-and fits the profile of its (1, 0, ...) mode.
+against {1, log x, 1/sqrt(x)}; rate_fit solves with cosine boundary data,
+fits the profile of its (1, 0, ...) mode and returns the envelope's targets
+delta = 2 sqrt(lambda) and p = -n/2 + 1/4 beside the fit.
 
 lemma43_check validates the two calculus inequalities
 
@@ -66,7 +67,6 @@ def window_mask(x, window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayFit:
-    window: tuple
     delta: float
     p: float
     amplitude: float
@@ -87,7 +87,6 @@ def decay_fit(x, profile, window) -> DecayFit:
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(profile, dtype=float)
-    x_lo, x_hi = window
     mask = window_mask(x, window)
     xv = x[mask]
     vv = v[mask]
@@ -99,8 +98,8 @@ def decay_fit(x, profile, window) -> DecayFit:
     log_a, p_fit, delta_fit = coef
     resid = y - cols @ coef
     with np.errstate(over="ignore", invalid="ignore"):
-        fit = DecayFit(window=(float(x_lo), float(x_hi)), delta=float(delta_fit), p=float(p_fit),
-                       amplitude=float(np.exp(log_a)), rms=float(np.sqrt(np.mean(resid**2))), nodes=int(mask.sum()))
+        fit = DecayFit(delta=float(delta_fit), p=float(p_fit), amplitude=float(np.exp(log_a)),
+                       rms=float(np.sqrt(np.mean(resid**2))), nodes=int(mask.sum()))
         finite = np.all(np.isfinite(fit.envelope(xv)))
     if not finite:
         raise NumericalError(f"decay fit A = {fit.amplitude:.3e}, p = {fit.p:.6g}, delta = {fit.delta:.6g}: its envelope "
@@ -113,7 +112,8 @@ def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):
     profile of its (1, 0, ...) mode on the window s = 2 sqrt(lam)/sqrt(x) in
     [s_lo, s_hi], lam that mode's eigenvalue.  Boundary data without the mode,
     s_lo >= s_hi and a window of too few nodes are refused before the solve.
-    Returns (fit, lam, |profile| on the grid, u, state)."""
+    Returns (fit, the theory's (delta, p) = (2 sqrt(lam), -n/2 + 1/4), the
+    window's nodes x, |profile| on them, u, state)."""
     key = (1,) + (0,) * (2 * model.d - 1)
     if not boundary.get(key):
         raise ConfigError("the rate fit needs boundary data with a nonzero (1, 0, ...) mode")
@@ -121,10 +121,11 @@ def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):
         raise ConfigError(f"the fit window needs s_lo < s_hi, got s_lo = {s_lo}, s_hi = {s_hi}")
     lam = spectrum.mode_eigenvalue(model, key)
     window = window_from_s(lam, s_lo, s_hi)
-    window_mask(grid.x, window)
+    mask = window_mask(grid.x, window)
     u, state = modes.picard_solve(model, boundary, grid, **solver)
-    profile = np.abs(u.mode(key))
-    return decay_fit(grid.x, profile, window), lam, profile, u, state
+    x, profile = grid.x[mask], np.abs(u.mode(key)[mask])
+    targets = (2.0 * np.sqrt(lam), -model.n / 2.0 + 0.25)
+    return decay_fit(x, profile, window), targets, x, profile, u, state
 
 
 # --- calculus inequality checks ---

@@ -319,22 +319,11 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
 def cmd_rate_fit(cfg, out_dir: Path) -> dict:
     model = build_model(cfg)
     grid = build_grid(cfg)
-    options = section(cfg, "solver", cutoff=25.0, tol=1e-11)
-    window = section(cfg, "ratefit")
-    fit, lam, prof, _, state = analysis.rate_fit(model, grid, _boundary(cfg, model.n), **window, **options)
-    mask = analysis.window_mask(grid.x, fit.window)
-    x = grid.x[mask]
-    env = fit.envelope(x)
-    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], [x, prof[mask], env])
-    return {
-        **_solve_record(state),
-        "delta": fit.delta,
-        "delta_target": 2.0 * np.sqrt(lam),
-        "p": fit.p,
-        "p_target": -model.n / 2.0 + 0.25,
-        "amplitude": fit.amplitude,
-        "rms": fit.rms,
-    }
+    options = {**section(cfg, "ratefit"), **section(cfg, "solver", cutoff=25.0, tol=1e-11)}
+    fit, (delta0, p0), x, prof, _, state = analysis.rate_fit(model, grid, _boundary(cfg, model.n), **options)
+    write_csv(out_dir / "rate-fit.csv", ["x", "remainder", "fitted_model"], [x, prof, fit.envelope(x)])
+    return {**_solve_record(state), "delta": fit.delta, "delta_target": delta0, "p": fit.p, "p_target": p0,
+            "amplitude": fit.amplitude, "rms": fit.rms}
 
 
 def cmd_lemma43(cfg, out_dir: Path) -> dict:

@@ -30,9 +30,12 @@ from .errors import ConfigError
 from .grid import RadialGrid
 
 _CONJ_RTOL = 1e-12
-# largest Nyquist content, relative to the largest coefficient, that
-# Field.from_values drops silently
+# largest Nyquist content that Field.from_values drops silently: relative to
+# the largest coefficient, or absolute, for the operator outputs, where the
+# log-determinant arithmetic has a roundoff floor far above the scale of a
+# converged residual
 _NYQUIST_RTOL = 1e-8
+_NYQUIST_ABS = 1e-13
 
 
 def _axis_size_ok(m: int) -> bool:
@@ -134,19 +137,12 @@ class Field:
         return f
 
     @classmethod
-    def from_values(
-        cls,
-        grid: RadialGrid,
-        values: np.ndarray,
-        nyquist_abs: float = 0.0,
-    ) -> "Field":
+    def from_values(cls, grid: RadialGrid, values: np.ndarray) -> "Field":
         """Build a Field from real collocation values of shape
         torus shape + (len(grid),).
 
         Nyquist bins must be negligible, at most `_NYQUIST_RTOL` times the
-        largest coefficient or below the absolute allowance `nyquist_abs`
-        (for values produced by arithmetic whose roundoff floor exceeds the
-        field scale); they are dropped.
+        largest coefficient or `_NYQUIST_ABS`; they are dropped.
         """
         values = np.asarray(values)
         shape = values.shape[:-1]
@@ -156,7 +152,7 @@ class Field:
         scale = np.max(np.abs(coeffs)) + 1e-300
         nyquist = np.any(2 * np.abs(mode_indices(shape)) == shape, axis=-1)
         nyq_max = float(np.max(np.abs(coeffs[nyquist]), initial=0.0))
-        if nyq_max > _NYQUIST_RTOL * scale and nyq_max > nyquist_abs:
+        if nyq_max > _NYQUIST_RTOL * scale and nyq_max > _NYQUIST_ABS:
             raise ConfigError(
                 f"torus shape {shape} too small: Nyquist content {nyq_max:.3e} "
                 f"vs scale {scale:.3e}"

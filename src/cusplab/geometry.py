@@ -211,19 +211,21 @@ def _chart_hessian(model: CuspModel, f: Field, order: int):
     return slab
 
 
-def _degenerate(h: dict, e: list, n: int):
-    """Where an eigenvalue of I + h (h in the orthonormal frame, e_k its
-    `_symmetric_functions`) is at most f = 1e-10 (n + e_1)/n, 1e-10 times
-    their mean: where (1 - f) I + h has a leading principal minor <= 0 (Sylvester's test),
-    of the z' block (`_minor`) below order n and sum_k e_k (1 - f)^(n-k) (e_0 = 1) at n."""
+def _degenerate(e: list, n: int):
+    """Where an eigenvalue of I + h (h Hermitian in the orthonormal frame, e_k
+    its `_symmetric_functions`) is at most f = 1e-10 (n + e_1)/n, 1e-10 times
+    their mean: where (1 - f) I + h is not positive definite, that is where one
+    of its e_k is <= 0.  Those are the coefficients of prod_i (y + 1 - f + mu_i),
+    mu_i the eigenvalues of h: y^n + e_1 y^(n-1) + ... + e_n shifted by 1 - f,
+    here by repeated synthetic division, whose pass i ends on e_(n-i)."""
     t = 1.0 - 1e-10 * (n + e[0]) / n
-    block = {(j, k): t + v if j == k else v for (j, k), v in h.items() if k < n - 1}  # the z' block of (1 - f) I + h
-    poly = t + e[0]
-    for ek in e[1:]:
-        poly = poly * t + ek
-    bad = poly <= 0
-    for k in range(1, n):
-        bad = bad | (_minor(block, tuple(range(k)), tuple(range(k))) <= 0)
+    a = list(e)
+    bad = False
+    for i in range(n):
+        a[0] = a[0] + t
+        for j in range(1, n - i):
+            a[j] = a[j] + t * a[j - 1]
+        bad = bad | (a[n - 1 - i] <= 0)
     return bad
 
 
@@ -250,7 +252,7 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
             e = _symmetric_functions(h, n)
             w = sum(e)
             lost = np.broadcast_to(~np.isfinite(w), points)
-            bad = lost | _degenerate(h, e, n)
+            bad = lost | _degenerate(e, n)
         if bad.any():
             r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), points[-1:] + torus)
             if lost[(*where, r)]:
@@ -264,15 +266,10 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     return m_vals, q_vals
 
 
-# absolute Nyquist allowance for operator outputs: the log-determinant
-# arithmetic has a roundoff floor far above the scale of a converged residual
-_NYQUIST_ABS = 1e-13
-
-
 def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2) -> Field:
     """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field."""
     m_vals, _ = _ma_values(model, f, order, remainder=False)
-    return Field.from_values(f.grid, m_vals, nyquist_abs=_NYQUIST_ABS)
+    return Field.from_values(f.grid, m_vals)
 
 
 def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residual: bool = False):
@@ -280,7 +277,7 @@ def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residua
     `with_residual`, returns (Q, the sup of |M(f)| over the collocation
     values at interior radial nodes), both from one collocation."""
     m_vals, q_vals = _ma_values(model, f, order)
-    q = Field.from_values(f.grid, q_vals, nyquist_abs=_NYQUIST_ABS)
+    q = Field.from_values(f.grid, q_vals)
     if with_residual:
         return q, float(np.max(np.abs(m_vals[..., f.grid.interior(order)])))
     return q

@@ -200,6 +200,12 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     their nodes are equal bit for bit (`RadialGrid.__eq__`).
     """
     x = grid.x
+    # the kernel peaks at x0: e^s K_{n+2}(s) < Gamma(n+2) (2/s)^(n+2) for s = 2 sqrt(lambda/x0) <= log 2, before and
+    # after h_pair's factor x0^(-n/2); refused where that bound leaves the float range (taken in logs, which stay in it)
+    log_k = math.lgamma(n + 2) + (n + 2) * 0.5 * (math.log(x[0]) - math.log(lam)) + max(0.0, -0.5 * n * math.log(x[0]))
+    if log_k >= math.log(np.finfo(float).max):
+        raise ConfigError(f"mode eigenvalue lambda = {lam:.6g} at x0 = {x[0]:.6g}, n = {n}: the kernel e^s K_{n + 2}(s) "
+                          f"at s = 2 sqrt(lambda/x0) leaves the float range")
     pair = h_pair(n, lam, x)
     m1, m2, sigma = pair.h1_mantissa, pair.h2_mantissa, pair.exponent
     d = float((sigma[-1] - sigma[0]) / (len(sigma) - 1))
@@ -217,7 +223,11 @@ def _solve_plan(n: int, lam: float, grid: RadialGrid) -> SolvePlan:
     # below-grid tail of int_0^x t^{n-1} H2 f dt per unit f at the deepest
     # node, bounded by the decay of exp(-2 sqrt(lam)/sqrt(t)):
     # tail < x^{3/2} integrand(x) / sqrt(lam)
-    tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * x[-1] ** (n - 1) * m2[-1]
+    with np.errstate(over="ignore"):
+        tail = (1.0 / np.sqrt(lam)) * x[-1] ** 1.5 * x[-1] ** (n - 1) * m2[-1]
+    if not np.isfinite(tail):
+        raise ConfigError(f"mode eigenvalue lambda = {lam:.6g} at x = {x[-1]:.6g}, n = {n}: the tail of the "
+                          f"down integral below the grid leaves the float range")
     return SolvePlan(m1, m2, _grid_weight(n, grid), hom, d, grid.h, float(2.0 * m1[0]), float(tail))
 
 

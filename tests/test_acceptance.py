@@ -29,3 +29,19 @@ def test_nan_residual_fails_a1(monkeypatch):
     monkeypatch.setattr(acceptance.bessel, "wronskian_residuals", one_nan)
     result = acceptance.criterion_a1()
     assert not result.passed and np.isnan(result.details["max_residual"])
+
+
+def test_only_the_hexagonal_rate_tells_2_sqrt_lambda1_from_2pi(monkeypatch):
+    # on the square torus 2 sqrt(lambda_1) = 2 pi; on A10's hexagonal torus
+    # it lies 1.27% above, past A10's 2e-3 bound: with delta's target set to
+    # 2 pi, A5 still passes and A10 fails
+    rate_fit = acceptance.analysis.rate_fit
+
+    def two_pi(*args, **kwargs):
+        fit, (_, p0), *rest = rate_fit(*args, **kwargs)
+        return (fit, (2.0 * np.pi, p0), *rest)
+
+    monkeypatch.setattr(acceptance.analysis, "rate_fit", two_pi)
+    assert acceptance.criterion_a5().passed
+    a10 = acceptance.criterion_a10()
+    assert not a10.passed and a10.details["delta_rel_err"] > 1e-2

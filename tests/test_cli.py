@@ -439,6 +439,11 @@ SOLVE_SECTIONS = "[grid]\nx0 = 0.05\ns_max = 20\nnodes = 400\n[boundary]\nkind =
              "nodes = 28\n[solver]\ncutoff = 0.3173065954292505\ntorus_resolution = 4\nmax_iter = 2\ntol = 10\n",
              "amplitude = 8.767760761898876e-121"), 0, id="solve-ell0-decay-span-too-narrow",
         ),
+        # lambda_1 = 9.9e-200 and 9.9e-300: at x0 the kernel e^s K_4(s) passes
+        # the float range; the solve used to run on infinite kernels and exit 3
+        pytest.param("solve", "A = 1\n", "A = 1e200\n", 2, id="solve-A-1e200-kernel-leaves-float-range"),
+        pytest.param("solve", "lattice = 1 0 ; 0 1", "lattice = 1e150 0 ; 0 1e150", 2,
+                     id="solve-lattice-1e150-kernel-leaves-float-range"),
         # a window of s_lo = 1e-300 used to overflow x_hi; on a grid 1.2e-10 wide
         # the decay fit's amplitude overflowed and its envelope was NaN
         pytest.param(
@@ -463,6 +468,29 @@ def test_extreme_finite_configs_exit_cleanly(command, old, new, code, tmp_path, 
     with np.errstate(all="ignore"):
         assert cli.main([command, str(path), "-o", str(tmp_path / "o")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+KERNEL_PAST_FLOATS = "the kernel e^s K_4(s) at s = 2 sqrt(lambda/x0)"
+
+
+@pytest.mark.parametrize(
+    "old, new, stage",
+    [
+        pytest.param("A = 1\n", "A = 1e200\n", KERNEL_PAST_FLOATS, id="A-1e200-kernel"),
+        pytest.param("lattice = 1 0 ; 0 1", "lattice = 1e150 0 ; 0 1e150", KERNEL_PAST_FLOATS, id="lattice-1e150-kernel"),
+        pytest.param("A = 1\n", "A = 1e140\n", "the tail of the down integral below the grid", id="A-1e140-tail"),
+    ],
+)
+def test_tiny_eigenvalue_is_refused_before_its_kernels_overflow(old, new, stage, tmp_path, capsys):
+    # refused while the solve plan is built, with no RuntimeWarning on the
+    # way (pytest turns one into an error): the message names lambda, the
+    # node and n
+    path = tmp_path / "tiny.cfg"
+    path.write_text((SQUARE_CFG + SOLVE_SECTIONS).replace(old, new, 1))
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mode eigenvalue lambda = ")
+    assert ", n = 2: " + stage in err and ("x0 = 0.05" in err) == (stage == KERNEL_PAST_FLOATS)
 
 
 A5_CFG = SQUARE_CFG + """

@@ -443,16 +443,16 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     h = s - np.eye(n)
     hessian = {(j, k): h[..., j, k].real if j == k else h[..., j, k] for j in range(n) for k in range(j, n)}
     e = geometry._symmetric_functions(hessian, n)
-    assert np.array_equal(geometry._degenerate(hessian, e, n), reference)
+    assert np.array_equal(geometry._degenerate(e, n), reference)
     # two negative eigenvalues leave the determinant positive: only the
-    # leading minors below order n see them, and every point fails
+    # e_k below order n see them, and every point fails
     two = lam.copy()
     two[..., :2] = -rng.uniform(0.1, 0.5, size=shape + (2,))
     s2 = np.einsum("...ij,...j,...kj->...ik", unitary, two, unitary.conj())
     assert np.all(np.linalg.det(s2).real > 0)
     h2 = s2 - np.eye(n)
     pair = {(j, k): h2[..., j, k].real if j == k else h2[..., j, k] for j in range(n) for k in range(j, n)}
-    assert geometry._degenerate(pair, geometry._symmetric_functions(pair, n), n).all()
+    assert geometry._degenerate(geometry._symmetric_functions(pair, n), n).all()
     # the error names the outermost degenerate node, the first torus point
     # there and the smallest eigenvalue of I + h, that of s, for slabs of one
     # node and one slab for the whole grid alike
