@@ -60,9 +60,9 @@ def criterion_a2() -> CriterionResult:
     rels = []
     for n in (2, 3):
         for c in (0.1, 0.5, 2.0):
-            series = radial.expand_formal(n, -(n + 1) * c, 20)
+            coeffs = radial.expand_formal(n, -(n + 1) * c, 20)
             target = radial.tangent_cone_coefficients(n, c, 20)
-            rels.append(np.abs(series.coeffs[1:] - target[1:]) / np.abs(target[1:]))
+            rels.append(np.abs(coeffs[1:] - target[1:]) / np.abs(target[1:]))
     worst = float(np.max(rels))
     return CriterionResult("A2 formal expansion", worst <= 1e-12, {"max_rel_err": worst})
 
@@ -140,7 +140,7 @@ def _rate_criterion(name: str, model: CuspModel, delta_rel: float, p_abs: float)
     s in [40, 200] with delta = 2 sqrt(lambda) within delta_rel and p = -n/2 + 1/4 within p_abs, the targets
     `analysis.rate_fit` gives."""
     grid = RadialGrid.make(x0=0.05, s_max=34.0, num=4800)
-    boundary = {(1, 0): 5e-4, (-1, 0): 5e-4}  # amplitude 1e-3
+    boundary = analysis.cosine_boundary(model.n, 1e-3)
     fit, (delta0, p0), _, _, u, state = analysis.rate_fit(
         model, grid, boundary, 40.0, 200.0, torus_resolution=16, cutoff=25.0, tol=1e-11, max_iter=30
     )
@@ -246,8 +246,8 @@ def criterion_a9() -> CriterionResult:
     for _ in range(100):
         zp = rng.normal(size=1) + 1j * rng.normal(size=1)
         p = CuspPoint(zp, x=float(rng.uniform(0.01, 0.9)), theta=float(rng.uniform(0, 2 * np.pi)))
-        g = geometry.metric_coefficients(model, p).entries
-        gi = geometry.inverse_metric(model, p).entries
+        g = geometry.metric_coefficients(model, p)
+        gi = geometry.inverse_metric(model, p)
         err = np.abs(g @ gi - np.eye(2)) / (np.abs(g) @ np.abs(gi) + 1.0)
         identity_errs.append(np.max(err))
     worst_identity = float(np.max(identity_errs))

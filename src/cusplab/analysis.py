@@ -22,8 +22,8 @@ turns both ratios into well-conditioned one-dimensional integrals
     R1(x) = 2c int_0^inf        (1 + w/tau0)^{-(2k+3)} e^{-c w} dw,
     R2(x) = 2c int_0^{tau0-tau1} (1 - w/tau0)^{-(2k+3)} e^{-c w} dw,
 
-with tau0 = 1/sqrt(x), evaluated by Gauss-Laguerre resp. panelled
-Gauss-Legendre quadrature.
+with tau0 = 1/sqrt(x), both evaluated by panelled Gauss-Legendre
+quadrature, R1's infinite range cut at w = 45/c.
 """
 
 from __future__ import annotations
@@ -107,6 +107,17 @@ def decay_fit(x, profile, window) -> DecayFit:
     return fit
 
 
+def cosine_key(n: int) -> tuple:
+    """The torus mode (1, 0, ...) of the cosine boundary, the mode `rate_fit` fits."""
+    return (1,) + (0,) * (2 * n - 3)
+
+
+def cosine_boundary(n: int, amplitude: float) -> dict:
+    """Boundary data amplitude cos(2 pi t_1): `cosine_key` and its conjugate at amplitude/2 each."""
+    k = cosine_key(n)
+    return {k: amplitude / 2.0, tuple(-i for i in k): amplitude / 2.0}
+
+
 def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):
     """Solve with `boundary` (`solver` goes to modes.picard_solve) and fit the
     profile of its (1, 0, ...) mode on the window s = 2 sqrt(lam)/sqrt(x) in
@@ -114,7 +125,7 @@ def rate_fit(model, grid, boundary: dict, s_lo: float, s_hi: float, **solver):
     s_lo >= s_hi and a window of too few nodes are refused before the solve.
     Returns (fit, the theory's (delta, p) = (2 sqrt(lam), -n/2 + 1/4), the
     window's nodes x, |profile| on them, u, state)."""
-    key = (1,) + (0,) * (2 * model.d - 1)
+    key = cosine_key(model.n)
     if not boundary.get(key):
         raise ConfigError("the rate fit needs boundary data with a nonzero (1, 0, ...) mode")
     if not s_lo < s_hi:

@@ -197,12 +197,9 @@ def build_grid(cfg: configparser.ConfigParser) -> RadialGrid:
 
 def _boundary(cfg, n: int) -> dict:
     sec = section(cfg, "boundary")
-    amp = sec["amplitude"]
-    dims = 2 * (n - 1)
     if sec["kind"] == "constant":
-        return {(0,) * dims: amp}
-    k = (1,) + (0,) * (dims - 1)
-    return {k: amp / 2.0, tuple(-i for i in k): amp / 2.0}
+        return {(0,) * (2 * n - 2): sec["amplitude"]}
+    return analysis.cosine_boundary(n, sec["amplitude"])
 
 
 def _check_table(result: acceptance.CriterionResult, path: Path) -> dict:
@@ -285,15 +282,15 @@ def cmd_expand(cfg, out_dir: Path) -> dict:
     n, c, order = sec["n"], sec["c"], sec["order"]
     if c == 0:
         raise ConfigError("[expand] c = 0 makes every closed-form coefficient zero")
-    series = radial.expand_formal(n, -(n + 1) * c, order)
+    coeffs = radial.expand_formal(n, -(n + 1) * c, order)
     target = radial.tangent_cone_coefficients(n, c, order)
-    rel = np.abs(series.coeffs[1:] - target[1:]) / np.abs(target[1:])
+    rel = np.abs(coeffs[1:] - target[1:]) / np.abs(target[1:])
     worst = float(np.max(rel))
     if not np.isfinite(worst):  # np.max keeps a NaN that a running max() drops
         raise NumericalError(f"[expand] c = {c}: c^k under- or overflows by order {order}, rel_err = {worst}")
-    columns = [range(1, order + 1), series.coeffs[1:], target[1:], rel]
+    columns = [range(1, order + 1), coeffs[1:], target[1:], rel]
     write_csv(out_dir / "expand.csv", ["k", "coefficient", "closed_form", "rel_err"], columns)
-    return {"max_rel_err": worst, "equation_residual": radial.series_equation_residual(series)}
+    return {"max_rel_err": worst, "equation_residual": radial.series_equation_residual(n, coeffs)}
 
 
 def cmd_green_test(cfg, out_dir: Path) -> dict:
@@ -306,8 +303,7 @@ def cmd_solve(cfg, out_dir: Path) -> dict:
     boundary = _boundary(cfg, model.n)
     u, state = modes.picard_solve(model, boundary, grid, **section(cfg, "solver", cutoff=9.0, tol=1e-10))
     c_fit, c_rms = modes.extract_tangent_cone(u, model.n)
-    mode1_key = tuple([1] + [0] * (2 * model.d - 1))
-    prof1 = u.mode(mode1_key)
+    prof1 = u.mode(analysis.cosine_key(model.n))
     header, columns = ["x", "s", "u_mode0"], [grid.x, grid.s, u.radial_mean()]
     if np.any(prof1):  # the (1, 0, ...) mode was solved
         header.append("u_mode1_cos")

@@ -33,20 +33,8 @@ from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
 
-_HERM_RTOL = 1e-12
 # collocation points per radial slab of `_ma_values`: a slab's temporaries stay in L2 cache
 _BLOCK_POINTS = 2**13
-
-
-class HermitianForm:
-    """An n x n Hermitian matrix of coefficients in the holomorphic frame."""
-
-    def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        scale = np.max(np.abs(entries)) + 1e-300
-        if np.max(np.abs(entries - entries.conj().T)) > _HERM_RTOL * scale:
-            raise ConfigError("entries are not Hermitian")
-        self.entries = entries
 
 
 def _check_point(model: CuspModel, p: CuspPoint):
@@ -56,7 +44,7 @@ def _check_point(model: CuspModel, p: CuspPoint):
         raise ConfigError("point dimension does not match model")
 
 
-def metric_coefficients(model: CuspModel, p: CuspPoint) -> HermitianForm:
+def metric_coefficients(model: CuspModel, p: CuspPoint) -> np.ndarray:
     """Metric g_{j kbar} in the holomorphic frame at p."""
     _check_point(model, p)
     n, d, x = model.n, model.d, p.x
@@ -68,10 +56,10 @@ def metric_coefficients(model: CuspModel, p: CuspPoint) -> HermitianForm:
     g[:d, d] = -(n + 1) * x**2 * pa / zn.conj()
     g[d, :d] = g[:d, d].conj()
     g[d, d] = (n + 1) * x**2 / r**2
-    return HermitianForm(g)
+    return g
 
 
-def inverse_metric(model: CuspModel, p: CuspPoint) -> HermitianForm:
+def inverse_metric(model: CuspModel, p: CuspPoint) -> np.ndarray:
     """Closed-form inverse of the metric tensor at p.
 
     Top block A^{-1}/((n+1)x), mixed entries (A^{-1} phi_grad) z_n/((n+1)x),
@@ -89,7 +77,7 @@ def inverse_metric(model: CuspModel, p: CuspPoint) -> HermitianForm:
     ginv[:d, d] = (Ainv @ pa) * zn / ((n + 1) * x)
     ginv[d, :d] = ginv[:d, d].conj()
     ginv[d, d] = r**2 * (1.0 - q * x) / ((n + 1) * x**2)
-    return HermitianForm(ginv)
+    return ginv
 
 
 def cross_section_metric(model: CuspModel, eps: float, p: CuspPoint) -> np.ndarray:
@@ -99,9 +87,9 @@ def cross_section_metric(model: CuspModel, eps: float, p: CuspPoint) -> np.ndarr
     if not 0 < eps < 1:
         raise ConfigError(f"need 0 < eps < 1, got eps={eps}")
     d = model.d
-    S = model.A_real
-    T = model.A_imag
-    phi_x, phi_y = model.phi_real_gradients(p.z_prime)
+    S, T = model.A.real, model.A.imag
+    pa = model.phi_grad(p.z_prime)  # phi_a = (phi_x - i phi_y)/2 in the real chart z'_a = x_a + i y_a
+    phi_x, phi_y = 2.0 * pa.real, -2.0 * pa.imag
     e2 = eps**2
     m = np.zeros((2 * d + 1, 2 * d + 1))
     m[:d, :d] = 2.0 * S + 0.5 * e2 * np.outer(phi_y, phi_y)
@@ -296,7 +284,7 @@ def linearized_apply(model: CuspModel, f: Field, order: int = 2) -> Field:
     return Field(f.grid, out)
 
 
-def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianForm:
+def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> np.ndarray:
     """Hessian f_{j kbar} of a circle-invariant field in the holomorphic
     frame at p; p.x must match an interior grid node."""
     grid = f.grid
@@ -330,11 +318,11 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> HermitianFo
     hess = np.zeros((n, n), dtype=complex)
     hess[:d, :d] = (
         fab
-        - x**2 * model.phi_hess * fx
+        + x**2 * model.A * fx
         - x**2 * (np.outer(fax, pa.conj()) + np.outer(pa, fax.conj()))
         + fiber * np.outer(pa, pa.conj())
     )
     hess[:d, d] = (x**2 * fax - pa * fiber) / zn.conj()
     hess[d, :d] = hess[:d, d].conj()
     hess[d, d] = fiber / r**2
-    return HermitianForm(hess)
+    return hess

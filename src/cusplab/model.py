@@ -18,6 +18,16 @@ from .errors import ConfigError
 _HERM_RTOL = 1e-12
 
 
+def _independence(B: np.ndarray) -> float:
+    """|det B| over the product of B's column norms (Hadamard's ratio, in [0, 1]), taken on columns scaled to a
+    largest entry of 1, so neither the lattice's scale nor its units move it; 0 for a zero column."""
+    peak = np.max(np.abs(B), axis=0)
+    if not np.all(peak > 0):
+        return 0.0
+    C = B / peak
+    return float(np.exp(np.linalg.slogdet(C)[1] - np.sum(np.log(np.linalg.norm(C, axis=0)))))
+
+
 @dataclass(frozen=True)
 class CuspModel:
     """Parameters of the model cusp.
@@ -52,7 +62,9 @@ class CuspModel:
         B = np.real(B).astype(float)
         if B.shape != (2 * d, 2 * d):
             raise ConfigError(f"lattice must be {2*d}x{2*d}, got {B.shape}")
-        if abs(np.linalg.det(B)) < 1e-14:
+        if not np.all(np.isfinite(B)):
+            raise ConfigError("lattice entries must be finite")
+        if _independence(B) < 1e-14:
             raise ConfigError("lattice basis is linearly dependent")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
@@ -79,36 +91,6 @@ class CuspModel:
         """Holomorphic gradient phi_a = -sum_b A[a,b] conj(z'_b)."""
         z = np.asarray(z_prime, dtype=complex)
         return -np.einsum("ab,...b->...a", self.A, z.conj())
-
-    @property
-    def phi_hess(self) -> np.ndarray:
-        """Complex Hessian phi_{a bbar} = -A (constant on the cover)."""
-        return -self.A
-
-    # --- real quadratic form pieces used by the cross-section metric ---
-
-    @property
-    def A_real(self) -> np.ndarray:
-        return np.real(self.A)
-
-    @property
-    def A_imag(self) -> np.ndarray:
-        return np.imag(self.A)
-
-    def phi_real_gradients(self, z_prime):
-        """First derivatives of phi in the real chart (x_a, y_a).
-
-        Returns (phi_x, phi_y) with phi_x[a] = d phi / d x_a and similarly
-        for y.  Derived from phi = -<A z', z'> with A = S + iT.
-        """
-        z = np.asarray(z_prime, dtype=complex)
-        xr = np.real(z)
-        yr = np.imag(z)
-        S = self.A_real
-        T = self.A_imag
-        phi_x = -2.0 * (xr @ S.T + yr @ T.T)
-        phi_y = -2.0 * (yr @ S.T - xr @ T.T)
-        return phi_x, phi_y
 
     def radius_from_x(self, z_prime, x: float) -> float:
         """|z_n| on the level set { x = 1/sigma } through z'."""

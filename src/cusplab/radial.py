@@ -178,24 +178,7 @@ def radial_volume_ratio(n: int, x, psi, psi_x, psi_xx):
     return f1 ** (n - 1) * f2 / (n + 1) ** n
 
 
-def volume_ratio_on_grid(n: int, grid: RadialGrid, psi_values, order: int = 2):
-    px, pxx = grid.deriv_x(np.asarray(psi_values, dtype=float), order)
-    return radial_volume_ratio(n, grid.x, psi_values, px, pxx)
-
-
 # --- formal power series ---
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated solution psi = sum_{k>=1} C_k x^k of the radial equation."""
-
-    n: int
-    coeffs: np.ndarray  # coeffs[k] is C_k, coeffs[0] unused (= 0)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _log1p_minus_series(u: list, n: int, K: int) -> list:
@@ -237,8 +220,9 @@ def _unit_coefficients(n: int, K: int):
     return tuple(D)
 
 
-def expand_formal(n: int, c1: float, K: int) -> PowerSeries:
-    """Coefficients C_2..C_K from order matching; C_1 given.
+def expand_formal(n: int, c1: float, K: int) -> np.ndarray:
+    """Coefficients C_0..C_K of psi = sum_{k>=1} C_k x^k (C_0 = 0) from
+    order matching; C_1 given.
 
     Matching the x^k coefficient gives (k-1)(k+n+1) C_k on the linear side
     and a polynomial in C_1..C_{k-1} on the nonlinear side, so the system
@@ -253,20 +237,19 @@ def expand_formal(n: int, c1: float, K: int) -> PowerSeries:
             C[k] = float(D[k]) * c1**k
     except OverflowError:
         raise NumericalError(f"c1^k overflows at c1 = {c1:g}, k = {k}") from None
-    return PowerSeries(n, C)
+    return C
 
 
-def series_equation_residual(series: PowerSeries) -> float:
-    """Max |coefficient| of (linear side - nonlinear side) through order K;
-    zero for a solution.
+def series_equation_residual(n: int, coeffs: np.ndarray) -> float:
+    """Max |coefficient| of (linear side - nonlinear side) through order K
+    for the coefficients C_0..C_K of `expand_formal`; zero for a solution.
 
     Evaluated exactly on the rationals equal to the float coefficients, so
     the residual measures the coefficients' own error and not cancellation
     among the alternating, binomial-sized terms of log(1 + u/(n+1)).
     """
-    n = series.n
-    K = series.order
-    C = [Fraction(float(c)) for c in series.coeffs]
+    K = len(coeffs) - 1
+    C = [Fraction(float(c)) for c in coeffs]
     lhs = [(k - 1) * (k + n + 1) * C[k] for k in range(K + 1)]
     u = [k * C[k] for k in range(K + 1)]
     v = [k * (k + 1) * C[k] for k in range(K + 1)]

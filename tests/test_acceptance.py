@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cusplab import acceptance
+from cusplab.model import CuspModel
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA, ids=lambda f: f.__name__)
@@ -45,3 +46,10 @@ def test_only_the_hexagonal_rate_tells_2_sqrt_lambda1_from_2pi(monkeypatch):
     assert acceptance.criterion_a5().passed
     a10 = acceptance.criterion_a10()
     assert not a10.passed and a10.details["delta_rel_err"] > 1e-2
+
+
+def test_rate_criterion_runs_at_n3():
+    # the cosine boundary comes from analysis.cosine_boundary at every n; a
+    # literal (1, 0) key used to fail at n = 3 with "mode (1, 0) needs 4 entries"
+    result = acceptance._rate_criterion("n = 3 rate", CuspModel(3, np.eye(4), np.eye(2)), 2e-3, 0.15)
+    assert result.passed, result.line()

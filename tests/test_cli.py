@@ -493,6 +493,21 @@ def test_tiny_eigenvalue_is_refused_before_its_kernels_overflow(old, new, stage,
     assert ", n = 2: " + stage in err and ("x0 = 0.05" in err) == (stage == KERNEL_PAST_FLOATS)
 
 
+def test_lattice_independence_does_not_depend_on_scale(tmp_path, capsys):
+    # no np.errstate: det B overflowed at 1e160 with a RuntimeWarning (an
+    # error here), and 1e-4 I_4 was refused as linearly dependent
+    path = tmp_path / "lattice.cfg"
+    path.write_text(_dimension_config(3).replace("lattice = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1",
+                                                 "lattice = 1e-4 0 0 0 ; 0 1e-4 0 0 ; 0 0 1e-4 0 ; 0 0 0 1e-4"))
+    assert cli.main(["spectrum", str(path), "-o", str(tmp_path / "small")]) == 0
+    res = json.loads((tmp_path / "small" / "spectrum.json").read_text())["results"]
+    assert res["lambda1"] == pytest.approx(np.pi**2 * 1e8, rel=1e-12)
+    path.write_text((SQUARE_CFG + SOLVE_SECTIONS).replace("lattice = 1 0 ; 0 1", "lattice = 1e160 0 ; 0 1e160"))
+    assert cli.main(["solve", str(path), "-o", str(tmp_path / "large")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "linearly dependent" not in err and "Traceback" not in err
+
+
 A5_CFG = SQUARE_CFG + """
 [grid]
 x0 = 0.05

@@ -13,6 +13,8 @@ from cusplab.model import CuspModel, CuspPoint
 
 # a complex Hermitian A for the n = 4 rows: every z' entry of the frame's Cholesky factor is complex
 A4 = np.array([[1.0, 0.2 + 0.1j, 0.05 - 0.1j], [0.2 - 0.1j, 0.8, 0.1 + 0.05j], [0.05 + 0.1j, 0.1 - 0.05j, 1.2]])
+# a complex Hermitian A for n = 3: the cross-section's Im A blocks and off-diagonal phi products enter
+A3 = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]])
 
 
 def square_model(n=2, a=1.0):
@@ -24,7 +26,7 @@ class TestMetric:
     def test_origin_values(self):
         m = square_model()
         p = CuspPoint(np.array([0.0 + 0j]), x=0.1)
-        g = geometry.metric_coefficients(m, p).entries
+        g = geometry.metric_coefficients(m, p)
         assert g[0, 0] == pytest.approx(0.3)
         assert g[0, 1] == 0
         r = m.radius_from_x(p.z_prime, p.x)
@@ -33,7 +35,7 @@ class TestMetric:
     def test_inverse_origin_value(self):
         m = square_model()
         p = CuspPoint(np.array([0.0 + 0j]), x=0.1)
-        gi = geometry.inverse_metric(m, p).entries
+        gi = geometry.inverse_metric(m, p)
         assert gi[0, 0] == pytest.approx(10.0 / 3.0)
 
     def test_metric_inverse_identity_and_positivity(self):
@@ -45,8 +47,8 @@ class TestMetric:
                 x=float(rng.uniform(0.01, 0.9)),
                 theta=float(rng.uniform(0, 2 * np.pi)),
             )
-            g = geometry.metric_coefficients(m, p).entries
-            gi = geometry.inverse_metric(m, p).entries
+            g = geometry.metric_coefficients(m, p)
+            gi = geometry.inverse_metric(m, p)
             rel = np.abs(g @ gi - np.eye(2)) / (np.abs(g) @ np.abs(gi) + 1.0)
             assert np.max(rel) < 1e-10
             assert np.linalg.eigvalsh(g).min() > 0
@@ -54,9 +56,9 @@ class TestMetric:
     def test_metric_hermitian_n3(self):
         m = CuspModel(3, np.eye(4), np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]]))
         p = CuspPoint(np.array([0.2 + 0.1j, -0.4 + 0.3j]), x=0.2)
-        g = geometry.metric_coefficients(m, p).entries
+        g = geometry.metric_coefficients(m, p)
         assert np.allclose(g, g.conj().T)
-        gi = geometry.inverse_metric(m, p).entries
+        gi = geometry.inverse_metric(m, p)
         rel = np.abs(g @ gi - np.eye(3)) / (np.abs(g) @ np.abs(gi) + 1.0)
         assert np.max(rel) < 1e-10
 
@@ -83,14 +85,25 @@ class TestCrossSection:
         assert np.allclose(mat, np.diag([2.0, 2.0, 2 * eps**2]))
 
     def test_det_scaling_in_eps(self):
-        m = square_model()
-        p = CuspPoint(np.array([0.3 + 0.2j]), x=0.01)
-        vals = [
-            np.linalg.det(geometry.cross_section_metric(m, eps, p)) / eps**2
-            for eps in (0.1, 0.05, 0.01)
-        ]
-        spread = (max(vals) - min(vals)) / abs(vals[0])
-        assert spread < 1e-8
+        for m, zp in ((square_model(), [0.3 + 0.2j]), (CuspModel(3, np.eye(4), A3), [0.3 + 0.2j, -0.1 + 0.4j])):
+            p = CuspPoint(np.array(zp), x=0.01)
+            vals = [
+                np.linalg.det(geometry.cross_section_metric(m, eps, p)) / eps**2
+                for eps in (0.1, 0.05, 0.01)
+            ]
+            spread = (max(vals) - min(vals)) / abs(vals[0])
+            assert spread < 1e-8
+
+    def test_theta_column_from_differenced_phi(self):
+        # the theta column is eps^2 (phi_y, -phi_x) in the real chart z'_a = x_a + i y_a,
+        # with phi's real derivatives taken by central differences of phi itself
+        m = CuspModel(3, np.eye(4), A3)
+        zp, eps, h = np.array([0.3 + 0.2j, -0.1 + 0.4j]), 0.1, 1e-6
+        steps = np.concatenate([np.eye(2), 1j * np.eye(2)]) * h
+        grad = np.array([(m.phi(zp + e) - m.phi(zp - e)) / (2 * h) for e in steps])
+        phi_x, phi_y = grad[:2], grad[2:]
+        col = geometry.cross_section_metric(m, eps, CuspPoint(zp, x=eps**2))[:-1, -1]
+        assert np.max(np.abs(col - eps**2 * np.concatenate([phi_y, -phi_x]))) < 1e-8
 
 
 class TestHessian:
@@ -107,7 +120,7 @@ class TestHessian:
         f, grid = self._field_and_grid(lambda x: x)
         idx = len(grid) // 2
         p = CuspPoint(np.array([0.3 + 0.1j]), x=grid.x[idx])
-        h = geometry.holomorphic_hessian(m, f, p).entries
+        h = geometry.holomorphic_hessian(m, f, p)
         r = m.radius_from_x(p.z_prime, p.x)
         assert h[1, 1] * r**2 == pytest.approx(2 * grid.x[idx] ** 3, rel=1e-6)
 
@@ -115,7 +128,7 @@ class TestHessian:
         m = square_model()
         f, grid = self._field_and_grid(lambda x: np.ones_like(x))
         p = CuspPoint(np.array([0.1 + 0.2j]), x=grid.x[10])
-        h = geometry.holomorphic_hessian(m, f, p).entries
+        h = geometry.holomorphic_hessian(m, f, p)
         assert np.max(np.abs(h)) < 1e-10
 
     def test_boundary_node_flagged(self):
@@ -146,7 +159,7 @@ class TestHessian:
         x0 = grid.x[idx]
         zp = np.array([0.17 + 0.05j])
         p = CuspPoint(zp, x=x0, theta=0.4)
-        got = geometry.holomorphic_hessian(m, f, p).entries
+        got = geometry.holomorphic_hessian(m, f, p)
 
         r = m.radius_from_x(zp, x0)
         zn0 = r * np.exp(1j * p.theta)
@@ -336,8 +349,8 @@ def _pointwise_residual(model, f, modes, node, idx):
     t = np.array(node) / f.torus_shape
     v = model.lattice @ t
     p = CuspPoint(v[: model.d] + 1j * v[model.d :], x=f.grid.x[idx])
-    g = geometry.metric_coefficients(model, p).entries
-    h = geometry.holomorphic_hessian(model, f, p).entries
+    g = geometry.metric_coefficients(model, p)
+    h = geometry.holomorphic_hessian(model, f, p)
     sign, logdet = np.linalg.slogdet(np.linalg.solve(g, g + h))
     assert abs(sign - 1) < 1e-12
     value = sum(prof[idx] * np.exp(2j * np.pi * np.dot(k, t)) for k, prof in modes.items())
@@ -519,8 +532,8 @@ def test_n3_remainder_matches_extended_precision():
             node, idx = tuple(int(i) % s for i, s in zip(draw, shape)), int(rng.integers(1, len(grid) - 1))
             v = model.lattice @ (np.array(node) / m)
             p = CuspPoint(v[: n - 1] + 1j * v[n - 1 :], x=grid.x[idx])
-            g = mpmath.matrix(geometry.metric_coefficients(model, p).entries.tolist())
-            h = mpmath.matrix(geometry.holomorphic_hessian(model, f, p).entries.tolist())
+            g = mpmath.matrix(geometry.metric_coefficients(model, p).tolist())
+            h = mpmath.matrix(geometry.holomorphic_hessian(model, f, p).tolist())
             b = mpmath.inverse(g) * h
             ref = mpmath.re(mpmath.log(mpmath.det(mpmath.eye(n) + b)) - sum(b[j, j] for j in range(n)))
             assert abs(float((q[node + (idx,)] - ref) / ref)) < 1e-13, (n, node, idx)

@@ -40,6 +40,20 @@ def test_complex_lattice_refused():
     assert model.lattice.dtype == np.float64 and np.array_equal(model.lattice, np.eye(2))
 
 
+def test_lattice_independence_does_not_depend_on_scale():
+    # Hadamard's ratio on columns scaled to a largest entry of 1: |det B| < 1e-14
+    # refused 1e-8 I_2 and 1e-4 I_4, and overflowed det at 1e160 I_2 (a
+    # RuntimeWarning, an error here); a zero column is refused without a warning
+    for n, scale in ((2, 1e-8), (3, 1e-4), (2, 1e160)):
+        CuspModel(n, scale * np.eye(2 * n - 2), np.eye(n - 1))
+    for B in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]], [[0.0, 1.0], [0.0, 1.0]]):
+        with pytest.raises(ConfigError, match="linearly dependent"):
+            CuspModel(2, np.array(B), np.array([[1.0]]))
+    for bad in (np.inf, np.nan):  # an inf was accepted, a NaN warned inside det
+        with pytest.raises(ConfigError, match="lattice entries must be finite"):
+            CuspModel(2, np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0]]))
+
+
 def test_square_torus_spectrum():
     m = square_model()
     keys, lams = spectrum.eigenvalues_up_to(m, 6)
