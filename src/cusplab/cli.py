@@ -16,15 +16,15 @@ check.  Each command reads its sections through `section`, so a missing,
 malformed, non-finite or out-of-range value, and any section or key the
 table does not list, is refused before any computation starts.
 
-Exit codes: 0 ok, 2 invalid config, 3 numerical failure, 4 acceptance
-failure in `report`.
+Exit codes: 0 ok, 2 invalid config or output directory, 3 numerical
+failure, 4 acceptance failure in `report`.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import io
 import json
 import math
 import sys
@@ -49,20 +49,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_column(column) -> list:
-    """The cells of one column: a float array in one pass, anything else by `_fmt`."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return [format(v, ".17g") for v in column.tolist()]
-    return [_fmt(v) for v in column]
+# rows of a CSV table that one `%` operation formats
+_CSV_CHUNK = 2**12
+
+
+def _field(text: str, lone: bool) -> str:
+    """`text` as `csv.writer`'s default dialect writes it: in double quotes, inner
+    ones doubled, where it holds a comma, a double quote or a line break, or
+    is the one field of its row and empty."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path: Path, header: list, columns):
-    """A CSV file with the given header over equal-length columns."""
-    cells = [_fmt_column(col) for col in columns]
+    """A CSV file with the given header over equal-length column sequences,
+    byte for byte as `csv.writer`'s default dialect writes `_fmt` of each
+    cell.  Each chunk of `_CSV_CHUNK` rows is one `%` operation on a row
+    template: `%.17g` for a float array's values, `%s` for any other
+    column's `_fmt` text as a field."""
+    columns = list(columns)
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    width, rows, lone = len(columns), min(map(len, columns), default=0), len(columns) == 1
+    line = ",".join("%.17g" if f else "%s" for f in floats) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(_field(str(h), len(header) == 1) for h in header) + "\r\n")
+        for lo in range(0, rows, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, rows)
+            args = [None] * (width * (hi - lo))
+            for j, (column, is_float) in enumerate(zip(columns, floats)):
+                part = column[lo:hi]
+                args[j::width] = part.tolist() if is_float else [_field(_fmt(v), lone) for v in part]
+            fh.write(line * (hi - lo) % tuple(args))
 
 
 def write_json(path: Path, payload: dict):
@@ -90,7 +108,6 @@ TABLE = {
         "n": (int, 2, (2, math.inf)),  # complex dimension
         "lattice": (matrix, None, None),  # rows are the torus basis vectors
         "A": (matrix, None, None),  # Hermitian positive definite
-        "scale": (float, 1.0, None),
     },
     "grid": {"x0": (float, None, None), "s_max": (float, None, None), "nodes": (int, None, (1, 2**20))},
     "solver": {  # cutoff is in multiples of lambda_1
@@ -172,22 +189,28 @@ def section(cfg: configparser.ConfigParser, name: str, **defaults) -> dict:
 
 def load_config(path: str) -> configparser.ConfigParser:
     """The parsed config, with every section checked against TABLE."""
-    cfg = configparser.ConfigParser()
     try:
-        read = cfg.read(path)
+        data = Path(path).read_bytes()
+    except OSError:
+        raise ConfigError(f"config file {path} not found or unreadable") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from None
+    cfg = configparser.ConfigParser()
+    try:  # lines split as a file opened in text mode splits them
+        cfg.read_file(io.StringIO(text, newline=None), source=path)
         for name in cfg.sections():  # reading interpolates, so a malformed value fails here
             section(cfg, name)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
     return cfg
 
 
 def build_model(cfg: configparser.ConfigParser) -> CuspModel:
     sec = section(cfg, "model")
     lattice = sec["lattice"].T  # rows are basis vectors
-    return CuspModel(n=sec["n"], lattice=lattice, A=sec["A"], scale=sec["scale"])
+    return CuspModel(n=sec["n"], lattice=lattice, A=sec["A"])
 
 
 def build_grid(cfg: configparser.ConfigParser) -> RadialGrid:
@@ -250,7 +273,7 @@ def cmd_calabi(cfg, out_dir: Path) -> dict:
     return payload
 
 
-# rows of a Bessel sweep; their formatted cells, about 0.3 kB a row, are all held at once
+# rows of a Bessel sweep; they are written one CSV chunk at a time, so the cap bounds run time
 _SWEEP_ROWS = 2**18
 
 
@@ -363,8 +386,11 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--out-dir", default=".", help="output directory")
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {out_dir}: {exc.strerror}") from None
         cfg = load_config(args.config)
         payload = COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

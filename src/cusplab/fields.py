@@ -225,7 +225,8 @@ class Field:
         vals = self.values()
         if interior is not None:
             vals = vals[..., interior]
-        return float(np.max(np.abs(vals)))
+        # np.max(np.abs(vals)) without the |v| array: a NaN comes through, and abs makes -0.0 into 0.0
+        return float(abs(max(vals.max(), -vals.min())))
 
     # --- algebra ---
 

@@ -3,8 +3,8 @@
 A model cusp is described by the complex dimension ``n`` of the total space,
 a lattice spanning the torus cross-section, a Hermitian positive definite
 matrix ``A`` defining the fiber weight ``phi(z') = -<A z', z'>`` on the
-universal cover, and an overall scale of the bundle metric.  All geometric
-formulas downstream read these four ingredients.
+universal cover.  All geometric formulas downstream read these three
+ingredients.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ class CuspModel:
     lattice : (2n-2, 2n-2) real matrix whose columns span the torus lattice.
     A : (n-1, n-1) Hermitian positive definite matrix.  The flat torus metric
         has coefficients A, and phi(z') = -sum_{ab} A[a,b] z'_a conj(z'_b).
-    scale : positive factor multiplying the Hermitian bundle metric.
     """
 
     n: int
     lattice: np.ndarray
     A: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -66,8 +64,6 @@ class CuspModel:
             raise ConfigError("lattice entries must be finite")
         if _independence(B) < 1e-14:
             raise ConfigError("lattice basis is linearly dependent")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "lattice", B)
 
@@ -95,7 +91,7 @@ class CuspModel:
     def radius_from_x(self, z_prime, x: float) -> float:
         """|z_n| on the level set { x = 1/sigma } through z'."""
         sigma = 1.0 / x
-        logr2 = self.phi(z_prime) - sigma - np.log(self.scale)
+        logr2 = self.phi(z_prime) - sigma
         return float(np.exp(0.5 * logr2))
 
 

@@ -26,7 +26,6 @@ SQUARE_CFG = """
 n = 2
 lattice = 1 0 ; 0 1
 A = 1
-scale = 1.0
 
 [spectrum]
 count = 12
@@ -245,7 +244,6 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("solve", solve_cfg + "[solver]\ncutoff = abc\n"),
         ("solve", solve_cfg + "[boundary]\nkind = cosine\namplitude = nan\n"),
         ("rate-fit", solve_cfg + "[boundary]\nkind = constant\namplitude = 0.1\n"),
-        ("solve", solve_cfg.replace("scale = 1.0", "scale = inf")),
         ("solve", solve_cfg.replace("lattice = 1 0 ; 0 1", "lattice = 1 0 ; 0 nan")),
         ("solve", solve_cfg.replace("n = 2\n", "n = 2\nn = 3\n", 1)),
         ("solve", solve_cfg + "[boundary]\namplitude = 1%\n"),
@@ -280,6 +278,8 @@ def test_invalid_config_exit_code(tmp_path, monkeypatch):
         ("spectrum", SQUARE_CFG.replace("count = 12", "cont = 3")),
         ("solve", solve_cfg + "[solver]\ncutof = 2\n"),
         ("solve", solve_cfg + "[solvr]\ncutoff = 2\n"),
+        # [model] scale moved no output and is no longer a key
+        ("solve", solve_cfg.replace("A = 1\n", "A = 1\nscale = 1.0\n", 1)),
         # a fit window that holds no grid node is refused before the solve
         ("rate-fit", solve_cfg + cosine + "[ratefit]\ns_lo = 1e9\ns_hi = 2e9\n"),
     ]:
@@ -301,6 +301,36 @@ def test_missing_required_key_exit_code(tmp_path, capsys):
     path.write_text((SQUARE_CFG + SOLVE_SECTIONS).replace("x0 = 0.05\n", ""))
     assert cli.main(["solve", str(path), "-o", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: [grid] x0 is missing\n"
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 comment used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(SQUARE_CFG.replace("[model]\n", "[model]\n# caf\xe9\n", 1).encode("latin-1"))
+    assert cli.main(["spectrum", str(path), "-o", str(tmp_path / "o")]) == 2
+    offset = SQUARE_CFG.index("[model]\n") + len("[model]\n# caf")
+    assert capsys.readouterr().err == f"config error: config file {path} is not UTF-8: byte {offset} is 0xe9\n"
+    path.write_bytes(SQUARE_CFG.replace("[model]\n", "[model]\n# caf\xe9\n", 1).encode("utf-8"))
+    assert cli.main(["spectrum", str(path), "-o", str(tmp_path / "o")]) == 0
+
+
+def test_config_lines_split_as_in_text_mode(tmp_path):
+    # CR and CRLF line ends read as the newline they stand for
+    path = tmp_path / "crlf.cfg"
+    for end in ("\r\n", "\r"):
+        path.write_bytes(SQUARE_CFG.replace("\n", end).encode())
+        assert cli.build_model(cli.load_config(str(path))).n == 2
+
+
+def test_output_directory_that_cannot_be_made_exits_2(cfg_path, tmp_path, capsys):
+    # -o naming a file, or a path under one, used to end in a FileExistsError
+    # or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["spectrum", cfg_path, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make the output directory {out}: ") and "Traceback" not in err
 
 
 def test_report_failure_exit_code(cfg_path, tmp_path, monkeypatch, capsys):
@@ -700,10 +730,8 @@ def test_model_dimension_has_one_default(tmp_path):
 
 
 def test_readme_example_uses_only_table_keys(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     path = tmp_path / "readme.cfg"
-    path.write_text(example)
+    path.write_text(_readme_example())
     cfg = cli.load_config(str(path))  # refuses a key or section the table does not list
     assert set(cfg.sections()) == set(cli.TABLE)
     for name in cfg.sections():  # the example sets every key
@@ -853,8 +881,7 @@ def tiny_solve_config(draw, command):
     cosine = st.just("cosine")
     kind = draw(_mostly(cosine, st.just("constant")) if command == "rate-fit" else cosine | st.just("constant"))
     sections = {
-        "model": {"n": n, "lattice": _matrix_text(lattice), "A": _matrix_text(A),
-                  "scale": draw(_log_uniform(1e-30, 1e30))},
+        "model": {"n": n, "lattice": _matrix_text(lattice), "A": _matrix_text(A)},
         "grid": {"x0": x0, "s_max": s_max, "nodes": draw(_mostly(st.integers(8, 60), st.integers(1, 7)))},
         "solver": {"cutoff": draw(_log_uniform(1e-4, 1e6)), "tol": draw(_log_uniform(1e-300, 1e2)),
                    "max_iter": draw(st.integers(1, 6)),
@@ -889,42 +916,52 @@ def test_fuzzed_tiny_solves_exit_cleanly(command, tmp_path):
     run()
 
 
-CSV_CFG = SQUARE_CFG + """
-[bessel]
-alpha_max = 5
-points = 7
-
-[grid]
-x0 = 0.05
-s_max = 20
-nodes = 600
-
-[solver]
-cutoff = 5
-
-[boundary]
-kind = cosine
-amplitude = 1e-3
-
-[ratefit]
-s_lo = 40
-s_hi = 120
-"""
-
-
-def _write_csv_rowwise(path, header, columns):
-    """The row-by-row reference: every cell through `cli._fmt`."""
+def _write_csv_reference(path, header, columns):
+    """The reference writer: `csv.writer`'s default dialect over `cli._fmt` of every cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([cli._fmt(v) for v in row])
+        writer.writerows([cli._fmt(v) for v in row] for row in zip(*columns))
+
+
+def _csv_edge_tables():
+    chunk = cli._CSV_CHUNK
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 0.1, 1 / 3, 1e300, -2.5e-300])
+    text = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "", "a b", "%s", "100%", "'"]
+    scalars = [True, np.bool_(False), np.int64(-7), 2**70, np.float32(0.1), np.float64(1 / 3), 1.5, None, 1 + 2j]
+    yield "text", ["t,1", 'q"', "plain"], [text, np.arange(len(text)), np.linspace(0, 1, len(text))]
+    yield "scalars", ["value", "double"], [scalars, [2 * v if isinstance(v, float) else v for v in scalars]]
+    float32 = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-45, 0.1, 1 / 3, 3.4e38, -1e-38, 7.0], dtype=np.float32)
+    yield "special-floats", ["f64", "f32", "list"], [floats, float32, floats.tolist()]
+    yield "int-array", ["alpha", "s"], [np.full(5, 4), np.geomspace(0.5, 500, 5)]
+    yield "bool-complex-arrays", ["b", "c"], [np.array([True, False]), np.array([1 + 2j, np.nan])]
+    yield "no-rows", ["x", "y"], [np.zeros(0), []]
+    yield "no-columns", ["x"], []
+    yield "one-column", [""], [["", "a", "", ","]]
+    yield "one-float-column", ["x"], [np.array([0.25, -0.0])]
+    for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+        yield f"rows-{rows}", ["i", "x", "flag"], [range(rows), x, [bool(v > 0) for v in x]]
+
+
+@pytest.mark.parametrize("header, columns", [pytest.param(h, c, id=name) for name, h, c in _csv_edge_tables()])
+def test_write_csv_matches_reference_writer(header, columns, tmp_path):
+    cli.write_csv(tmp_path / "chunked.csv", header, columns)
+    _write_csv_reference(tmp_path / "reference.csv", header, columns)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _readme_example() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_csv_columns_format_like_rows(command, tmp_path, monkeypatch):
-    # the criteria are stubbed with details of every type a table holds
-    details = {"float": 0.1, "numpy_float": np.float64(1 / 3), "int": 7, "flag": False, "text": "a b"}
+    # README's example config at 1200 nodes; the criteria are stubbed with
+    # details of every type a table holds
+    details = {"float": 0.1, "numpy_float": np.float64(1 / 3), "int": 7, "flag": False, "text": "a b, c"}
     stub = acceptance.CriterionResult("A0", True, details)
     for name in ("criterion_a4", "criterion_a9"):
         monkeypatch.setattr(cli.acceptance, name, lambda: stub)
@@ -933,18 +970,20 @@ def test_csv_columns_format_like_rows(command, tmp_path, monkeypatch):
     write_csv = cli.write_csv
 
     def write_both(path, header, columns):
-        columns = [col if isinstance(col, np.ndarray) else list(col) for col in columns]
+        columns = list(columns)
         write_csv(path, header, columns)
-        _write_csv_rowwise(tmp_path / "rowwise.csv", header, columns)
-        written.append((path.read_bytes(), (tmp_path / "rowwise.csv").read_bytes()))
+        _write_csv_reference(tmp_path / "reference.csv", header, columns)
+        written.append((path.read_bytes(), (tmp_path / "reference.csv").read_bytes()))
 
     monkeypatch.setattr(cli, "write_csv", write_both)
-    cfg = tmp_path / "all.cfg"
-    cfg.write_text(CSV_CFG)
+    example = _readme_example()
+    assert "nodes = 4800\n" in example
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example.replace("nodes = 4800\n", "nodes = 1200\n"))
     assert cli.main([command, str(cfg), "-o", str(tmp_path / "out")]) == 0
-    [(columnwise, rowwise)] = written
-    assert columnwise.count(b"\n") > 1
-    assert columnwise == rowwise
+    [(chunked, reference)] = written
+    assert chunked.count(b"\n") > 1
+    assert chunked == reference
 
 
 def test_cli_import_leaves_linalg_and_sparse_unloaded():
