@@ -9,7 +9,10 @@ stage timings vary between runs, and the solve's diagnostics, among them the
 torus shape the solve collocated on: `[solver] torus_resolution` points
 along each lattice axis the boundary modes vary along, one along the others
 (a constant boundary collocates one torus point per radial node, the cosine
-boundary (1, 0, ...) m points).  The shape goes only into the sidecar.
+boundary (1, 0, ...) m points), and the torus points collocated per node
+with their reason (even boundary data, such as every `cosine` and
+`constant` boundary, collocates `fields.even_points`: 9 of those 16).  The
+shape and the count go only into the sidecar.
 
 `TABLE` below is the config schema: every section, key, type, default and
 check.  Each command reads its sections through `section`, so a missing,

@@ -13,7 +13,12 @@ conjugate.  The characters are chi_k(t) = exp(2*pi*i k.t) in fractional
 lattice coordinates t, so the coefficients and the collocation values on
 the uniform torus grid of that shape are one real FFT over the axes of
 size > 1 apart (`real_values`, `Field.from_values`); with no such axis
-they coincide.  The Nyquist planes (some 2|k_i| = m_i) stay zero.  No
+they coincide.  The Nyquist planes (some 2|k_i| = m_i) stay zero.  A half
+spectrum that is exactly real is exactly an even field, f(-t) = f(t): the
+profile of -k, the conjugate of that of k, is then that profile itself.
+The points with indices 0 ... m_j/2 on the halved axis, the box of the
+half shape (`even_points`), hold every value of an even field, and t -> -t
+maps each other point onto one of them (`mirror_even`).  No
 other module maps modes to slots (`Field.set_mode` itself writes the
 conjugate of a profile to the slot of -k); only
 `geometry.holomorphic_hessian` relies on the k_j >= 0 half (`halved_axis`),
@@ -22,6 +27,7 @@ counting a k_j > 0 row for k and -k.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +90,29 @@ def real_values(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
 def _half_shape(shape: tuple) -> tuple:
     j = halved_axis(shape)
     return shape[:j] + (shape[j] // 2 + 1,) + shape[j + 1 :]
+
+
+def even_points(shape: tuple) -> tuple:
+    """Index of the collocation points of a torus grid of that shape that
+    hold an even field: indices 0 ... m_j/2 on the halved axis j, every
+    index on the others, a box of the half shape."""
+    return tuple(slice(m) for m in _half_shape(shape))
+
+
+def mirror_even(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Fill `values` (torus axes of that shape first) outside `even_points`
+    from the points t -> -t maps them onto, in place, by index slices: on
+    the halved axis j indices m_j/2+1 ... m_j-1 read m_j/2-1 ... 1, and on
+    each axis before j index 0 reads 0 and indices 1 ... m-1 read m-1 ... 1.
+    Returns `values`."""
+    j = halved_axis(shape)
+    per_axis = [[(slice(None), slice(None))] if m == 1 else [(slice(1), slice(1)), (slice(1, None), slice(None, 0, -1))]
+                for m in shape[:j]]
+    per_axis.append([(slice(shape[j] // 2 + 1, None), slice(shape[j] // 2 - 1, 0, -1))])
+    for pairs in itertools.product(*per_axis):
+        dst, src = zip(*pairs)
+        values[dst] = values[src]
+    return values
 
 
 @dataclass
@@ -168,6 +197,11 @@ class Field:
         half = self.coeffs.shape[:-1]
         j = halved_axis(half)
         return half[:j] + (2 * (half[j] - 1) if half[j] > 1 else 1,) + half[j + 1 :]
+
+    @property
+    def even(self) -> bool:
+        """Whether the half spectrum is exactly real, that is the field even."""
+        return not self.coeffs.imag.any()
 
     @property
     def torus_resolution(self) -> int:

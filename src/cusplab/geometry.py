@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BoundaryStencilError, ConfigError, MetricDegenerateError, NumericalError
-from .fields import Field, halved_axis, mode_indices, real_values
+from .fields import Field, even_points, halved_axis, mirror_even, mode_indices, real_values
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
 from .spectrum import mode_covector, mode_eigenvalue
@@ -122,10 +122,13 @@ def _mode_derivatives(grid: RadialGrid, coeffs: np.ndarray, k: np.ndarray, order
     `coeffs` (torus axes first, last axis radial): their flat torus indices,
     their integer modes (read from `k`, the mode index array of the same
     torus shape), their profiles and their radial derivatives.  Zero rows
-    have zero derivatives, so they are skipped."""
+    have zero derivatives, so they are skipped; the rows of an even field,
+    exactly real, are differentiated in real arithmetic."""
     flat = coeffs.reshape(-1, len(grid))
     rows = np.flatnonzero(np.any(flat != 0, axis=-1))
     prof = flat[rows]
+    if not prof.imag.any():
+        prof = prof.real
     px, pxx = grid.deriv_x(prof, order)
     return rows, k.reshape(-1, k.shape[-1])[rows], prof, px, pxx
 
@@ -134,7 +137,7 @@ class _Zero:
     """An exactly zero matrix entry: sums skip it, products are it (a +-0 term changes no nonzero result)."""
 
     __array_ufunc__ = None  # an ndarray operand defers to the reflected operators
-    conj = conjugate = __neg__ = __mul__ = __rmul__ = lambda self, *_: self
+    conj = conjugate = __neg__ = __mul__ = __rmul__ = __getitem__ = lambda self, *_: self
     real = property(conj)
     __add__ = __radd__ = __rsub__ = lambda self, other: other
     __sub__ = lambda self, other: -other
@@ -224,40 +227,70 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     remainder Q = M - L: with e_k from `_symmetric_functions` and w = e_1 +
     ... + e_n, M = log(1 + w) - f and Q = (log(1 + w) - w) + e_2 + ... + e_n.
     Radial derivatives span the grid, the rest runs in `_BLOCK_POINTS` slabs.
-    One path serves every n.  Raises MetricDegenerateError (`_degenerate`)
+    One path serves every n.  For an even f (`Field.even`) the algebra runs
+    on `even_points` alone: t -> -t flips the sign of the mixed entries
+    h_(a n) only, which no e_k sees, so M and Q are even, and `mirror_even`
+    fills the other points.  Raises MetricDegenerateError (`_degenerate`)
     at the outermost degenerate node, first torus index there, with the
     least eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k
-    t^(n-k)), or NumericalError where w leaves the float range."""
+    t^(n-k)), or NumericalError where w leaves the float range; for an even
+    f the failing points are mirrored first, so the report is the same."""
     n, torus, nn = model.n, f.torus_shape, len(f.grid)
+    even = f.even
+    keep = even_points(torus) if even else ()
     slab = _chart_hessian(model, f, order)
     m_vals, q_vals = np.empty(torus + (nn,)), np.empty(torus + (nn,)) if remainder else None
+    m_kept, q_kept = m_vals[keep], q_vals[keep] if remainder else None
     width = max(1, _BLOCK_POINTS // (m_vals.size // nn))
     for lo in range(0, nn, width):
         sl = slice(lo, min(lo + width, nn))
         fv, h = slab(sl)
-        points = torus + (sl.stop - lo,)
+        if even:
+            fv, h = fv[keep], {jk: v[keep] for jk, v in h.items()}
+        points = m_kept.shape[:-1] + (sl.stop - lo,)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a w past the float range is refused
             e = _symmetric_functions(h, n)
             w = sum(e)
             lost = np.broadcast_to(~np.isfinite(w), points)
             bad = lost | _degenerate(e, n)
         if bad.any():
+            if even:
+                spread = np.zeros(torus + points[-1:], dtype=bool)
+                spread[keep] = bad
+                bad = mirror_even(spread, torus)
             r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), points[-1:] + torus)
-            if lost[(*where, r)]:
+            j = halved_axis(torus)
+            # where, or its reflection when it lies outside the kept points
+            at = (*(-i % m for i, m in zip(where, torus)), r) if even and 2 * where[j] > torus[j] else (*where, r)
+            if lost[at]:
                 raise NumericalError(f"det(g + h)/det g leaves the float range at x={f.grid.x[lo + r]:.6g}, "
                                      f"torus index {tuple(map(int, where))}: the Hessian of the iterate overflows")
-            char = [1.0] + [(-1) ** k * np.broadcast_to(ek, points)[(*where, r)] for k, ek in enumerate(e, 1)]
+            char = [1.0] + [(-1) ** k * np.broadcast_to(ek, points)[at] for k, ek in enumerate(e, 1)]
             raise MetricDegenerateError(f.grid.x[lo + r], where, 1.0 + float(np.roots(char).real.min()))
-        m_vals[..., sl] = np.log1p(w) - fv
+        m_kept[..., sl] = np.log1p(w) - fv
         if remainder:
-            q_vals[..., sl] = _log1p_minus(w) + sum(e[1:])
+            q_kept[..., sl] = _log1p_minus(w) + sum(e[1:])
+    if even:
+        mirror_even(m_vals, torus)
+        if remainder:
+            mirror_even(q_vals, torus)
     return m_vals, q_vals
+
+
+def _collocated(f: Field, values: np.ndarray) -> Field:
+    """Field.from_values of collocation values computed from f; for an even
+    f the values are even, the imaginary parts of their coefficients are FFT
+    roundoff and are dropped, so the result is exactly even as well."""
+    out = Field.from_values(f.grid, values)
+    if f.even:
+        out.coeffs.imag = 0.0
+    return out
 
 
 def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2) -> Field:
     """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field."""
     m_vals, _ = _ma_values(model, f, order, remainder=False)
-    return Field.from_values(f.grid, m_vals)
+    return _collocated(f, m_vals)
 
 
 def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residual: bool = False):
@@ -265,7 +298,7 @@ def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residua
     `with_residual`, returns (Q, the sup of |M(f)| over the collocation
     values at interior radial nodes), both from one collocation."""
     m_vals, q_vals = _ma_values(model, f, order)
-    q = Field.from_values(f.grid, q_vals)
+    q = _collocated(f, q_vals)
     if with_residual:
         return q, float(np.max(np.abs(m_vals[..., f.grid.interior(order)])))
     return q

@@ -44,7 +44,7 @@ import numpy as np
 from . import geometry, pool
 from .bessel import h_pair
 from .errors import ConfigError, CuspLabError, NonContractionError
-from .fields import Field, check_torus_shape
+from .fields import Field, check_torus_shape, even_points
 from .grid import RadialGrid
 from .model import CuspModel
 from .radial import interval_integrals, radial_rep_l0
@@ -330,6 +330,9 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     enforced.
     Each +/- pair is solved once: `Field.set_mode` stores a solution with
     its conjugate as that of -k, and a key whose slot is filled is skipped.
+    Even data, g even (`Field.even`) and every boundary coefficient real,
+    has an even solution: its profiles and boundary values are passed real,
+    so each mode solve runs in float64 and the result is exactly even.
     """
     grid = g.grid
     n = model.n
@@ -350,6 +353,7 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
     unsolved = np.ones(sup.shape, dtype=bool)
     unsolved[zero] = False
     modes_solved = 0
+    even = g.even and not any(complex(v).imag for v in boundary.values())
     for k, lam in keys.items():
         slot = out.index(k)
         if not unsolved[slot]:
@@ -358,7 +362,10 @@ def assemble_representation(model: CuspModel, boundary: dict, g: Field, below: t
         beta = complex(boundary.get(k, 0.0))
         if beta == 0.0 and sup[slot] <= _MODE_FLOOR * scale:
             continue
-        out.set_mode(k, _solve_with_plan(_solve_plan(n, lam, grid), g.mode(k), beta))
+        profile = g.mode(k)
+        if even:
+            profile, beta = profile.real, beta.real
+        out.set_mode(k, _solve_with_plan(_solve_plan(n, lam, grid), profile, beta))
         modes_solved += 1
 
     tail = float(np.max(sup[unsolved], initial=0.0))
@@ -371,7 +378,9 @@ class PicardState:
     sup_change, residual_sup (sup |M(u)| at interior collocation points),
     tail_indicator, modes_solved, and the seconds of collocation and assembly.
     `diagnostics` holds the torus shape the solve collocated on, with the
-    lattice axes the boundary data spans as its reason."""
+    lattice axes the boundary data spans as its reason, and the torus points
+    collocated per radial node, with the reason: `even_points` for even
+    boundary data, whose iterates keep a real half spectrum, else all."""
 
     iteration: int
     diagnostics: dict = field(default_factory=dict)
@@ -506,6 +515,7 @@ def picard_solve(
     with _stage("final residual"):
         residual = geometry.monge_ampere_residual(model, u, _ITERATION_ORDER)
     res_sup = residual.sup_norm(grid.interior(_ITERATION_ORDER))
+    even = u.even  # every iterate of even boundary data is even, and collocated on even_points
     state = PicardState(
         iteration=it,
         trace=trace,
@@ -519,6 +529,10 @@ def picard_solve(
             "torus_shape_reason": (
                 f"boundary modes with nonzero coefficients vary along lattice axes "
                 f"{[i for i, m in enumerate(shape) if m > 1]}; every other axis is sampled once"
+            ),
+            "collocated_points": math.prod(sl.stop for sl in even_points(shape)) if even else math.prod(shape),
+            "collocated_points_reason": (
+                "boundary data even: real half spectrum" if even else "boundary data not even: every torus point"
             ),
         },
     )

@@ -621,6 +621,9 @@ s_hi = 120
     # the cosine boundary (1, 0) spans lattice axis 0 only
     assert res["torus_shape"] == [16, 1]
     assert "lattice axes [0]" in res["torus_shape_reason"]
+    # the cosine boundary is even: 9 of the 16 torus points are collocated
+    assert res["collocated_points"] == 9
+    assert res["collocated_points_reason"] == "boundary data even: real half spectrum"
 
 
 def test_solve_command_small(tmp_path):
@@ -665,6 +668,8 @@ def test_solve_sidecar_records_torus_shape(tmp_path):
     res = json.loads((out / "solve.json").read_text())["results"]
     assert res["torus_shape"] == [1, 1, 1, 1]
     assert "lattice axes []" in res["torus_shape_reason"]
+    assert res["collocated_points"] == 1
+    assert res["collocated_points_reason"] == "boundary data even: real half spectrum"
     text = (out / "solve.csv").read_text()
     assert text.splitlines()[0] == "x,s,u_mode0"
     assert "torus" not in text

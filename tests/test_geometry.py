@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cusplab import analysis, geometry
 from cusplab.bessel import h_pair
-from cusplab.errors import BoundaryStencilError, ConfigError, MetricDegenerateError
+from cusplab.errors import BoundaryStencilError, ConfigError, MetricDegenerateError, NumericalError
 from cusplab.fields import Field
 from cusplab.grid import RadialGrid
 from cusplab.model import CuspModel, CuspPoint
@@ -469,13 +470,17 @@ def test_positivity_guard_matches_eigvalsh(n, torus, monkeypatch):
     # the error names the outermost degenerate node, the first torus point
     # there and the smallest eigenvalue of I + h, that of s, for slabs of one
     # node and one slab for the whole grid alike
+    # (the stubbed Hessian is not even, so the field, whose values the stub
+    # ignores, is kept off the even path)
     slab = lambda sl: (0.0, {jk: v[..., sl] for jk, v in hessian.items()})  # noqa: E731
     monkeypatch.setattr(geometry, "_chart_hessian", lambda *args: slab)
     r, *where = np.unravel_index(np.argmax(np.moveaxis(reference, -1, 0)), (len(grid),) + torus)
+    f = _off_even_path(Field.zero(grid, torus))
+    assert not f.even
     for block in (64, 2**21):
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", block)
         with pytest.raises(MetricDegenerateError) as info:
-            geometry._ma_values(model, Field.zero(grid, torus), 2)
+            geometry._ma_values(model, f, 2)
         assert info.value.where == tuple(int(i) for i in where)
         assert info.value.x == grid.x[r]
         assert info.value.eigmin == pytest.approx(low[(*where, r)], abs=1e-14)
@@ -537,3 +542,86 @@ def test_n3_remainder_matches_extended_precision():
             b = mpmath.inverse(g) * h
             ref = mpmath.re(mpmath.log(mpmath.det(mpmath.eye(n) + b)) - sum(b[j, j] for j in range(n)))
             assert abs(float((q[node + (idx,)] - ref) / ref)) < 1e-13, (n, node, idx)
+
+
+def _even_field(grid, shape, amplitude, seed):
+    """A random even field: a real profile amplitude a_k x exp(-1/sqrt(x))
+    on each mode with |k_i| <= 1 that the shape holds, a_k = a_-k."""
+    rng = np.random.default_rng(seed)
+    f = Field.zero(grid, shape)
+    base = grid.x * np.exp(-1.0 / np.sqrt(grid.x))
+    for k in itertools.product(*((-1, 0, 1) if m > 1 else (0,) for m in shape)):
+        f.set_mode(k, amplitude * rng.normal() * base)
+    return f
+
+
+def _off_even_path(f):
+    """f with an imaginary 1e-300 on one coefficient, below every ulp of its
+    values: the same field, collocated on every torus point."""
+    g = Field(f.grid, f.coeffs.copy())
+    g.coeffs[(1,) + (0,) * (f.torus_dims - 1)][0] += 1e-300j
+    return g
+
+
+@pytest.mark.parametrize(
+    "n, lattice, A, shape",
+    [
+        (2, np.array([[1.0, 0.5], [0.0, np.sqrt(3) / 2]]), np.array([[1.3]]), (16, 16)),
+        (3, np.eye(4), A3, (8, 1, 1, 1)),
+    ],
+    ids=["n2-hexagonal", "n3-complex-A"],
+)
+def test_even_field_collocates_half_the_torus(n, lattice, A, shape):
+    # an even field collocates on even_points (144 of 256 points on (16, 16),
+    # 5 of 8 on (8, 1, 1, 1)) and mirrors M and Q onto the rest: both match
+    # the full-torus evaluation of the same field at roundoff, and Q's
+    # coefficients are exactly real.  The two end nodes on each side take
+    # their one-sided stencils as a BLAS dot product, which rounds real rows
+    # (even path) and complex rows (full path) differently by a few ulp
+    model = CuspModel(n, lattice, A)
+    grid = RadialGrid.make(0.2, 5.0, 40)
+    f = _even_field(grid, shape, 1e-3, seed=3)
+    full = _off_even_path(f)
+    assert f.even and not full.even
+    for half_vals, full_vals in zip(geometry._ma_values(model, f, 4), geometry._ma_values(model, full, 4)):
+        scale, gap = np.max(np.abs(full_vals)), np.abs(half_vals - full_vals)
+        assert np.max(gap[..., 2:-2]) <= 1e-15 * scale
+        assert np.max(gap) <= 1e-14 * scale
+    q = geometry.quadratic_remainder(model, f, 4)
+    assert not np.any(q.coeffs.imag)
+    assert geometry.monge_ampere_residual(model, f, 4).even
+    assert not geometry.quadratic_remainder(model, full, 4).even
+
+
+def test_even_path_failure_reports_match_the_full_path(monkeypatch):
+    # an exactly even Hessian on (8, 8) that fails at node 3 on the pair of
+    # points (3, 6) and (5, 2) = -(3, 6) mod 8: only (5, 2) is collocated on
+    # the even path (indices 0 ... 4 on the halved axis 1), but (3, 6) comes
+    # first in full-torus order, and both paths name it, with the same node
+    # and eigenvalue; an overflowing pair is named the same way
+    model = CuspModel(2, np.eye(2), np.eye(1))
+    grid = RadialGrid.make(0.2, 5.0, 16)
+    torus = (8, 8)
+    rng = np.random.default_rng(5)
+
+    def even(a):
+        return 0.5 * (a + np.roll(np.flip(a, (0, 1)), 1, (0, 1)))  # (a(t) + a(-t))/2
+
+    size = torus + (len(grid),)
+    base = {(0, 0): even(rng.uniform(-0.1, 0.1, size)), (1, 1): even(rng.uniform(-0.1, 0.1, size)),
+            (0, 1): even(rng.uniform(-0.1, 0.1, size)) + 1j * even(rng.uniform(-0.1, 0.1, size))}
+    f = Field.zero(grid, torus)
+    for pair_value, error, text in [(-1.5, MetricDegenerateError, "degenerate"), (1e300, NumericalError, "float range")]:
+        hessian = {jk: v.copy() for jk, v in base.items()}
+        for point in ((3, 6), (5, 2)):
+            hessian[0, 0][point + (3,)] = hessian[1, 1][point + (3,)] = pair_value
+        slab = lambda sl, h=hessian: (geometry._ZERO, {jk: v[..., sl] for jk, v in h.items()})  # noqa: E731
+        monkeypatch.setattr(geometry, "_chart_hessian", lambda *args, slab=slab: slab)
+        reports = []
+        for field in (f, _off_even_path(f)):
+            with pytest.raises(error, match=text) as info:
+                geometry._ma_values(model, field, 2)
+            reports.append((str(info.value), getattr(info.value, "where", None), getattr(info.value, "eigmin", None)))
+        assert reports[0] == reports[1]
+        assert "torus index (3, 6)" in reports[0][0] and f"x={grid.x[3]:.6g}" in reports[0][0]
+    assert reports[0][1] is None  # the overflow report is a NumericalError

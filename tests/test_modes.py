@@ -741,6 +741,43 @@ class TestTorusShape:
         assert bool(sizes) == transforms
         assert all(size > 1 for call in sizes for size in call)
 
+    def test_sine_boundary_is_the_quarter_period_translate_of_the_cosine(self):
+        # a sin(2 pi t1) is a cos(2 pi t1) translated by a quarter period, 4 of
+        # the 16 points, so the collocation points map onto each other; its
+        # half spectrum is imaginary, so the solve takes the full-torus path
+        # in complex arithmetic, and its mode (1, 0) is -i times the cosine's
+        grid = RadialGrid.make(0.05, 34.0, 400)
+        a = 1e-3
+        solves = [modes.picard_solve(square_model(), boundary, grid, torus_resolution=16, cutoff=25.0, tol=1e-11)
+                  for boundary in ({(1, 0): 0.5 * a, (-1, 0): 0.5 * a}, {(1, 0): -0.5j * a, (-1, 0): 0.5j * a})]
+        (cos_u, cos_state), (sin_u, sin_state) = solves
+        reference = cos_u.mode((1, 0))
+        assert np.max(np.abs(sin_u.mode((1, 0)) + 1j * reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert sin_state.iteration == cos_state.iteration
+        assert sin_state.diagnostics["residual_sup"] == pytest.approx(cos_state.diagnostics["residual_sup"], rel=1e-12)
+        assert cos_u.even and not sin_u.even
+        assert (cos_state.diagnostics["collocated_points"], sin_state.diagnostics["collocated_points"]) == (9, 16)
+        assert sin_state.diagnostics["collocated_points_reason"] == "boundary data not even: every torus point"
+
+    def test_even_data_solves_modes_in_real_arithmetic(self, monkeypatch):
+        # a cosine solve passes float64 profiles and real boundary values to
+        # every mode solve, and each returns float64
+        calls = []
+        solve = modes._solve_with_plan
+
+        def spy(plan, f, v_x0):
+            out = solve(plan, f, v_x0)
+            calls.append((f.dtype, type(v_x0), out.dtype))
+            return out
+
+        monkeypatch.setattr(modes, "_solve_with_plan", spy)
+        grid = RadialGrid.make(0.05, 34.0, 200)
+        u, state = modes.picard_solve(square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, torus_resolution=16)
+        # the iterations, the first assembly and the final pass
+        assert len(calls) == 1 + sum(t["modes_solved"] for t in state.trace) + state.diagnostics["modes_solved"]
+        assert set(calls) == {(np.dtype(float), float, np.dtype(float))}
+        assert u.even
+
     @pytest.mark.parametrize(
         "model, boundary, m, nodes",
         [
