@@ -22,16 +22,8 @@ class MetricDegenerateError(CuspLabError):
         )
 
 
-class DecayPreconditionError(CuspLabError):
-    """A radial inhomogeneity does not decay fast enough for the kernel integrals."""
-
-
 class NonContractionError(CuspLabError):
     """Fixed-point iteration stopped contracting (boundary data too large)."""
-
-
-class BoundaryStencilError(CuspLabError):
-    """Radial derivative requested at an outermost grid node."""
 
 
 class NumericalError(CuspLabError):

@@ -16,18 +16,17 @@ size > 1 apart (`real_values`, `Field.from_values`); with no such axis
 they coincide.  The Nyquist planes (some 2|k_i| = m_i) stay zero.  A half
 spectrum that is exactly real is exactly an even field, f(-t) = f(t): the
 profile of -k, the conjugate of that of k, is then that profile itself.
-The points with indices 0 ... m_j/2 on the halved axis, the box of the
-half shape (`even_points`), hold every value of an even field, and t -> -t
-maps each other point onto one of them (`mirror_even`).  No
-other module maps modes to slots (`Field.set_mode` itself writes the
-conjugate of a profile to the slot of -k); only
-`geometry.holomorphic_hessian` relies on the k_j >= 0 half (`halved_axis`),
-counting a k_j > 0 row for k and -k.
+The points with indices 0 ... m_j/2 on the halved axis, the box of the half
+shape (`even_points`), hold every value of an even field, t -> -t maps each
+other point onto one of them (`mirror_even`), and values so filled give a
+real half spectrum (`Field.from_values`).  No other module maps modes to
+slots (`Field.set_mode` itself writes the conjugate of a profile to the slot
+of -k); only `geometry.holomorphic_hessian` relies on the k_j >= 0 half
+(`halved_axis`), counting a k_j > 0 row for k and -k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +98,20 @@ def even_points(shape: tuple) -> tuple:
     return tuple(slice(m) for m in _half_shape(shape))
 
 
-def mirror_even(values: np.ndarray, shape: tuple) -> np.ndarray:
-    """Fill `values` (torus axes of that shape first) outside `even_points`
-    from the points t -> -t maps them onto, in place, by index slices: on
-    the halved axis j indices m_j/2+1 ... m_j-1 read m_j/2-1 ... 1, and on
-    each axis before j index 0 reads 0 and indices 1 ... m-1 read m-1 ... 1.
-    Returns `values`."""
+def _reflection(shape: tuple) -> tuple:
+    """(points outside `even_points`, the points t -> -t maps them onto) of a torus grid of that shape, as
+    indices: index i of an axis of size m maps onto (-i) mod m."""
     j = halved_axis(shape)
-    per_axis = [[(slice(None), slice(None))] if m == 1 else [(slice(1), slice(1)), (slice(1, None), slice(None, 0, -1))]
-                for m in shape[:j]]
-    per_axis.append([(slice(shape[j] // 2 + 1, None), slice(shape[j] // 2 - 1, 0, -1))])
-    for pairs in itertools.product(*per_axis):
-        dst, src = zip(*pairs)
-        values[dst] = values[src]
+    start = shape[j] // 2 + 1
+    source = np.ix_(*((-np.arange(start if i == j else 0, m)) % m for i, m in enumerate(shape)))
+    return (slice(None),) * j + (slice(start, None),), source
+
+
+def mirror_even(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Fill `values` (torus axes of that shape first) outside `even_points` from the points t -> -t maps
+    them onto, in place, by one gather (`_reflection`).  Returns `values`."""
+    outside, source = _reflection(shape)
+    values[outside] = values[source]
     return values
 
 
@@ -171,7 +171,8 @@ class Field:
         torus shape + (len(grid),).
 
         Nyquist bins must be negligible, at most `_NYQUIST_RTOL` times the
-        largest coefficient or `_NYQUIST_ABS`; they are dropped.
+        largest coefficient or `_NYQUIST_ABS`; they are dropped.  Values that `mirror_even` leaves
+        as they are give the exactly real half spectrum of their even part (v(t) + v(-t))/2.
         """
         values = np.asarray(values)
         shape = values.shape[:-1]
@@ -187,6 +188,8 @@ class Field:
                 f"vs scale {scale:.3e}"
             )
         coeffs[nyquist] = 0.0
+        if axes and np.array_equal(*(values[index] for index in _reflection(shape))):
+            coeffs.imag = 0.0
         return cls(grid, coeffs)
 
     # --- structure ---

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BoundaryStencilError, ConfigError, MetricDegenerateError, NumericalError
+from .errors import ConfigError, MetricDegenerateError, NumericalError
 from .fields import Field, even_points, halved_axis, mirror_even, mode_indices, real_values
 from .grid import RadialGrid
 from .model import CuspModel, CuspPoint
@@ -220,6 +220,14 @@ def _degenerate(e: list, n: int):
     return bad
 
 
+def _guarded(h: dict, n: int):
+    """(e = `_symmetric_functions` of h, w = e_1 + ... + e_n, where w is not finite or `_degenerate` flags I + h)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a w past the float range is refused
+        e = _symmetric_functions(h, n)
+        w = sum(e)
+        return e, w, ~np.isfinite(w) | _degenerate(e, n)
+
+
 def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     """(M values, Q values or None unless `remainder`) at the collocation
     points, from the Hessian h of f in an orthonormal frame of the model
@@ -230,14 +238,13 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     One path serves every n.  For an even f (`Field.even`) the algebra runs
     on `even_points` alone: t -> -t flips the sign of the mixed entries
     h_(a n) only, which no e_k sees, so M and Q are even, and `mirror_even`
-    fills the other points.  Raises MetricDegenerateError (`_degenerate`)
-    at the outermost degenerate node, first torus index there, with the
-    least eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k
-    t^(n-k)), or NumericalError where w leaves the float range; for an even
-    f the failing points are mirrored first, so the report is the same."""
+    fills the other points.  A slab that fails is evaluated again on every
+    torus point, and raises MetricDegenerateError (`_degenerate`) at the
+    outermost degenerate node, first torus index there, with the least
+    eigenvalue of I + h (1 plus the least root of sum_k (-1)^k e_k t^(n-k)),
+    or NumericalError where w leaves the float range."""
     n, torus, nn = model.n, f.torus_shape, len(f.grid)
-    even = f.even
-    keep = even_points(torus) if even else ()
+    keep = even_points(torus) if f.even and max(torus) > 1 else ()  # one point on an all-ones torus, nothing to mirror
     slab = _chart_hessian(model, f, order)
     m_vals, q_vals = np.empty(torus + (nn,)), np.empty(torus + (nn,)) if remainder else None
     m_kept, q_kept = m_vals[keep], q_vals[keep] if remainder else None
@@ -245,52 +252,32 @@ def _ma_values(model: CuspModel, f: Field, order: int, remainder: bool = True):
     for lo in range(0, nn, width):
         sl = slice(lo, min(lo + width, nn))
         fv, h = slab(sl)
-        if even:
-            fv, h = fv[keep], {jk: v[keep] for jk, v in h.items()}
-        points = m_kept.shape[:-1] + (sl.stop - lo,)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a w past the float range is refused
-            e = _symmetric_functions(h, n)
-            w = sum(e)
-            lost = np.broadcast_to(~np.isfinite(w), points)
-            bad = lost | _degenerate(e, n)
+        e, w, bad = _guarded({jk: v[keep] for jk, v in h.items()}, n)
         if bad.any():
-            if even:
-                spread = np.zeros(torus + points[-1:], dtype=bool)
-                spread[keep] = bad
-                bad = mirror_even(spread, torus)
-            r, *where = np.unravel_index(np.argmax(np.moveaxis(bad, -1, 0)), points[-1:] + torus)
-            j = halved_axis(torus)
-            # where, or its reflection when it lies outside the kept points
-            at = (*(-i % m for i, m in zip(where, torus)), r) if even and 2 * where[j] > torus[j] else (*where, r)
-            if lost[at]:
+            points = torus + (sl.stop - lo,)
+            e, w, bad = _guarded(h, n)
+            first = np.argmax(np.moveaxis(np.broadcast_to(bad, points), -1, 0))  # outermost node, then torus order
+            r, *where = np.unravel_index(first, points[-1:] + torus)
+            at = (*where, r)
+            if not np.isfinite(np.broadcast_to(w, points)[at]):
                 raise NumericalError(f"det(g + h)/det g leaves the float range at x={f.grid.x[lo + r]:.6g}, "
                                      f"torus index {tuple(map(int, where))}: the Hessian of the iterate overflows")
             char = [1.0] + [(-1) ** k * np.broadcast_to(ek, points)[at] for k, ek in enumerate(e, 1)]
             raise MetricDegenerateError(f.grid.x[lo + r], where, 1.0 + float(np.roots(char).real.min()))
-        m_kept[..., sl] = np.log1p(w) - fv
+        m_kept[..., sl] = np.log1p(w) - (fv[keep] if keep else fv)
         if remainder:
             q_kept[..., sl] = _log1p_minus(w) + sum(e[1:])
-    if even:
+    if keep:
         mirror_even(m_vals, torus)
         if remainder:
             mirror_even(q_vals, torus)
     return m_vals, q_vals
 
 
-def _collocated(f: Field, values: np.ndarray) -> Field:
-    """Field.from_values of collocation values computed from f; for an even
-    f the values are even, the imaginary parts of their coefficients are FFT
-    roundoff and are dropped, so the result is exactly even as well."""
-    out = Field.from_values(f.grid, values)
-    if f.even:
-        out.coeffs.imag = 0.0
-    return out
-
-
 def monge_ampere_residual(model: CuspModel, f: Field, order: int = 2) -> Field:
     """M(f) = log det(g + i d dbar f)^n/det g^n - f as a Field."""
     m_vals, _ = _ma_values(model, f, order, remainder=False)
-    return _collocated(f, m_vals)
+    return Field.from_values(f.grid, m_vals)
 
 
 def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residual: bool = False):
@@ -298,7 +285,7 @@ def quadratic_remainder(model: CuspModel, f: Field, order: int = 2, with_residua
     `with_residual`, returns (Q, the sup of |M(f)| over the collocation
     values at interior radial nodes), both from one collocation."""
     m_vals, q_vals = _ma_values(model, f, order)
-    q = _collocated(f, q_vals)
+    q = Field.from_values(f.grid, q_vals)
     if with_residual:
         return q, float(np.max(np.abs(m_vals[..., f.grid.interior(order)])))
     return q
@@ -327,7 +314,7 @@ def holomorphic_hessian(model: CuspModel, f: Field, p: CuspPoint) -> np.ndarray:
         raise ConfigError(f"x={p.x} is not a grid node")
     interior = grid.interior(order=2)
     if not (interior.start <= idx < interior.stop):
-        raise BoundaryStencilError(
+        raise ConfigError(
             f"node {idx} is an outermost grid node; one-sided stencils are not used silently"
         )
     n, d = model.n, model.d

@@ -33,6 +33,7 @@ remainder of the Monge-Ampere operator.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import time
@@ -460,16 +461,23 @@ def picard_solve(
     `boundary_torus_shape`: torus_resolution points along the lattice axes
     the boundary data spans, one along the others; a grid of more than
     `_COLLOCATION_POINTS` torus points times nodes is refused before the
-    modes are enumerated, and n > 7 (`_MINOR_PRODUCTS`) before anything.
+    modes are enumerated, and n > 7 (`_MINOR_PRODUCTS`), a boundary
+    coefficient that is not finite and a cutoff that is not positive and
+    finite before anything.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0 < cutoff < math.inf:
+        raise ConfigError(f"cutoff must be positive and finite, got {cutoff}")
     if (products := math.factorial(model.n)) > _MINOR_PRODUCTS:
         raise ConfigError(f"n = {model.n} expands about {products} minor products a point, over {_MINOR_PRODUCTS}")
-    lam1 = first_eigenvalue(model)
     boundary = {tuple(int(i) for i in k): complex(v) for k, v in boundary.items()}
+    for k, v in boundary.items():
+        if not cmath.isfinite(v):
+            raise ConfigError(f"boundary coefficient of mode {k} is not finite: {v}")
+    lam1 = first_eigenvalue(model)
     _check_boundary_symmetry(boundary)
     shape = boundary_torus_shape(boundary, 2 * model.d, torus_resolution)
     points = math.prod(shape) * len(grid)

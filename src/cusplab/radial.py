@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DecayPreconditionError, NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import RadialGrid, uniform_derivative
 
 # solve_ivp raises any smaller rtol to this, with a UserWarning
@@ -356,7 +356,7 @@ def radial_rep_l0(n: int, grid: RadialGrid, g0: np.ndarray, u_x0: float) -> np.n
     if gmax > 0 and abs(g0[-1]) > 1e-13 * gmax:
         tail_p = _power_fit(x[-6:], g0[-6:])
         if tail_p < 1.02:
-            raise DecayPreconditionError(
+            raise NumericalError(
                 f"zero-mode inhomogeneity decays like x^{tail_p:.3f}; "
                 "need better than x^1 for the kernel integrals"
             )

@@ -77,7 +77,8 @@ def _search(model: CuspModel, form: tuple, bound: float, radii=np.inf):
             k = (np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(int(total))).astype(np.int64)
             rest = np.repeat(rest, counts) - (diag[i] * (k - np.repeat(centre, counts))) ** 2
             keys = np.column_stack([k, np.repeat(keys, counts, axis=0)])
-    if np.max(np.abs((lams := mode_eigenvalue(model, keys)) - (top - rest))) > slack * top / 16.0:
+    lams = mode_eigenvalue(model, keys)  # the Gram form's check has no finite tolerance under an infinite bound
+    if top < np.inf and np.max(np.abs(lams - (top - rest))) > slack * top / 16.0:
         raise ConfigError(f"eigenvalues under {bound:.6g} not resolved: mode_eigenvalue strays from the Gram form")
     order = np.lexsort((*keys.T[::-1], lams))[: np.count_nonzero(lams <= bound)]
     return keys[order], lams[order]
@@ -102,7 +103,7 @@ def modes_below(model: CuspModel, lam_max: float, shape: tuple):
     """All nonzero modes with eigenvalue <= lam_max that a torus grid of the
     given shape holds, |k_i| <= (m_i - 1)//2 (2|k_i| < m_i, the rule of
     `Field.index`): (keys, lams) arrays of shapes (M, 2d) and (M,), sorted
-    by (lam, k)."""
+    by (lam, k); lam_max = inf gives every nonzero mode the grid holds."""
     keys, lams = _search(model, _form(model), lam_max, [(m - 1) // 2 for m in shape])
     return keys[lams > 0], lams[lams > 0]
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cusplab import fields
 from cusplab.errors import ConfigError
 from cusplab.fields import Field, halved_axis, mode_indices
 from cusplab.grid import RadialGrid
@@ -184,3 +185,36 @@ def test_last_axis_spanned_values_match_full_irfftn(shape):
     grid = _grid()
     f = Field.from_modes(grid, _all_held_modes(shape, np.random.default_rng(3)), shape)
     assert np.array_equal(f.values(), np.fft.irfftn(f.coeffs, s=shape, axes=(0, 1), norm="forward"))
+
+
+@pytest.mark.parametrize("shape", [(16, 1), (16, 16), (16, 4), (8, 1, 1, 1), (4, 4, 4, 4), (1, 1)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_mirror_even_is_the_reflection_gather(shape):
+    # outside even_points every value is that of its reflection, index i of
+    # an axis of size m reading (-i) mod m; even_points keep theirs
+    values = np.random.default_rng(11).normal(size=shape + (3,))
+    reflected = values[np.ix_(*((-np.arange(m)) % m for m in shape))]
+    mirrored = fields.mirror_even(values.copy(), shape)
+    kept = fields.even_points(shape)
+    assert np.array_equal(mirrored[kept], values[kept])
+    outside = np.ones(shape, dtype=bool)
+    outside[kept] = False
+    assert np.array_equal(mirrored[outside], reflected[outside])
+
+
+@pytest.mark.parametrize("shape", [(16, 1), (16, 16), (8, 1, 1, 1)], ids=lambda s: "x".join(map(str, s)))
+def test_from_values_gives_mirrored_values_a_real_spectrum(shape):
+    # the values of an even field, mirrored: their transform has imaginary
+    # roundoff, and from_values drops it; one value outside even_points
+    # moved by one ulp keeps it
+    grid = _grid()
+    modes = {k: p.real.astype(complex) for k, p in _all_held_modes(shape, np.random.default_rng(5)).items()}
+    values = fields.mirror_even(Field.from_modes(grid, modes, shape).values(), shape)
+    assert np.fft.rfftn(values, axes=fields._fft_axes(shape), norm="forward").imag.any()
+    assert Field.from_values(grid, values).even
+    moved = values.copy()
+    at = tuple(m - 1 for m in shape) + (7,)
+    moved[at] = np.nextafter(moved[at], np.inf)
+    f = Field.from_values(grid, moved)
+    assert not f.even
+    assert np.max(np.abs(f.coeffs.imag)) <= 1e-15 * np.max(np.abs(f.coeffs))

@@ -572,9 +572,31 @@ class TestPicard:
         with pytest.raises(ConfigError):
             modes.picard_solve(model, {(1, 0): 1e-3}, grid, torus_resolution=8)
 
+    @pytest.mark.parametrize(
+        "boundary, mode",
+        [
+            ({(1, 0): np.nan, (-1, 0): np.nan}, r"\(1, 0\)"),
+            ({(1, 0): complex(1e-3, np.nan), (-1, 0): complex(1e-3, np.nan)}, r"\(1, 0\)"),
+            ({(0, 0): np.inf}, r"\(0, 0\)"),
+        ],
+        ids=["nan-cosine", "nan-imaginary-part", "inf-zero-mode"],
+    )
+    def test_non_finite_boundary_refused(self, boundary, mode):
+        # refused before the spectrum is searched, naming the mode, and with
+        # no warning on the way (pytest turns a RuntimeWarning into an error)
+        grid = RadialGrid.make(0.05, 12.0, 300)
+        with pytest.raises(ConfigError, match=rf"^boundary coefficient of mode {mode} is not finite"):
+            modes.picard_solve(square_model(), boundary, grid, torus_resolution=8)
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_cutoff_must_be_positive_and_finite(self, cutoff):
+        grid = RadialGrid.make(0.05, 12.0, 300)
+        with pytest.raises(ConfigError, match="^cutoff must be positive and finite"):
+            modes.picard_solve(square_model(), {(1, 0): 5e-4, (-1, 0): 5e-4}, grid, 8, cutoff=cutoff)
+
     def test_large_boundary_fails_loudly(self):
         # the drift is refused at iteration 3, before its zero-mode
-        # inhomogeneity stops decaying (DecayPreconditionError at iteration 5)
+        # inhomogeneity stops decaying (the decay refusal at iteration 5)
         model = square_model()
         grid = RadialGrid.make(0.05, 12.0, 600)
         with pytest.raises(

@@ -225,6 +225,17 @@ def test_enumeration_is_the_modes_the_field_holds(model, shape):
     assert np.all(lams > 0)
 
 
+def test_infinite_bound_gives_every_mode_the_grid_holds():
+    # the finite radii of the torus grid bound the search; the Gram check
+    # has no tolerance to apply under an infinite bound and warns of nothing
+    keys, lams = spectrum.modes_below(square_model(), np.inf, (8, 1))
+    stored = fields.mode_indices((8, 1)).reshape(-1, 2)
+    stored = stored[np.all(2 * np.abs(stored) < (8, 1), axis=1) & np.any(stored != 0, axis=1)]
+    assert {tuple(k) for k in keys.tolist()} == {tuple(k) for k in np.concatenate([stored, -stored]).tolist()}
+    assert len(keys) == 6
+    assert np.array_equal(lams, spectrum.mode_eigenvalue(square_model(), keys))
+
+
 def test_search_budget_refuses_before_building(monkeypatch):
     # the search refuses a level past its partial-key budget before building
     # it; modes_below holds only partial keys of modes the torus grid holds
